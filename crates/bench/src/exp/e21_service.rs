@@ -8,7 +8,7 @@
 //! * submissions/second with concurrent submitting clients (WAL off and
 //!   WAL on, the latter paying an fsync per batch before each ack);
 //! * conjunctive and distribution queries/second from a warm analyst
-//!   connection;
+//!   connection (a one-term and a `2^k`-term `Plan` frame);
 //! * bit-for-bit agreement between served answers and the in-process
 //!   estimator, and between pre-restart and post-WAL-replay answers.
 //!
@@ -17,9 +17,10 @@
 
 use crate::common::Config;
 use crate::report::{f, Table};
-use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, Profile, UserId};
+use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Profile, UserId};
 use psketch_prf::GlobalKey;
 use psketch_protocol::{Announcement, AnnouncementBuilder, Coordinator, Submission, UserAgent};
+use psketch_queries::TermPlan;
 use psketch_server::wal::WalConfig;
 use psketch_server::{Client, Server, ServerConfig};
 use std::time::{Duration, Instant};
@@ -101,17 +102,18 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let mut analyst = Client::connect(addr, TIMEOUT).expect("connect analyst");
     let pair = BitSubset::range(0, 2);
     let value = BitString::from_bits(&[true, true]);
+    let q = ConjunctiveQuery::new(pair.clone(), value).expect("widths match");
+    let conj = TermPlan::for_conjunctive(q.clone());
+    let dist = TermPlan::for_distribution(&pair);
     let reps = cfg.reps(200);
     let start = Instant::now();
     for _ in 0..reps {
-        let _ = analyst
-            .conjunctive(pair.clone(), value.clone())
-            .expect("conjunctive query");
+        let _ = analyst.execute_plan(&conj).expect("conjunctive query");
     }
     let conj_qps = reps as f64 / start.elapsed().as_secs_f64();
     let start = Instant::now();
     for _ in 0..reps {
-        let _ = analyst.distribution(pair.clone()).expect("distribution");
+        let _ = analyst.execute_plan(&dist).expect("distribution");
     }
     let dist_qps = reps as f64 / start.elapsed().as_secs_f64();
 
@@ -119,15 +121,12 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let oracle = Coordinator::new(ann.clone());
     oracle.accept_batch(&subs);
     let estimator = ConjunctiveEstimator::new(ann.validate().expect("announcement validates"));
-    let served = analyst
-        .conjunctive(pair.clone(), value.clone())
-        .expect("conjunctive query");
-    let q = psketch_core::ConjunctiveQuery::new(pair.clone(), value.clone()).expect("widths match");
+    let served = analyst.execute_plan(&conj).expect("conjunctive query");
     let local = estimator
         .estimate(oracle.pool(), &q)
         .expect("oracle populated");
     assert_eq!(
-        served.fraction.to_bits(),
+        served[0].value.to_bits(),
         local.fraction.to_bits(),
         "served estimate diverged from the in-process estimator"
     );
@@ -145,20 +144,16 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let server = Server::start("127.0.0.1:0", ann.clone(), wal_config()).expect("bind loopback");
     let wal_subs_per_sec = ingest_rate(server.local_addr(), &subs, clients);
     let mut analyst = Client::connect(server.local_addr(), TIMEOUT).expect("connect analyst");
-    let before = analyst
-        .conjunctive(pair.clone(), value.clone())
-        .expect("pre-restart query");
+    let before = analyst.execute_plan(&conj).expect("pre-restart query");
     drop(analyst);
     server.shutdown();
 
     let server = Server::start("127.0.0.1:0", ann, wal_config()).expect("restart from wal");
     let mut analyst = Client::connect(server.local_addr(), TIMEOUT).expect("reconnect analyst");
-    let after = analyst
-        .conjunctive(pair, value)
-        .expect("post-restart query");
+    let after = analyst.execute_plan(&conj).expect("post-restart query");
     assert_eq!(
-        before.fraction.to_bits(),
-        after.fraction.to_bits(),
+        before[0].value.to_bits(),
+        after[0].value.to_bits(),
         "WAL replay changed the answer"
     );
     drop(analyst);

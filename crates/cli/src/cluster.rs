@@ -101,7 +101,9 @@ fn load_map(args: &Args) -> Result<ShardMap, CliError> {
     ShardMap::new(0, addrs.split(',').map(str::trim)).map_err(err)
 }
 
-fn router(args: &Args) -> Result<Router, CliError> {
+/// A router over `map`, configured from the shared router flags (absent
+/// flags take the [`RouterConfig`] defaults).
+fn router(args: &Args, map: ShardMap) -> Result<Router, CliError> {
     let timeout: f64 = args.get_or("timeout", 10.0)?;
     if !timeout.is_finite() || timeout <= 0.0 {
         return Err(CliError(format!("--timeout {timeout} must be positive")));
@@ -114,7 +116,6 @@ fn router(args: &Args) -> Result<Router, CliError> {
         ms if ms < 0 => None,
         ms => Some(u64::try_from(ms).expect("non-negative by the guard above")),
     };
-    let map = load_map(args)?;
     Router::new(
         map,
         RouterConfig {
@@ -289,7 +290,7 @@ fn submit(args: &Args) -> Result<(), CliError> {
         return Err(CliError("--users and --batch must be positive".into()));
     }
     let timeout: f64 = args.get_or("timeout", 10.0)?;
-    let mut router = router(args)?;
+    let mut router = router(args, load_map(args)?)?;
     let ann = router.announcement().map_err(err)?;
     let width = announced_width(&ann);
 
@@ -353,10 +354,7 @@ fn submit(args: &Args) -> Result<(), CliError> {
 }
 
 /// `psketch cluster query <conj|dist|mean|interval|dnf|tree|moment|ping>`:
-/// scatter-gather queries. Every kind (bar `ping`) compiles to a
-/// [`TermPlan`](psketch_queries::TermPlan) and merges exact per-shard
-/// term counts; `--json` switches to machine-readable output including
-/// the degraded-coverage fields.
+/// scatter-gather queries over the `--map`/`--addrs` shard map.
 fn query(args: &Args) -> Result<(), CliError> {
     let kind = args
         .positional()
@@ -369,64 +367,68 @@ fn query(args: &Args) -> Result<(), CliError> {
                     .into(),
             )
         })?;
-    if crate::families::PLAN_KINDS.contains(&kind) {
-        let mut known = ROUTER_FLAGS.to_vec();
-        known.extend_from_slice(crate::families::kind_flags(kind));
-        args.reject_unknown(&known)?;
-        let plan = crate::families::family_plan(kind, args)?;
-        let json: bool = args.get_or("json", false)?;
-        let explain: bool = args.get_or("explain", false)?;
-        if json && explain {
-            return Err(CliError(
-                "--explain prints a text waterfall; drop --json".into(),
-            ));
-        }
-        let mut router = router(args)?;
-        // The profiled path shares the merge code with the plain one,
-        // so the answers are float-bit-identical either way.
-        let (answer, traced) = if explain {
-            let explained = router.explain_plan(&plan).map_err(err)?;
-            (explained.answer, Some((explained.nonce, explained.trace)))
-        } else {
-            (router.execute_plan(&plan).map_err(err)?, None)
-        };
-        if json {
-            println!(
-                "{}",
-                crate::families::json_cluster_plan_document(
-                    kind,
-                    &plan,
-                    &answer.outputs,
-                    &answer.coverage
-                )
-            );
-        } else {
-            println!("{} ({} plan terms)", plan.description(), plan.cost());
-            for (output, ans) in plan.outputs().iter().zip(&answer.outputs) {
-                println!(
-                    "  {}: {:.6} (terms {}, min n {})",
-                    output.label, ans.value, ans.queries_used, ans.min_sample_size
-                );
-            }
-            print_coverage(&answer.coverage);
-        }
-        if let Some((nonce, tree)) = traced {
-            println!();
-            print!("{}", psketch_obs::render_waterfall(&tree));
-            println!("trace {}", psketch_obs::trace_hex(nonce));
-        }
+    if is_query_family(kind) {
+        return run_query(kind, args, ROUTER_FLAGS, load_map);
+    }
+    if kind != "ping" {
+        return Err(CliError(format!(
+            "unknown cluster query kind '{kind}' (try conj, dist, mean, interval, dnf, \
+             tree, moment, ping)"
+        )));
+    }
+    args.reject_unknown(ROUTER_FLAGS)?;
+    let mut router = router(args, load_map(args)?)?;
+    let outages = router.ping().map_err(err)?;
+    let total = router.map().len();
+    if outages.is_empty() {
+        println!("pong from all {total} shards");
         return Ok(());
     }
+    let missing: Vec<String> = outages.iter().map(|o| o.shard.to_string()).collect();
+    println!(
+        "degraded: missing shard(s) {} of {total}",
+        missing.join(",")
+    );
+    Err(CliError(format!(
+        "{} of {total} shards unreachable",
+        outages.len()
+    )))
+}
+
+/// Whether [`run_query`] answers `kind`.
+pub fn is_query_family(kind: &str) -> bool {
+    matches!(kind, "conj" | "dist") || crate::families::PLAN_KINDS.contains(&kind)
+}
+
+/// Runs one query family through a [`Router`]: the code behind both
+/// `cluster query` and `query`, which is the same command over a
+/// 1-shard map of its `--addr` node. `flags` are the command's own
+/// flags besides the family's; `map` reads the shard map once the
+/// query has parsed. Every kind compiles to a
+/// [`TermPlan`](psketch_queries::TermPlan) whose exact per-shard term
+/// counts the router merges; `--json` switches to machine-readable
+/// output including the coverage fields.
+pub fn run_query(
+    kind: &str,
+    args: &Args,
+    flags: &[&str],
+    map: fn(&Args) -> Result<ShardMap, CliError>,
+) -> Result<(), CliError> {
+    let mut known = flags.to_vec();
+    known.extend_from_slice(match kind {
+        "conj" => &["subset", "value", "json"],
+        "dist" => &["subset", "json"],
+        _ => crate::families::kind_flags(kind),
+    });
+    args.reject_unknown(&known)?;
+    let json: bool = args.get_or("json", false)?;
     match kind {
         "conj" => {
-            let mut known = ROUTER_FLAGS.to_vec();
-            known.extend_from_slice(&["subset", "value", "json"]);
-            args.reject_unknown(&known)?;
             let subset = parse_subset(&args.require::<String>("subset")?)?;
             let value = parse_value(&args.require::<String>("value")?, subset.len())?;
-            let json: bool = args.get_or("json", false)?;
-            let mut router = router(args)?;
-            let answer = router.conjunctive(subset, value).map_err(err)?;
+            let answer = router(args, map(args)?)?
+                .conjunctive(subset, value)
+                .map_err(err)?;
             if json {
                 println!(
                     "{{\"query\":\"conj\",\"estimate\":{},\"coverage\":{}}}",
@@ -445,14 +447,11 @@ fn query(args: &Args) -> Result<(), CliError> {
             print_coverage(&answer.coverage);
         }
         "dist" => {
-            let mut known = ROUTER_FLAGS.to_vec();
-            known.extend_from_slice(&["subset", "json"]);
-            args.reject_unknown(&known)?;
             let subset = parse_subset(&args.require::<String>("subset")?)?;
             let width = subset.len();
-            let json: bool = args.get_or("json", false)?;
-            let mut router = router(args)?;
-            let answer = router.distribution(subset).map_err(err)?;
+            let answer = router(args, map(args)?)?
+                .distribution(subset)
+                .map_err(err)?;
             if json {
                 let cells: Vec<String> = answer
                     .estimates
@@ -492,30 +491,50 @@ fn query(args: &Args) -> Result<(), CliError> {
             }
             print_coverage(&answer.coverage);
         }
-        "ping" => {
-            args.reject_unknown(ROUTER_FLAGS)?;
-            let mut router = router(args)?;
-            let outages = router.ping().map_err(err)?;
-            let total = router.map().len();
-            if outages.is_empty() {
-                println!("pong from all {total} shards");
-            } else {
-                let missing: Vec<String> = outages.iter().map(|o| o.shard.to_string()).collect();
-                println!(
-                    "degraded: missing shard(s) {} of {total}",
-                    missing.join(",")
-                );
-                return Err(CliError(format!(
-                    "{} of {total} shards unreachable",
-                    outages.len()
-                )));
+        _ => {
+            let plan = crate::families::family_plan(kind, args)?;
+            let explain: bool = args.get_or("explain", false)?;
+            if json && explain {
+                return Err(CliError(
+                    "--explain prints a text waterfall; drop --json".into(),
+                ));
             }
-        }
-        other => {
-            return Err(CliError(format!(
-                "unknown cluster query kind '{other}' (try conj, dist, mean, interval, dnf, \
-                 tree, moment, ping)"
-            )));
+            let mut router = router(args, map(args)?)?;
+            // The profiled path shares the merge code with the plain one,
+            // so the answers are float-bit-identical either way.
+            let (answer, traced) = if explain {
+                let explained = router.explain_plan(&plan).map_err(err)?;
+                (explained.answer, Some((explained.nonce, explained.trace)))
+            } else {
+                (router.execute_plan(&plan).map_err(err)?, None)
+            };
+            if json {
+                println!(
+                    "{}",
+                    crate::families::json_plan_document(
+                        kind,
+                        &plan,
+                        &answer.outputs,
+                        &answer.coverage
+                    )
+                );
+            } else {
+                println!("{} ({} plan terms)", plan.description(), plan.cost());
+                for (output, ans) in plan.outputs().iter().zip(&answer.outputs) {
+                    println!(
+                        "  {}: {:.6} (terms {}, min n {})",
+                        output.label, ans.value, ans.queries_used, ans.min_sample_size
+                    );
+                }
+                print_coverage(&answer.coverage);
+            }
+            if let Some((nonce, tree)) = traced {
+                println!();
+                print!("{}", psketch_obs::render_waterfall(&tree));
+                // The nonce line lets scripts fetch the same trace again
+                // later (`cluster trace`).
+                println!("trace {}", psketch_obs::trace_hex(nonce));
+            }
         }
     }
     Ok(())
@@ -529,7 +548,7 @@ fn status(args: &Args) -> Result<(), CliError> {
     let mut known = ROUTER_FLAGS.to_vec();
     known.push("metrics");
     args.reject_unknown(&known)?;
-    let mut router = router(args)?;
+    let mut router = router(args, load_map(args)?)?;
     let status = router.status().map_err(err)?;
     let mut up = 0usize;
     for row in &status.per_shard {
@@ -613,7 +632,7 @@ fn trace(args: &Args) -> Result<(), CliError> {
         .get(2)
         .ok_or_else(|| CliError("usage: psketch cluster trace NONCE (--map|--addrs)".into()))?;
     let nonce = parse_nonce(raw)?;
-    let mut router = router(args)?;
+    let mut router = router(args, load_map(args)?)?;
     let (traces, outages) = router.trace(nonce).map_err(err)?;
     let mut found = 0usize;
     for (shard, tree) in &traces {
@@ -849,7 +868,7 @@ mod tests {
             "cluster", "query", "mean", "--addrs", &addrs, "--field", "0:2",
         ]);
         let plan = crate::families::family_plan("mean", &args).unwrap();
-        let mut router = router(&args).unwrap();
+        let mut router = router(&args, load_map(&args).unwrap()).unwrap();
 
         let explained = router.explain_plan(&plan).unwrap();
         assert_eq!(explained.trace.name, "router:plan");
@@ -865,6 +884,14 @@ mod tests {
             assert_eq!(wrapper.children.len(), 1);
             assert_eq!(wrapper.children[0].name, "shard:partial_counts");
             assert!(wrapper.children[0].find("engine:count_terms").is_some());
+            // The wrapper times dispatch → result, which encloses the
+            // shard's own handling: it is never shorter than its child.
+            assert!(
+                wrapper.duration_ns >= wrapper.children[0].duration_ns,
+                "shard {shard} wrapper {}ns under its subtree {}ns",
+                wrapper.duration_ns,
+                wrapper.children[0].duration_ns
+            );
         }
 
         // Profiling must not perturb the estimate: the plain path and

@@ -2,9 +2,9 @@
 //! subcommands: flag parsing into [`TermPlan`]s and machine-readable
 //! `--json` rendering.
 //!
-//! Every family compiles to the same plan IR, so one parser serves the
-//! single-server path (`Client::execute_plan`) and the sharded path
-//! (`Router::execute_plan`) identically.
+//! Every family compiles to the same plan IR and runs through the
+//! router, so one parser serves `cluster query` and `query` (a 1-shard
+//! `cluster query`) identically.
 
 use crate::args::{Args, CliError};
 use psketch_cluster::Coverage;
@@ -14,8 +14,9 @@ use psketch_queries::{
     LinearAnswer, TermPlan,
 };
 
-/// The plan-backed query kinds `query`/`cluster query` expose beyond
-/// the direct `conj`/`dist` paths.
+/// The query kinds `query`/`cluster query` compile through
+/// [`family_plan`] (`conj` and `dist` go through the router's own
+/// one-term and `2^k`-term plan wrappers).
 pub const PLAN_KINDS: &[&str] = &["mean", "interval", "dnf", "tree", "moment"];
 
 /// The flags one plan-backed kind may consume (for `reject_unknown`):
@@ -305,19 +306,8 @@ pub fn json_coverage(coverage: &Coverage) -> String {
     )
 }
 
-/// A whole single-node plan answer as one JSON document.
-pub fn json_plan_document(kind: &str, plan: &TermPlan, answers: &[LinearAnswer]) -> String {
-    format!(
-        "{{\"query\":\"{}\",\"description\":\"{}\",\"plan_terms\":{},\"outputs\":{}}}",
-        json_escape(kind),
-        json_escape(plan.description()),
-        plan.cost(),
-        json_outputs(plan, answers)
-    )
-}
-
-/// A whole cluster plan answer as one JSON document (adds coverage).
-pub fn json_cluster_plan_document(
+/// A whole plan answer as one JSON document, coverage included.
+pub fn json_plan_document(
     kind: &str,
     plan: &TermPlan,
     answers: &[LinearAnswer],
@@ -420,9 +410,17 @@ mod tests {
             queries_used: 2,
             min_sample_size: 100,
         }];
-        let doc = json_plan_document("mean", &plan, &answers);
+        let coverage = Coverage {
+            total_shards: 1,
+            responding: vec![0],
+            missing: Vec::new(),
+            population: 100,
+            missing_users: None,
+        };
+        let doc = json_plan_document("mean", &plan, &answers, &coverage);
         assert!(doc.contains("\"value\":1.5"));
         assert!(doc.contains("\"plan_terms\":2"));
+        assert!(doc.contains("\"population\":100"));
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_f64(f64::INFINITY), "null");
     }

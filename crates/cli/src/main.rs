@@ -87,7 +87,8 @@ fn print_help() {
     println!("            (--lt C | --le C | --range LO:HI) | dnf --clauses \"0=1;1,2=10\" |");
     println!("            tree --tree \"0?(2?1:0):1\" | moment --field 0:4 [--order 2] |");
     println!("            stats | ping   (all take [--addr …] [--timeout 10] [--json];");
-    println!("            plan-backed kinds take --explain for a span waterfall)");
+    println!("            plan-backed kinds take --explain for a span waterfall; the");
+    println!("            query kinds are `cluster query` over the one --addr node)");
     println!("  cluster   sharded multi-node pool: serve --shards 3 [--wal-root DIR] |");
     println!("            submit | query conj/dist/mean/interval/dnf/tree/moment/ping |");
     println!("            status [--metrics] | trace NONCE   (submit/query/status/trace");

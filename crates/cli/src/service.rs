@@ -17,14 +17,18 @@
 //!
 //! psketch query conj  --subset 0,1 --value 10 [--addr …] [--timeout 10]
 //! psketch query dist  --subset 0,1            [--addr …]
+//! psketch query mean|interval|dnf|tree|moment [family flags] [--addr …]
 //! psketch query stats                         [--addr …]
 //! psketch query ping                          [--addr …]
-//!     Analyst queries against a running server.
+//!     Analyst queries against a running server. The query families are
+//!     `psketch cluster query` over a 1-shard map holding the `--addr`
+//!     node: the same plan, the same merge, the same output.
 //!
 //! psketch query replay [--subset 0] [--value 1] [--analyst 0] [--addr …]
-//!     Charge-once self-test: sends a nonce'd query, kills the socket
-//!     before reading the answer, retries with the same nonce, and
-//!     fails unless the server's ε-ledger advanced exactly once.
+//!     Charge-once self-test: sends a nonce'd one-term count query,
+//!     kills the socket before reading the answer, retries with the
+//!     same nonce, and fails unless the server's ε-ledger advanced
+//!     exactly once.
 //! ```
 //!
 //! Every failure (unreachable server, bad flags, server-side error
@@ -32,7 +36,8 @@
 //! commands are meant to be scripted.
 
 use crate::args::{Args, CliError};
-use psketch_core::{BitString, BitSubset, Profile, UserId};
+use psketch_cluster::ShardMap;
+use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Profile, UserId};
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{Announcement, AnnouncementBuilder, Submission, UserAgent};
 use psketch_server::wal::WalConfig;
@@ -294,11 +299,9 @@ pub fn submit(args: &Args) -> Result<(), CliError> {
 }
 
 /// `psketch query <conj|dist|mean|interval|dnf|tree|moment|stats|ping>`:
-/// analyst queries. The plan-backed kinds compile to a [`TermPlan`] and
-/// execute server-side through the `Plan` frame; `--json` switches every
-/// query kind to machine-readable output.
-///
-/// [`TermPlan`]: psketch_queries::TermPlan
+/// analyst queries against one server. The query families run the
+/// `cluster query` code over a 1-shard map of the `--addr` node;
+/// `stats`, `ping` and `replay` talk to it directly.
 pub fn query(args: &Args) -> Result<(), CliError> {
     let kind = args
         .positional()
@@ -310,115 +313,10 @@ pub fn query(args: &Args) -> Result<(), CliError> {
                     .into(),
             )
         })?;
-    if crate::families::PLAN_KINDS.contains(&kind) {
-        let mut known = vec!["addr", "timeout"];
-        known.extend_from_slice(crate::families::kind_flags(kind));
-        args.reject_unknown(&known)?;
-        let plan = crate::families::family_plan(kind, args)?;
-        let json: bool = args.get_or("json", false)?;
-        let explain: bool = args.get_or("explain", false)?;
-        if json && explain {
-            return Err(CliError(
-                "--explain prints a text waterfall; drop --json".into(),
-            ));
-        }
-        let mut client = connect(args)?;
-        let (answers, traced) = if explain {
-            let nonce = psketch_server::next_nonce();
-            let (answers, trace) = client.execute_plan_traced(nonce, &plan).map_err(err)?;
-            (answers, Some((nonce, trace)))
-        } else {
-            (client.execute_plan(&plan).map_err(err)?, None)
-        };
-        if json {
-            println!(
-                "{}",
-                crate::families::json_plan_document(kind, &plan, &answers)
-            );
-        } else {
-            println!("{} ({} plan terms)", plan.description(), plan.cost());
-            for (output, answer) in plan.outputs().iter().zip(&answers) {
-                println!(
-                    "  {}: {:.6} (terms {}, min n {})",
-                    output.label, answer.value, answer.queries_used, answer.min_sample_size
-                );
-            }
-        }
-        if let Some((nonce, trace)) = traced {
-            println!();
-            match trace {
-                Some(tree) => print!("{}", psketch_obs::render_waterfall(&tree)),
-                None => println!("(server attached no trace — nonce replayed from cache?)"),
-            }
-            // The nonce line lets scripts fetch the same trace again
-            // later (`query trace` server-side ring, `cluster trace`).
-            println!("trace {}", psketch_obs::trace_hex(nonce));
-        }
-        return Ok(());
+    if crate::cluster::is_query_family(kind) {
+        return crate::cluster::run_query(kind, args, &["addr", "timeout"], single_node_map);
     }
     match kind {
-        "conj" => {
-            args.reject_unknown(&["addr", "timeout", "subset", "value", "json"])?;
-            let subset = parse_subset(&args.require::<String>("subset")?)?;
-            let value = parse_value(&args.require::<String>("value")?, subset.len())?;
-            let json: bool = args.get_or("json", false)?;
-            let mut client = connect(args)?;
-            let est = client.conjunctive(subset, value).map_err(err)?;
-            if json {
-                println!(
-                    "{{\"query\":\"conj\",\"estimate\":{}}}",
-                    crate::families::json_estimate(&est)
-                );
-            } else {
-                println!(
-                    "estimate: {:.6} (raw {:.6}, n = {}, 95% +/- {:.6})",
-                    est.fraction,
-                    est.raw,
-                    est.sample_size,
-                    est.half_width(0.05)
-                );
-            }
-        }
-        "dist" => {
-            args.reject_unknown(&["addr", "timeout", "subset", "json"])?;
-            let subset = parse_subset(&args.require::<String>("subset")?)?;
-            let width = subset.len();
-            let json: bool = args.get_or("json", false)?;
-            let mut client = connect(args)?;
-            let dist = client.distribution(subset).map_err(err)?;
-            if json {
-                let cells: Vec<String> = dist
-                    .iter()
-                    .enumerate()
-                    .map(|(v, est)| {
-                        format!(
-                            "{{\"value\":{v},\"estimate\":{}}}",
-                            crate::families::json_estimate(est)
-                        )
-                    })
-                    .collect();
-                println!("{{\"query\":\"dist\",\"estimates\":[{}]}}", cells.join(","));
-                return Ok(());
-            }
-            println!(
-                "{:>width$}  {:>10}  {:>8}",
-                "value",
-                "estimate",
-                "n",
-                width = width.max(5)
-            );
-            for (v, est) in dist.iter().enumerate() {
-                let bits: String = (0..width)
-                    .map(|b| if (v >> b) & 1 == 1 { '1' } else { '0' })
-                    .collect();
-                println!(
-                    "{bits:>w$}  {:>10.6}  {:>8}",
-                    est.fraction,
-                    est.sample_size,
-                    w = width.max(5)
-                );
-            }
-        }
         "stats" => {
             args.reject_unknown(&["addr", "timeout"])?;
             let mut client = connect(args)?;
@@ -445,9 +343,15 @@ pub fn query(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The 1-shard map `query` runs over: the `--addr` node, standalone.
+fn single_node_map(args: &Args) -> Result<ShardMap, CliError> {
+    let addr: String = args.get_or("addr", DEFAULT_ADDR.to_string())?;
+    ShardMap::new(0, [addr.as_str()]).map_err(err)
+}
+
 /// `psketch query replay`: the charge-once self-test. Sends one nonce'd
-/// conjunctive query and **kills the socket without reading the
-/// response** (the transport failure that used to double-charge), then
+/// one-term `PartialTermCounts` query and **kills the socket without
+/// reading the response** (the transport failure that used to double-charge), then
 /// retries the same nonce on a fresh connection and verifies through
 /// server stats that the analyst's ε-ledger advanced exactly once.
 /// Exits non-zero on a double charge — scriptable as a deployment
@@ -457,6 +361,7 @@ fn replay_check(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&["addr", "timeout", "subset", "value", "analyst"])?;
     let subset = parse_subset(&args.get_or("subset", "0".to_string())?)?;
     let value = parse_value(&args.get_or("value", "1".to_string())?, subset.len())?;
+    let terms = [ConjunctiveQuery::new(subset, value).map_err(err)?];
     let analyst: u64 = args.get_or("analyst", 0)?;
     let addr: String = args.get_or("addr", DEFAULT_ADDR.to_string())?;
     let timeout: f64 = args.get_or("timeout", 10.0)?;
@@ -481,9 +386,8 @@ fn replay_check(args: &Args) -> Result<(), CliError> {
             wire::Response::Hello { .. } => {}
             other => return Err(CliError(format!("unexpected hello response: {other:?}"))),
         }
-        let req = wire::Request::Conjunctive {
-            subset: subset.clone(),
-            value: value.clone(),
+        let req = wire::Request::PartialTermCounts {
+            terms: terms.to_vec(),
             nonce,
             profile: false,
         };
@@ -496,8 +400,8 @@ fn replay_check(args: &Args) -> Result<(), CliError> {
     // being evaluated — retry until its cached answer is ready.
     let mut retry = connect(args)?;
     retry.hello(analyst).map_err(err)?;
-    let est = loop {
-        match retry.conjunctive_nonced(nonce, subset.clone(), value.clone()) {
+    let counts = loop {
+        match retry.partial_term_counts_nonced(nonce, &terms) {
             Err(psketch_server::ClientError::Server { code, .. })
                 if code == wire::codes::RETRY_PENDING =>
             {
@@ -506,18 +410,17 @@ fn replay_check(args: &Args) -> Result<(), CliError> {
             other => break other.map_err(err)?,
         }
     };
-    println!(
-        "retried estimate: {:.6} (n = {})",
-        est.fraction, est.sample_size
-    );
+    if let [c] = counts.as_slice() {
+        println!("retried counts: {} of n = {}", c.ones, c.population);
+    }
 
-    // Wait until the server has processed both conjunctive frames (the
-    // killed socket's frame was in flight and races the retry), then
-    // the ledger must have advanced by exactly one estimate.
-    let conj_kind = 0x03u8;
+    // Wait until the server has processed both count frames (the killed
+    // socket's frame was in flight and races the retry), then the
+    // ledger must have advanced by exactly one estimate.
+    let counts_kind = 0x09u8;
     let mut after = retry.server_stats().map_err(err)?;
     for _ in 0..100 {
-        if after.count_for(conj_kind) >= before.count_for(conj_kind) + 2 {
+        if after.count_for(counts_kind) >= before.count_for(counts_kind) + 2 {
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -634,6 +537,12 @@ mod tests {
         assert!(query(&parse(&["query"])).is_err());
         assert!(query(&parse(&["query", "bogus"])).is_err());
         assert!(query(&parse(&["query", "conj", "--subset", "0,1"])).is_err()); // missing --value
+                                                                                // `query` is a 1-shard `cluster query` but keeps its own flags:
+                                                                                // the router and map flags stay `cluster`-only.
+        for flag in ["--fanout", "--retries", "--analyst", "--addrs", "--map"] {
+            let tokens = ["query", "conj", "--subset", "0", "--value", "1", flag, "1"];
+            assert!(query(&parse(&tokens)).is_err(), "{flag} accepted");
+        }
         assert!(submit(&parse(&["submit", "--users", "0"])).is_err());
         assert!(submit(&parse(&["submit", "--timeout", "-1"])).is_err());
         assert!(serve(&parse(&["serve", "--p", "0.8"])).is_err());
@@ -642,6 +551,25 @@ mod tests {
         assert!(serve(&parse(&["serve", "--bogus", "1"])).is_err());
         assert!(serve(&parse(&["serve", "--lanes", "3"])).is_err());
         assert!(serve(&parse(&["serve", "--lanes", "-1"])).is_err());
+    }
+
+    #[test]
+    fn overwide_dist_is_a_cli_error_not_a_panic() {
+        // 17 positions = 2^17 terms, past every node's plan cap. The
+        // router refuses before compiling or connecting, so no server
+        // is needed.
+        let subset: Vec<String> = (0..17).map(|i| i.to_string()).collect();
+        let subset = subset.join(",");
+        let e = query(&parse(&[
+            "query",
+            "dist",
+            "--addr",
+            "127.0.0.1:9",
+            "--subset",
+            &subset,
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("16-bit cap"), "{e}");
     }
 
     #[test]
@@ -690,6 +618,10 @@ mod tests {
             "query", "dist", "--addr", &addr, "--subset", "0,1",
         ]))
         .unwrap();
+        query(&parse(&[
+            "query", "dist", "--addr", &addr, "--subset", "0,1", "--json",
+        ]))
+        .unwrap();
         query(&parse(&["query", "stats", "--addr", &addr])).unwrap();
         query(&parse(&["query", "ping", "--addr", &addr])).unwrap();
         // Plan-backed families against the live server (width-2 pool:
@@ -734,7 +666,8 @@ mod tests {
             "query", "conj", "--addr", &addr, "--subset", "0,1", "--value", "10", "--json",
         ]))
         .unwrap();
-        // Unknown subset → error frame → CLI error (direct and plan paths).
+        // Unknown subset → no records anywhere → CLI error (conj and
+        // plan kinds alike).
         assert!(query(&parse(&[
             "query", "conj", "--addr", &addr, "--subset", "7", "--value", "1",
         ]))

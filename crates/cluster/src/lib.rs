@@ -42,5 +42,6 @@ pub use router::{
     backoff_delay, parallel_ingest, ClusterDistribution, ClusterError, ClusterEstimate,
     ClusterLinear, ClusterPlanAnswer, ClusterStatus, ClusterSubmitReport, Coverage, IngestReport,
     Router, RouterConfig, ShardIngest, ShardOutage, ShardStatus, MAX_BACKOFF,
+    MAX_DISTRIBUTION_BITS,
 };
 pub use shard::{splitmix64, ShardMap, ShardMapError, ShardNode};

@@ -66,7 +66,7 @@ use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Estimate};
 use psketch_obs::{self as obs, RegistrySnapshot, SpanNode};
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
 use psketch_queries::{LinearAnswer, LinearQuery, PlanAccumulator, TermPlan};
-use psketch_server::{next_nonce, Client, ClientError, ServerStats};
+use psketch_server::{next_nonce, Client, ClientError, ServerStats, MAX_PLAN_TERMS};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -75,6 +75,10 @@ use std::time::{Duration, Instant};
 /// Backoff ceiling: however many retries are configured, no single
 /// sleep exceeds this.
 pub const MAX_BACKOFF: Duration = Duration::from_secs(30);
+
+/// Widest subset [`Router::distribution`] accepts: `2^16` terms is
+/// exactly the nodes' plan cap ([`MAX_PLAN_TERMS`]).
+pub const MAX_DISTRIBUTION_BITS: usize = MAX_PLAN_TERMS.trailing_zeros() as usize;
 
 /// The delay slept before retry `attempt` (1-based): `base · 2^(a−1)`,
 /// saturating, capped at [`MAX_BACKOFF`]. Safe for any `attempt` — the
@@ -303,6 +307,13 @@ pub enum ClusterError {
     /// The merged counts could not be turned into an answer (e.g. no
     /// responding shard holds any records for the subset).
     Estimation(psketch_core::Error),
+    /// A distribution subset wider than [`MAX_DISTRIBUTION_BITS`]: its
+    /// `2^k` terms would exceed the nodes' plan cap, so the plan is
+    /// never compiled.
+    DistributionTooWide {
+        /// The subset's width in bits.
+        width: usize,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -337,6 +348,11 @@ impl std::fmt::Display for ClusterError {
                  refusing to merge pools"
             ),
             Self::Estimation(e) => write!(f, "{e}"),
+            Self::DistributionTooWide { width } => write!(
+                f,
+                "distribution over a {width}-bit subset exceeds the \
+                 {MAX_DISTRIBUTION_BITS}-bit cap ({MAX_PLAN_TERMS} terms per plan)"
+            ),
         }
     }
 }
@@ -702,12 +718,15 @@ impl Router {
                     // a closed channel is fine.
                     let _ = guard.tx.send((shard, attempt));
                 });
+                // Stamp before the send: a fast shard can answer before
+                // `send` returns, and a later stamp would under-time it.
+                let dispatched = Instant::now();
                 if self.workers[shard as usize].send(job).is_err() {
                     // The worker thread died (it never panics by
                     // design, but don't hang the query if it did).
                     results.push((shard, ShardAttempt::Down("shard worker terminated".into())));
                 } else {
-                    dispatched_at[shard as usize] = Some(Instant::now());
+                    dispatched_at[shard as usize] = Some(dispatched);
                     in_flight += 1;
                 }
             }
@@ -1176,8 +1195,15 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// As [`Router::execute_plan`].
+    /// [`ClusterError::DistributionTooWide`] above
+    /// [`MAX_DISTRIBUTION_BITS`], before any shard is contacted;
+    /// otherwise as [`Router::execute_plan`].
     pub fn distribution(&mut self, subset: BitSubset) -> Result<ClusterDistribution, ClusterError> {
+        if subset.len() > MAX_DISTRIBUTION_BITS {
+            return Err(ClusterError::DistributionTooWide {
+                width: subset.len(),
+            });
+        }
         let answer = self.execute_plan(&TermPlan::for_distribution(&subset))?;
         Ok(ClusterDistribution {
             estimates: answer.term_estimates,
@@ -1474,5 +1500,19 @@ mod tests {
         for attempt in 1..=config.retries {
             assert!(backoff_delay(config.backoff, attempt) <= MAX_BACKOFF);
         }
+    }
+
+    #[test]
+    fn overwide_distributions_are_errors_before_any_scatter() {
+        // 2^17 terms could never run on a node; the router refuses the
+        // subset before compiling the plan (whose constructor panics
+        // past 16 bits) and before contacting the (absent) shard.
+        let map = ShardMap::new(0, ["127.0.0.1:9"]).unwrap();
+        let mut router = Router::new(map, RouterConfig::default()).unwrap();
+        match router.distribution(BitSubset::range(0, 17)) {
+            Err(ClusterError::DistributionTooWide { width: 17 }) => {}
+            other => panic!("expected DistributionTooWide, got {other:?}"),
+        }
+        assert_eq!(MAX_DISTRIBUTION_BITS, 16);
     }
 }

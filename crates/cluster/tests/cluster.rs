@@ -883,16 +883,29 @@ struct WireAnswers {
 
 /// Queries one standalone server (server path) and one router (cluster
 /// path) with a conjunctive, a distribution and a compiled mean plan,
-/// capturing every answer's bit pattern.
+/// capturing every answer's bit pattern. The server path fetches the
+/// conjunction's and the distribution's term counts and inverts them at
+/// the announcement's quantized bias `p`.
 fn wire_answers(
     client: &mut psketch_server::Client,
     router: &mut Router,
     plan: &psketch_queries::TermPlan,
+    p: f64,
 ) -> WireAnswers {
     let pair = BitSubset::range(0, 2);
     let value = BitString::from_bits(&[true, false]);
-    let s_conj = client.conjunctive(pair.clone(), value.clone()).unwrap();
-    let s_dist = client.distribution(pair.clone()).unwrap();
+    let invert = |c: &psketch_protocol::QueryCounts| {
+        psketch_core::Estimate::from_counts(c.ones, c.population, p)
+    };
+    let conj_term = ConjunctiveQuery::new(pair.clone(), value.clone()).unwrap();
+    let s_conj = invert(&client.partial_term_counts(&[conj_term]).unwrap()[0]);
+    let dist_plan = psketch_queries::TermPlan::for_distribution(&pair);
+    let s_dist: Vec<_> = client
+        .partial_term_counts(dist_plan.terms())
+        .unwrap()
+        .iter()
+        .map(invert)
+        .collect();
     let s_plan = client.execute_plan(plan).unwrap();
     let c_conj = router.conjunctive(pair.clone(), value).unwrap();
     let c_dist = router.distribution(pair).unwrap();
@@ -954,8 +967,9 @@ fn assert_lane_widths_identical_over_the_wire(m: u64, shards: u32, seed: u64) {
     let report = router.submit_batch(&subs).unwrap();
     assert!(report.fully_ingested());
 
+    let p = ann.validate().unwrap().p();
     psketch_core::set_lane_width(1).unwrap();
-    let oracle = wire_answers(&mut client, &mut router, &plan);
+    let oracle = wire_answers(&mut client, &mut router, &plan, p);
 
     let sweep = psketch_core::SUPPORTED_LANE_WIDTHS
         .iter()
@@ -964,7 +978,7 @@ fn assert_lane_widths_identical_over_the_wire(m: u64, shards: u32, seed: u64) {
         .chain([0]);
     for width in sweep {
         psketch_core::set_lane_width(width).unwrap();
-        let swept = wire_answers(&mut client, &mut router, &plan);
+        let swept = wire_answers(&mut client, &mut router, &plan, p);
         assert_eq!(
             swept, oracle,
             "wire answers diverged from the scalar oracle at lane width {width}"

@@ -4,8 +4,9 @@
 //! the frame protocol is strictly request/response, so connection reuse
 //! is just "write a frame, read a frame". User agents submit in batches
 //! ([`Client::submit_batch`] / [`Client::submit_chunked`]); analysts
-//! query with [`Client::conjunctive`], [`Client::distribution`] and
-//! [`Client::execute_plan`].
+//! query with [`Client::execute_plan`] (the server evaluates the plan)
+//! or [`Client::partial_term_counts`] (the caller inverts and combines
+//! the raw counts, as the cluster router does).
 //!
 //! A `Client` is `Send`, so a connection pool (one long-lived worker
 //! thread per shard, as the cluster router runs) can own and reuse
@@ -21,7 +22,7 @@
 //! use the `*_nonced` variants so every retry replays the same nonce.
 
 use crate::wire::{self, Request, Response, ServerStats};
-use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Estimate};
+use psketch_core::ConjunctiveQuery;
 use psketch_obs::SpanNode;
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
 use psketch_queries::{LinearAnswer, TermPlan};
@@ -243,121 +244,6 @@ impl Client {
             }
         }
         (total, None)
-    }
-
-    /// Estimates one conjunctive frequency (fresh nonce: one charge).
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors (e.g. unknown subset).
-    pub fn conjunctive(
-        &mut self,
-        subset: BitSubset,
-        value: BitString,
-    ) -> Result<Estimate, ClientError> {
-        self.conjunctive_nonced(next_nonce(), subset, value)
-    }
-
-    /// As [`Client::conjunctive`] with a caller-supplied nonce, for
-    /// retries that must not re-charge the analyst's ledger.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors (e.g. unknown subset).
-    pub fn conjunctive_nonced(
-        &mut self,
-        nonce: u64,
-        subset: BitSubset,
-        value: BitString,
-    ) -> Result<Estimate, ClientError> {
-        match self.request(&Request::Conjunctive {
-            subset,
-            value,
-            nonce,
-            profile: false,
-        })? {
-            Response::Estimate(e, _) => Ok(e.into()),
-            other => Self::unexpected(&other),
-        }
-    }
-
-    /// As [`Client::conjunctive_nonced`] with profiling requested: the
-    /// server times its pipeline stages and attaches the span tree to
-    /// the response (`None` if the server skipped profiling, e.g. for a
-    /// replayed nonce). The estimate itself is bit-identical to the
-    /// unprofiled answer.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors (e.g. unknown subset).
-    pub fn conjunctive_traced(
-        &mut self,
-        nonce: u64,
-        subset: BitSubset,
-        value: BitString,
-    ) -> Result<(Estimate, Option<SpanNode>), ClientError> {
-        match self.request(&Request::Conjunctive {
-            subset,
-            value,
-            nonce,
-            profile: true,
-        })? {
-            Response::Estimate(e, trace) => Ok((e.into(), trace)),
-            other => Self::unexpected(&other),
-        }
-    }
-
-    /// Estimates the full `2^k` distribution over one subset, indexed
-    /// by the LSB-first integer encoding of the value (fresh nonce).
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn distribution(&mut self, subset: BitSubset) -> Result<Vec<Estimate>, ClientError> {
-        self.distribution_nonced(next_nonce(), subset)
-    }
-
-    /// As [`Client::distribution`] with a caller-supplied nonce.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn distribution_nonced(
-        &mut self,
-        nonce: u64,
-        subset: BitSubset,
-    ) -> Result<Vec<Estimate>, ClientError> {
-        match self.request(&Request::Distribution {
-            subset,
-            nonce,
-            profile: false,
-        })? {
-            Response::Distribution(es, _) => Ok(es.into_iter().map(Into::into).collect()),
-            other => Self::unexpected(&other),
-        }
-    }
-
-    /// As [`Client::distribution_nonced`] with profiling requested; the
-    /// answers are bit-identical to the unprofiled path.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn distribution_traced(
-        &mut self,
-        nonce: u64,
-        subset: BitSubset,
-    ) -> Result<(Vec<Estimate>, Option<SpanNode>), ClientError> {
-        match self.request(&Request::Distribution {
-            subset,
-            nonce,
-            profile: true,
-        })? {
-            Response::Distribution(es, trace) => {
-                Ok((es.into_iter().map(Into::into).collect(), trace))
-            }
-            other => Self::unexpected(&other),
-        }
     }
 
     /// Executes a compiled [`TermPlan`] server-side and returns one

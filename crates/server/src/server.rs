@@ -13,9 +13,9 @@
 //! loopback connection so nothing blocks forever.
 
 use crate::wal::{Wal, WalConfig, WalError};
-use crate::wire::{self, codes, EstimateWire, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{self, codes, Request, Response, PROTOCOL_VERSION};
 use parking_lot::Mutex;
-use psketch_core::{ConjunctiveQuery, Error, PrivacyAccountant};
+use psketch_core::{Error, PrivacyAccountant};
 use psketch_obs::{self as obs, expose::MetricsExposer, Counter, Histogram, SpanNode};
 use psketch_protocol::{Announcement, Coordinator, QueryCounts, ShardIdentity};
 use psketch_queries::QueryEngine;
@@ -26,10 +26,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Distribution queries wider than this are refused: the response holds
-/// `2^k` estimates and must fit comfortably in one frame.
-const MAX_DISTRIBUTION_WIDTH: usize = 16;
 
 /// How often an idle worker wakes up to check for shutdown.
 const POLL_TICK: Duration = Duration::from_millis(200);
@@ -974,24 +970,6 @@ fn charge_budget(state: &ServiceState, conn: &ConnState, estimates: u32, nonce: 
     }
 }
 
-/// Finishes a charged exchange: encodes the response once, caches the
-/// encoding against the charge's `(nonce, digest)` so a replay can be
-/// served verbatim, and hands the same bytes to the connection loop.
-fn serve_charged(
-    state: &ServiceState,
-    conn: &ConnState,
-    nonce: u64,
-    response: &Response,
-) -> Served {
-    let encoded: Arc<[u8]> = response.encode().into();
-    if nonce != 0 {
-        if let Some(book) = state.budget.as_ref() {
-            book.attach_response(conn.analyst, nonce, conn.request_digest, &encoded);
-        }
-    }
-    Served::Raw(encoded)
-}
-
 /// Decodes and dispatches one frame. Never panics on client input; all
 /// failures become error frames.
 fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> Served {
@@ -1029,13 +1007,9 @@ fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> S
     // when accounting is on — ingest frames (which can be megabytes)
     // never pay for a hash pass.
     conn.request_digest = match (&request, state.budget.as_ref()) {
-        (
-            Request::Conjunctive { .. }
-            | Request::Distribution { .. }
-            | Request::Plan { .. }
-            | Request::PartialTermCounts { .. },
-            Some(book),
-        ) => book.digest(payload),
+        (Request::Plan { .. } | Request::PartialTermCounts { .. }, Some(book)) => {
+            book.digest(payload)
+        }
         _ => 0,
     };
     let trace = request_trace(&request);
@@ -1049,10 +1023,9 @@ fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> S
 /// means "no replay identity" and therefore no trace either).
 fn request_trace(request: &Request) -> Option<u64> {
     match request {
-        Request::Conjunctive { nonce, .. }
-        | Request::Distribution { nonce, .. }
-        | Request::Plan { nonce, .. }
-        | Request::PartialTermCounts { nonce, .. } => (*nonce != 0).then_some(*nonce),
+        Request::Plan { nonce, .. } | Request::PartialTermCounts { nonce, .. } => {
+            (*nonce != 0).then_some(*nonce)
+        }
         _ => None,
     }
 }
@@ -1099,175 +1072,146 @@ fn observe_request(
     }
 }
 
-/// Opens the shard-local span trace for a profiled charging request.
-/// Called only after the budget gate opened — refused requests and
-/// replays (served from cache, nothing re-executed) are never profiled.
-/// Nonce `0` opts out: the ring is keyed by nonce, so a trace without
-/// one could never be fetched back.
-fn begin_trace(
-    state: &ServiceState,
-    profile: bool,
+/// One charged query's identity on the wire.
+struct Charged {
+    /// The terms it scans: its Corollary 3.4 ε charge.
+    terms: usize,
+    /// Charge-once replay identity (`0` = no replay protection).
     nonce: u64,
+    /// Whether the caller asked for a span trace.
+    profile: bool,
+}
+
+/// Serves one charging request: the size cap, then the budget gate (a
+/// replay is served its cached bytes, a refusal its error frame), then
+/// the profiled trace and the evaluation. The response is encoded once
+/// and cached against the charge's `(nonce, digest)`, so a replay is
+/// served those bytes verbatim. The trace opens only after the gate:
+/// refused requests and replays (nothing re-executed) are never
+/// profiled, and nonce `0` opts out because the ring is keyed by nonce.
+/// The ε charge is the term count — exactly the conjunctive estimates
+/// computed — whatever the shape of the answer.
+fn serve_charged_query<T>(
+    state: &ServiceState,
+    conn: &ConnState,
+    query: Charged,
     root: &'static str,
-) -> Option<obs::Trace> {
-    (profile && nonce != 0).then(|| {
-        let trace = obs::Trace::begin(nonce, root);
+    evaluate: impl FnOnce() -> Result<T, Error>,
+    respond: impl FnOnce(T, Option<SpanNode>) -> Response,
+) -> Served {
+    if query.terms > wire::MAX_PLAN_TERMS {
+        return Served::Response(Response::Error {
+            code: codes::BAD_REQUEST,
+            message: format!(
+                "plan holds {} terms, server cap is {}",
+                query.terms,
+                wire::MAX_PLAN_TERMS
+            ),
+        });
+    }
+    let charge = u32::try_from(query.terms).unwrap_or(u32::MAX);
+    match charge_budget(state, conn, charge, query.nonce) {
+        Gate::Open => {}
+        Gate::Replay(bytes) => return Served::Raw(bytes),
+        Gate::Refuse(refusal) => return Served::Response(refusal),
+    }
+    let trace = (query.profile && query.nonce != 0).then(|| {
+        let trace = obs::Trace::begin(query.nonce, root);
         if let Some(identity) = state.shard {
             trace.root_attr("shard", u64::from(identity.shard_id));
         }
+        trace.root_attr("term_count", query.terms as u64);
         trace
-    })
+    });
+    let response = match evaluate() {
+        Ok(answer) => {
+            // The tree goes to the recent-trace ring (the `Trace` frame
+            // and `/traces` surface) and rides the response in-band.
+            let tree = trace.map(|t| {
+                let tree = t.finish();
+                obs::span::ring().store(query.nonce, tree.clone());
+                tree
+            });
+            respond(answer, tree)
+        }
+        Err(e) => query_error(&e),
+    };
+    let encoded: Arc<[u8]> = response.encode().into();
+    if query.nonce != 0 {
+        if let Some(book) = state.budget.as_ref() {
+            book.attach_response(conn.analyst, query.nonce, conn.request_digest, &encoded);
+        }
+    }
+    Served::Raw(encoded)
 }
 
-/// Closes a profiled request's trace: stores the tree in the
-/// recent-trace ring (the `Trace` frame and `/traces` surface) and
-/// returns it for the in-band response attachment.
-fn finish_trace(trace: Option<obs::Trace>, nonce: u64) -> Option<SpanNode> {
-    trace.map(|t| {
-        let tree = t.finish();
-        obs::span::ring().store(nonce, tree.clone());
-        tree
-    })
-}
-
-#[allow(clippy::too_many_lines)]
 fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) -> Served {
     match request {
         Request::FetchAnnouncement => Served::Response(Response::Announcement(
             state.coordinator.announcement().clone(),
         )),
         Request::SubmitBatch(subs) => Served::Response(ingest(state, &subs)),
-        Request::Conjunctive {
-            subset,
-            value,
-            nonce,
-            profile,
-        } => {
-            let query = match ConjunctiveQuery::new(subset, value) {
-                Ok(q) => q,
-                Err(e) => return Served::Response(query_error(&e)),
-            };
-            match charge_budget(state, conn, 1, nonce) {
-                Gate::Open => {}
-                Gate::Replay(bytes) => return Served::Raw(bytes),
-                Gate::Refuse(refusal) => return Served::Response(refusal),
-            }
-            let trace = begin_trace(state, profile, nonce, "shard:conjunctive");
-            let response = match state
-                .engine
-                .estimator()
-                .estimate(state.coordinator.pool(), &query)
-            {
-                Ok(e) => Response::Estimate(EstimateWire::from(e), finish_trace(trace, nonce)),
-                Err(e) => query_error(&e),
-            };
-            serve_charged(state, conn, nonce, &response)
-        }
-        Request::Distribution {
-            subset,
-            nonce,
-            profile,
-        } => {
-            if subset.len() > MAX_DISTRIBUTION_WIDTH {
-                return Served::Response(Response::Error {
-                    code: codes::BAD_REQUEST,
-                    message: format!(
-                        "distribution width {} exceeds server cap {MAX_DISTRIBUTION_WIDTH}",
-                        subset.len()
-                    ),
-                });
-            }
-            match charge_budget(state, conn, 1u32 << subset.len(), nonce) {
-                Gate::Open => {}
-                Gate::Replay(bytes) => return Served::Raw(bytes),
-                Gate::Refuse(refusal) => return Served::Response(refusal),
-            }
-            let trace = begin_trace(state, profile, nonce, "shard:distribution");
-            let response = match state
-                .engine
-                .estimator()
-                .estimate_distribution(state.coordinator.pool(), &subset)
-            {
-                Ok(es) => Response::Distribution(
-                    es.into_iter().map(EstimateWire::from).collect(),
-                    finish_trace(trace, nonce),
-                ),
-                Err(e) => query_error(&e),
-            };
-            serve_charged(state, conn, nonce, &response)
-        }
         Request::Plan {
             plan,
             nonce,
             profile,
-        } => {
-            if let Some(refusal) = check_plan_size(plan.cost()) {
-                return Served::Response(refusal);
-            }
-            // The ε charge is the plan's *term count* — exactly the
-            // conjunctive estimates computed (Corollary 3.4), whatever
-            // the plan's output shape. Compile-time deduplication means
-            // compound queries are never over-charged for repeated
-            // terms, and multi-output plans never under-charge by
-            // hiding work behind a single frame.
-            let charge = u32::try_from(plan.cost()).unwrap_or(u32::MAX);
-            match charge_budget(state, conn, charge, nonce) {
-                Gate::Open => {}
-                Gate::Replay(bytes) => return Served::Raw(bytes),
-                Gate::Refuse(refusal) => return Served::Response(refusal),
-            }
-            let trace = begin_trace(state, profile, nonce, "shard:plan");
-            let response = match state.engine.execute_plan(state.coordinator.pool(), &plan) {
-                Ok(answers) => Response::PlanAnswers(
+        } => serve_charged_query(
+            state,
+            conn,
+            Charged {
+                terms: plan.cost(),
+                nonce,
+                profile,
+            },
+            "shard:plan",
+            || state.engine.execute_plan(state.coordinator.pool(), &plan),
+            |answers, tree| {
+                Response::PlanAnswers(
                     answers
                         .into_iter()
                         .map(wire::PlanAnswerWire::from)
                         .collect(),
-                    finish_trace(trace, nonce),
-                ),
-                Err(e) => query_error(&e),
-            };
-            serve_charged(state, conn, nonce, &response)
-        }
+                    tree,
+                )
+            },
+        ),
         Request::Stats => Served::Response(Response::Stats(state.coordinator.stats())),
         Request::Ping => Served::Response(Response::Pong),
         Request::Hello { analyst } => {
             conn.analyst = analyst;
             Served::Response(Response::Hello { shard: state.shard })
         }
+        // Shard semantics: a subset this node holds no records for is an
+        // empty share `(0, 0)` that merges as a no-op, not an error that
+        // fails the whole scatter.
         Request::PartialTermCounts {
             terms,
             nonce,
             profile,
-        } => {
-            if let Some(refusal) = check_plan_size(terms.len()) {
-                return Served::Response(refusal);
-            }
-            let charge = u32::try_from(terms.len()).unwrap_or(u32::MAX);
-            match charge_budget(state, conn, charge, nonce) {
-                Gate::Open => {}
-                Gate::Replay(bytes) => return Served::Raw(bytes),
-                Gate::Refuse(refusal) => return Served::Response(refusal),
-            }
-            let trace = begin_trace(state, profile, nonce, "shard:partial_counts");
-            if let Some(t) = trace.as_ref() {
-                t.root_attr("term_count", terms.len() as u64);
-            }
-            // Shard semantics: a subset this node holds no records for
-            // is an empty share `(0, 0)` that merges as a no-op, not an
-            // error that fails the whole scatter.
-            let counts = state
-                .engine
-                .count_terms_partial(state.coordinator.pool(), &terms);
-            let response = Response::PartialTermCounts(
-                counts
-                    .into_iter()
-                    .map(|(ones, population)| QueryCounts { ones, population })
-                    .collect(),
-                finish_trace(trace, nonce),
-            );
-            serve_charged(state, conn, nonce, &response)
-        }
+        } => serve_charged_query(
+            state,
+            conn,
+            Charged {
+                terms: terms.len(),
+                nonce,
+                profile,
+            },
+            "shard:partial_counts",
+            || {
+                Ok(state
+                    .engine
+                    .count_terms_partial(state.coordinator.pool(), &terms))
+            },
+            |counts, tree| {
+                Response::PartialTermCounts(
+                    counts
+                        .into_iter()
+                        .map(|(ones, population)| QueryCounts { ones, population })
+                        .collect(),
+                    tree,
+                )
+            },
+        ),
         Request::ServerStats => Served::Response(Response::ServerStats(state.frames.snapshot(
             state.started.elapsed(),
             &state.engine,
@@ -1281,17 +1225,6 @@ fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) 
             Served::Response(Response::Trace(obs::span::ring().fetch(nonce)))
         }
     }
-}
-
-/// Refuses oversized plans/term batches before any scan or charge.
-fn check_plan_size(terms: usize) -> Option<Response> {
-    (terms > wire::MAX_PLAN_TERMS).then(|| Response::Error {
-        code: codes::BAD_REQUEST,
-        message: format!(
-            "plan holds {terms} terms, server cap is {}",
-            wire::MAX_PLAN_TERMS
-        ),
-    })
 }
 
 /// Ingests one batch: WAL append + fsync first, then the pool apply,

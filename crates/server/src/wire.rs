@@ -23,7 +23,7 @@
 //! reject a frame from the future (or the past) with
 //! [`codes::UNSUPPORTED_VERSION`] without guessing at its body layout.
 
-use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Error, Estimate, UserId};
+use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Error, UserId};
 use psketch_obs::span::MAX_SPAN_ATTRS;
 use psketch_obs::{HistogramSnapshot, MetricId, RegistrySnapshot, SpanNode};
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
@@ -66,7 +66,12 @@ use std::io::{self, Read, Write};
 ///   recent-trace ring, and attaches the serialized span tree to the
 ///   response (the in-band half of `EXPLAIN ANALYZE`). A new `Trace`
 ///   frame fetches a recently completed trace from the ring by nonce.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// * 7 — the one-charging-path revision: the pre-plan `Conjunctive` and
+///   `Distribution` requests (`0x03`/`0x04`) and their `Estimate` and
+///   `Distribution` responses (`0x83`/`0x84`) are retired. A conjunction
+///   is a one-term plan and a `k`-bit distribution a `2^k`-term one, so
+///   every charged query travels as `Plan` or `PartialTermCounts`.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Hard ceiling on the terms of one plan (or term-counts batch); larger
 /// plans are refused as [`codes::BAD_REQUEST`] before any scan. A
@@ -118,8 +123,6 @@ pub mod codes {
 // range, so a stray response can never parse as a request.
 const REQ_ANNOUNCEMENT: u8 = 0x01;
 const REQ_SUBMIT: u8 = 0x02;
-const REQ_CONJUNCTIVE: u8 = 0x03;
-const REQ_DISTRIBUTION: u8 = 0x04;
 const REQ_PLAN: u8 = 0x05;
 const REQ_STATS: u8 = 0x06;
 const REQ_PING: u8 = 0x07;
@@ -130,8 +133,6 @@ const REQ_METRICS: u8 = 0x0C;
 const REQ_TRACE: u8 = 0x0D;
 const RESP_ANNOUNCEMENT: u8 = 0x81;
 const RESP_SUBMIT_ACK: u8 = 0x82;
-const RESP_ESTIMATE: u8 = 0x83;
-const RESP_DISTRIBUTION: u8 = 0x84;
 const RESP_PLAN: u8 = 0x85;
 const RESP_STATS: u8 = 0x86;
 const RESP_PONG: u8 = 0x87;
@@ -143,8 +144,8 @@ const RESP_TRACE: u8 = 0x8D;
 const RESP_ERROR: u8 = 0xFF;
 
 /// Highest request kind byte (the server keeps one per-kind request
-/// counter for each of `0x01..=MAX_REQUEST_KIND`; `0x0A` is a retired
-/// v2 kind and stays unused).
+/// counter for each of `0x01..=MAX_REQUEST_KIND`; the retired kinds
+/// `0x03`/`0x04` (v6) and `0x0A` (v2) stay unassigned).
 pub const MAX_REQUEST_KIND: u8 = REQ_TRACE;
 
 /// Human-readable name of a request kind byte (for stats display).
@@ -153,8 +154,6 @@ pub fn request_kind_name(kind: u8) -> Option<&'static str> {
     Some(match kind {
         REQ_ANNOUNCEMENT => "announcement",
         REQ_SUBMIT => "submit",
-        REQ_CONJUNCTIVE => "conjunctive",
-        REQ_DISTRIBUTION => "distribution",
         REQ_PLAN => "plan",
         REQ_STATS => "stats",
         REQ_PING => "ping",
@@ -262,31 +261,6 @@ pub enum Request {
     FetchAnnouncement,
     /// Submit a batch of user submissions for ingestion.
     SubmitBatch(Vec<Submission>),
-    /// Estimate one conjunctive frequency (the pre-plan direct path,
-    /// kept as the single-query fast lane and the oracle the plan path
-    /// is tested against).
-    Conjunctive {
-        /// The queried subset.
-        subset: BitSubset,
-        /// The queried value.
-        value: BitString,
-        /// Charge-once replay identity (`0` = no replay protection).
-        nonce: u64,
-        /// Record a span trace of this execution and attach it to the
-        /// response.
-        profile: bool,
-    },
-    /// Estimate the full `2^k` value distribution over one subset (the
-    /// pre-plan direct path).
-    Distribution {
-        /// The queried subset.
-        subset: BitSubset,
-        /// Charge-once replay identity (`0` = no replay protection).
-        nonce: u64,
-        /// Record a span trace of this execution and attach it to the
-        /// response.
-        profile: bool,
-    },
     /// Execute a compiled query plan server-side: every query family —
     /// linear combinations, DNF, intervals, means, moments, trees,
     /// histograms — travels as this one frame. The analyst is charged
@@ -339,41 +313,6 @@ pub enum Request {
     },
 }
 
-/// A wire-level estimate (mirrors [`psketch_core::Estimate`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimateWire {
-    /// The unbiased estimate `r'`.
-    pub fraction: f64,
-    /// The raw one-fraction `r̃`.
-    pub raw: f64,
-    /// Number of sketches aggregated.
-    pub sample_size: u64,
-    /// The bias used for inversion.
-    pub p: f64,
-}
-
-impl From<Estimate> for EstimateWire {
-    fn from(e: Estimate) -> Self {
-        Self {
-            fraction: e.fraction,
-            raw: e.raw,
-            sample_size: e.sample_size as u64,
-            p: e.p,
-        }
-    }
-}
-
-impl From<EstimateWire> for Estimate {
-    fn from(e: EstimateWire) -> Self {
-        Self {
-            fraction: e.fraction,
-            raw: e.raw,
-            sample_size: usize::try_from(e.sample_size).unwrap_or(usize::MAX),
-            p: e.p,
-        }
-    }
-}
-
 /// One plan output's answer (mirrors [`psketch_queries::LinearAnswer`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanAnswerWire {
@@ -417,14 +356,9 @@ pub enum Response {
         /// Submissions rejected (malformed or duplicate).
         rejected: u64,
     },
-    /// Answer to a [`Request::Conjunctive`]; the span-tree attachment
-    /// is present iff the request asked to be profiled.
-    Estimate(EstimateWire, Option<SpanNode>),
-    /// Answer to a [`Request::Distribution`], indexed by the LSB-first
-    /// integer encoding of the value, plus the optional profile.
-    Distribution(Vec<EstimateWire>, Option<SpanNode>),
     /// Answer to a [`Request::Plan`]: one answer per plan output, in
-    /// plan order, plus the optional profile.
+    /// plan order, plus the span-tree attachment (present iff the
+    /// request asked to be profiled).
     PlanAnswers(Vec<PlanAnswerWire>, Option<SpanNode>),
     /// Answer to a [`Request::Stats`].
     Stats(CoordinatorStats),
@@ -897,22 +831,6 @@ fn get_registry_snapshot(dec: &mut Dec<'_>) -> Result<RegistrySnapshot, Error> {
     Ok(snap)
 }
 
-fn put_estimate(buf: &mut Vec<u8>, e: &EstimateWire) {
-    put_f64(buf, e.fraction);
-    put_f64(buf, e.raw);
-    put_u64(buf, e.sample_size);
-    put_f64(buf, e.p);
-}
-
-fn get_estimate(dec: &mut Dec<'_>) -> Result<EstimateWire, Error> {
-    Ok(EstimateWire {
-        fraction: dec.f64()?,
-        raw: dec.f64()?,
-        sample_size: dec.u64()?,
-        p: dec.f64()?,
-    })
-}
-
 /// Sentinel parent index marking the root node of a serialized span
 /// tree.
 const SPAN_NO_PARENT: u32 = u32::MAX;
@@ -1084,30 +1002,6 @@ impl Request {
                 put_submissions(&mut buf, subs);
                 buf
             }
-            Self::Conjunctive {
-                subset,
-                value,
-                nonce,
-                profile,
-            } => {
-                let mut buf = payload(REQ_CONJUNCTIVE);
-                put_u64(&mut buf, *nonce);
-                buf.push(u8::from(*profile));
-                put_subset(&mut buf, subset);
-                put_bitstring(&mut buf, value);
-                buf
-            }
-            Self::Distribution {
-                subset,
-                nonce,
-                profile,
-            } => {
-                let mut buf = payload(REQ_DISTRIBUTION);
-                put_u64(&mut buf, *nonce);
-                buf.push(u8::from(*profile));
-                put_subset(&mut buf, subset);
-                buf
-            }
             Self::Plan {
                 plan,
                 nonce,
@@ -1163,17 +1057,6 @@ impl Request {
         let req = match kind {
             REQ_ANNOUNCEMENT => Self::FetchAnnouncement,
             REQ_SUBMIT => Self::SubmitBatch(get_submissions(&mut dec)?),
-            REQ_CONJUNCTIVE => Self::Conjunctive {
-                nonce: dec.u64()?,
-                profile: get_bool(&mut dec)?,
-                subset: get_subset(&mut dec)?,
-                value: get_bitstring(&mut dec)?,
-            },
-            REQ_DISTRIBUTION => Self::Distribution {
-                nonce: dec.u64()?,
-                profile: get_bool(&mut dec)?,
-                subset: get_subset(&mut dec)?,
-            },
             REQ_PLAN => Self::Plan {
                 nonce: dec.u64()?,
                 profile: get_bool(&mut dec)?,
@@ -1213,21 +1096,6 @@ impl Response {
                 let mut buf = payload(RESP_SUBMIT_ACK);
                 put_u64(&mut buf, *accepted);
                 put_u64(&mut buf, *rejected);
-                buf
-            }
-            Self::Estimate(e, trace) => {
-                let mut buf = payload(RESP_ESTIMATE);
-                put_estimate(&mut buf, e);
-                put_span_attachment(&mut buf, trace.as_ref());
-                buf
-            }
-            Self::Distribution(es, trace) => {
-                let mut buf = payload(RESP_DISTRIBUTION);
-                put_len(&mut buf, es.len());
-                for e in es {
-                    put_estimate(&mut buf, e);
-                }
-                put_span_attachment(&mut buf, trace.as_ref());
                 buf
             }
             Self::PlanAnswers(answers, trace) => {
@@ -1327,18 +1195,6 @@ impl Response {
                 accepted: dec.u64()?,
                 rejected: dec.u64()?,
             },
-            RESP_ESTIMATE => {
-                let e = get_estimate(&mut dec)?;
-                Self::Estimate(e, get_span_attachment(&mut dec)?)
-            }
-            RESP_DISTRIBUTION => {
-                let n = dec.count(32)?;
-                let mut es = Vec::with_capacity(n);
-                for _ in 0..n {
-                    es.push(get_estimate(&mut dec)?);
-                }
-                Self::Distribution(es, get_span_attachment(&mut dec)?)
-            }
             RESP_PLAN => {
                 let n = dec.count(24)?;
                 let mut answers = Vec::with_capacity(n);
@@ -1577,23 +1433,6 @@ mod tests {
             bundle: vec![1, 2, 3],
             skipped: vec![0, 2],
         }]));
-        roundtrip_request(&Request::Conjunctive {
-            subset: BitSubset::new(vec![0, 3]).unwrap(),
-            value: BitString::from_bits(&[true, false]),
-            nonce: 0xDEAD_BEEF,
-            profile: false,
-        });
-        roundtrip_request(&Request::Conjunctive {
-            subset: BitSubset::new(vec![0, 3]).unwrap(),
-            value: BitString::from_bits(&[true, false]),
-            nonce: 0xDEAD_BEEF,
-            profile: true,
-        });
-        roundtrip_request(&Request::Distribution {
-            subset: BitSubset::range(0, 4),
-            nonce: 7,
-            profile: true,
-        });
         let mut lq = psketch_queries::LinearQuery::new("wire roundtrip");
         lq.constant = -0.5;
         lq.push(
@@ -1634,8 +1473,10 @@ mod tests {
     fn profile_flag_byte_is_strict() {
         // The profile byte sits right after the 8-byte nonce; anything
         // but 0/1 is malformed, not silently truthy.
-        let mut payload = Request::Distribution {
-            subset: BitSubset::range(0, 4),
+        let mut payload = Request::PartialTermCounts {
+            terms: TermPlan::for_distribution(&BitSubset::range(0, 4))
+                .terms()
+                .to_vec(),
             nonce: 7,
             profile: false,
         }
@@ -1722,16 +1563,6 @@ mod tests {
             accepted: 10,
             rejected: 2,
         });
-        let e = EstimateWire {
-            fraction: 0.25,
-            raw: 0.4,
-            sample_size: 1000,
-            p: 0.3,
-        };
-        roundtrip_response(&Response::Estimate(e, None));
-        roundtrip_response(&Response::Estimate(e, Some(deep_tree())));
-        roundtrip_response(&Response::Distribution(vec![e; 4], None));
-        roundtrip_response(&Response::Distribution(vec![e; 4], Some(deep_tree())));
         roundtrip_response(&Response::PlanAnswers(
             vec![
                 PlanAnswerWire {
@@ -1887,6 +1718,9 @@ mod tests {
         assert_eq!(stats.count_for(0x09), 4);
         assert_eq!(stats.count_for(0x05), 0);
         assert_eq!(request_kind_name(0x09), Some("plan-counts"));
+        // Retired kinds have no name: 0x03/0x04 (v6) and 0x0A (v2).
+        assert_eq!(request_kind_name(0x03), None);
+        assert_eq!(request_kind_name(0x04), None);
         assert_eq!(request_kind_name(0x0A), None);
         assert_eq!(request_kind_name(0x7F), None);
     }
@@ -1900,12 +1734,26 @@ mod tests {
         let mut payload = Response::Pong.encode();
         payload[0] = 0;
         assert!(Response::decode(&payload).is_err());
+        // A v6 frame is refused on its version byte, whatever its kind.
+        let mut payload = Request::Ping.encode();
+        payload[0] = 6;
+        assert!(Request::decode(&payload).is_err());
+        assert_eq!(frame_version(&payload).unwrap(), 6);
     }
 
     #[test]
     fn unknown_kinds_and_trailing_bytes_rejected() {
         assert!(Request::decode(&[PROTOCOL_VERSION, 0x7E]).is_err());
         assert!(Response::decode(&[PROTOCOL_VERSION, 0x01]).is_err());
+        // Retired kinds are unknown, whatever body follows.
+        for kind in [0x03, 0x04] {
+            assert!(Request::decode(&[PROTOCOL_VERSION, kind]).is_err());
+        }
+        for kind in [0x83, 0x84] {
+            let mut payload = vec![PROTOCOL_VERSION, kind];
+            payload.extend_from_slice(&[0; 33]);
+            assert!(Response::decode(&payload).is_err());
+        }
         let mut payload = Request::Ping.encode();
         payload.push(0);
         assert!(Request::decode(&payload).is_err());
@@ -2069,9 +1917,9 @@ mod tests {
             let width = sorted.len();
             let subset = BitSubset::new(sorted).unwrap();
             let value = BitString::from_u64(value_bits[0], width);
-            let req = Request::Conjunctive {
-                subset,
-                value,
+            // A conjunction travels as a one-term counts batch.
+            let req = Request::PartialTermCounts {
+                terms: vec![ConjunctiveQuery::new(subset, value).unwrap()],
                 nonce: value_bits[0],
                 profile: value_bits[0] & 1 == 1,
             };
@@ -2102,17 +1950,17 @@ mod tests {
             sample in any::<u64>(),
         ) {
             // Estimates must survive bit-exactly, including weird floats.
-            let e = EstimateWire {
-                fraction: f64::from_bits(fraction_bits),
-                raw: 0.5,
-                sample_size: sample,
-                p: 0.3,
+            let a = PlanAnswerWire {
+                value: f64::from_bits(fraction_bits),
+                queries_used: 1,
+                min_sample_size: sample,
             };
-            let payload = Response::Estimate(e, None).encode();
+            let payload = Response::PlanAnswers(vec![a], None).encode();
             match Response::decode(&payload).unwrap() {
-                Response::Estimate(d, trace) => {
-                    prop_assert_eq!(d.fraction.to_bits(), e.fraction.to_bits());
-                    prop_assert_eq!(d.sample_size, e.sample_size);
+                Response::PlanAnswers(d, trace) => {
+                    prop_assert_eq!(d.len(), 1);
+                    prop_assert_eq!(d[0].value.to_bits(), a.value.to_bits());
+                    prop_assert_eq!(d[0].min_sample_size, a.min_sample_size);
                     prop_assert!(trace.is_none());
                 }
                 other => prop_assert!(false, "wrong kind: {:?}", other),

@@ -1,11 +1,14 @@
 //! End-to-end tests: loopback TCP service, WAL crash recovery, restart
 //! fidelity, and protocol error handling.
 
-use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, Profile, UserId};
+use psketch_core::{
+    BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Estimate, Profile, UserId,
+};
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{Announcement, AnnouncementBuilder, Coordinator, Submission, UserAgent};
+use psketch_queries::TermPlan;
 use psketch_server::wal::{Wal, WalConfig};
-use psketch_server::{Client, ClientError, Server, ServerConfig};
+use psketch_server::{next_nonce, Client, ClientError, Server, ServerConfig};
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,6 +45,42 @@ fn submissions(ann: &Announcement, ids: std::ops::Range<u64>, seed: u64) -> Vec<
         agent.participate(ann, &mut rng).unwrap()
     })
     .collect()
+}
+
+/// One conjunctive estimate over the wire, as the router computes it:
+/// a one-term `PartialTermCounts` exchange (`nonce` is its replay
+/// identity), inverted client-side at the announcement's quantized bias.
+fn conjunctive(
+    client: &mut Client,
+    nonce: u64,
+    subset: &BitSubset,
+    value: &BitString,
+) -> Result<Estimate, ClientError> {
+    let term = ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap();
+    let counts = client.partial_term_counts_nonced(nonce, &[term])?;
+    let p = announcement().validate().unwrap().p();
+    Ok(Estimate::from_counts(
+        counts[0].ones,
+        counts[0].population,
+        p,
+    ))
+}
+
+/// The `2^k` distribution over `subset`, the same way: one counts
+/// exchange for the distribution plan's terms.
+fn distribution(client: &mut Client, subset: &BitSubset) -> Vec<Estimate> {
+    let plan = TermPlan::for_distribution(subset);
+    let counts = client.partial_term_counts(plan.terms()).unwrap();
+    let p = announcement().validate().unwrap().p();
+    counts
+        .iter()
+        .map(|c| Estimate::from_counts(c.ones, c.population, p))
+        .collect()
+}
+
+/// A one-term plan: a charged conjunction as the `Plan` frame carries it.
+fn conj_plan(subset: &BitSubset, value: &BitString) -> TermPlan {
+    TermPlan::for_conjunctive(ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap())
 }
 
 /// The in-process oracle: the same submissions ingested directly.
@@ -87,8 +126,9 @@ fn loopback_concurrent_clients_match_oracle() {
             let mut client = Client::connect(addr, TIMEOUT).unwrap();
             let subset = BitSubset::range(0, 2);
             for _ in 0..50 {
-                match client.conjunctive(subset.clone(), BitString::from_bits(&[true, true])) {
-                    Ok(e) => assert!(e.sample_size > 0),
+                let plan = conj_plan(&subset, &BitString::from_bits(&[true, true]));
+                match client.execute_plan(&plan) {
+                    Ok(answers) => assert!(answers[0].min_sample_size > 0),
                     // Empty pool before the first batch lands.
                     Err(ClientError::Server { .. }) => {}
                     Err(other) => panic!("analyst connection died: {other}"),
@@ -109,7 +149,7 @@ fn loopback_concurrent_clients_match_oracle() {
         let width = subset.len();
         for value in 0..(1u64 << width) {
             let value = BitString::from_u64(value, width);
-            let served = client.conjunctive(subset.clone(), value.clone()).unwrap();
+            let served = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
             let q = psketch_core::ConjunctiveQuery::new(subset.clone(), value).unwrap();
             let local = estimator.estimate(oracle.pool(), &q).unwrap();
             assert_eq!(served.fraction.to_bits(), local.fraction.to_bits());
@@ -118,7 +158,7 @@ fn loopback_concurrent_clients_match_oracle() {
     }
     // Distribution over the pair subset: 4 bit-identical estimates.
     let subset = BitSubset::range(0, 2);
-    let served = client.distribution(subset.clone()).unwrap();
+    let served = distribution(&mut client, &subset);
     let local = estimator
         .estimate_distribution(oracle.pool(), &subset)
         .unwrap();
@@ -150,12 +190,9 @@ fn loopback_concurrent_clients_match_oracle() {
     );
     assert_eq!(used, 2);
     assert_eq!(min_n, 1000);
-    let e0 = client
-        .conjunctive(BitSubset::single(0), BitString::from_bits(&[true]))
-        .unwrap();
-    let e1 = client
-        .conjunctive(BitSubset::single(1), BitString::from_bits(&[true]))
-        .unwrap();
+    let yes = BitString::from_bits(&[true]);
+    let e0 = conjunctive(&mut client, next_nonce(), &BitSubset::single(0), &yes).unwrap();
+    let e1 = conjunctive(&mut client, next_nonce(), &BitSubset::single(1), &yes).unwrap();
     assert!((value - (e0.fraction + e1.fraction - 1.0)).abs() < 1e-12);
 
     // Stats reflect everything the four clients pushed.
@@ -307,8 +344,8 @@ fn server_restart_serves_identical_answers() {
         let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
         let subs = submissions(&ann, 0..300, 42);
         assert_eq!(client.submit_chunked(&subs, 50).unwrap().accepted, 300);
-        let conj = client.conjunctive(subset.clone(), value.clone()).unwrap();
-        let dist = client.distribution(subset.clone()).unwrap();
+        let conj = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+        let dist = distribution(&mut client, &subset);
         server.shutdown();
         (conj, dist)
     };
@@ -317,8 +354,8 @@ fn server_restart_serves_identical_answers() {
     // files; replay must reproduce the pool bit-for-bit.
     let server = Server::start("127.0.0.1:0", ann.clone(), config()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    let after_conj = client.conjunctive(subset.clone(), value.clone()).unwrap();
-    let after_dist = client.distribution(subset.clone()).unwrap();
+    let after_conj = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+    let after_dist = distribution(&mut client, &subset);
     assert_eq!(
         before_conj.fraction.to_bits(),
         after_conj.fraction.to_bits()
@@ -358,7 +395,7 @@ fn compaction_snapshot_restores_identically() {
         let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
         let subs = submissions(&ann, 0..200, 9);
         assert_eq!(client.submit_chunked(&subs, 20).unwrap().accepted, 200);
-        let e = client.conjunctive(subset.clone(), value.clone()).unwrap();
+        let e = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
         server.shutdown();
         e
     };
@@ -369,7 +406,7 @@ fn compaction_snapshot_restores_identically() {
 
     let server = Server::start("127.0.0.1:0", ann.clone(), config()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    let after = client.conjunctive(subset, value).unwrap();
+    let after = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
     assert_eq!(before.fraction.to_bits(), after.fraction.to_bits());
     assert_eq!(before.sample_size, after.sample_size);
     let stats = client.stats().unwrap();
@@ -428,9 +465,54 @@ fn bad_frames_get_error_responses_and_connection_survives() {
         wire::Response::Error { code, .. } => assert_eq!(code, wire::codes::MALFORMED),
         other => panic!("expected error frame, got {other:?}"),
     }
+    // Retired kinds (0x03/0x04) are malformed, even followed by a body
+    // that starts like a charged request's (nonce, profile flag).
+    for kind in [0x03, 0x04] {
+        let mut frame = vec![wire::PROTOCOL_VERSION, kind];
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        frame.push(0);
+        wire::write_frame(&mut stream, &frame).unwrap();
+        let payload = wire::read_frame(&mut stream).unwrap().unwrap();
+        match wire::Response::decode(&payload).unwrap() {
+            wire::Response::Error { code, .. } => assert_eq!(code, wire::codes::MALFORMED),
+            other => panic!("expected error frame, got {other:?}"),
+        }
+    }
+    // A frame of the previous protocol revision is refused as such.
+    let mut v6 = wire::Request::Ping.encode();
+    v6[0] = 6;
+    wire::write_frame(&mut stream, &v6).unwrap();
+    let payload = wire::read_frame(&mut stream).unwrap().unwrap();
+    match wire::Response::decode(&payload).unwrap() {
+        wire::Response::Error { code, .. } => {
+            assert_eq!(code, wire::codes::UNSUPPORTED_VERSION);
+        }
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    // A term whose value width differs from its subset's is refused at
+    // decode: the last term's bit length (`… ‖ u32 bitlen ‖ 1 value
+    // byte`) is patched from 2 to 1.
+    let term = ConjunctiveQuery::new(BitSubset::range(0, 2), BitString::from_bits(&[true, false]))
+        .unwrap();
+    let mut mismatched = wire::Request::PartialTermCounts {
+        terms: vec![term],
+        nonce: 0,
+        profile: false,
+    }
+    .encode();
+    let n = mismatched.len();
+    mismatched[n - 5..n - 1].copy_from_slice(&1u32.to_le_bytes());
+    wire::write_frame(&mut stream, &mismatched).unwrap();
+    let payload = wire::read_frame(&mut stream).unwrap().unwrap();
+    match wire::Response::decode(&payload).unwrap() {
+        wire::Response::Error { code, .. } => assert_eq!(code, wire::codes::MALFORMED),
+        other => panic!("expected error frame, got {other:?}"),
+    }
     // Truncated body for a known kind.
-    let mut garbled = wire::Request::Distribution {
-        subset: BitSubset::range(0, 4),
+    let mut garbled = wire::Request::PartialTermCounts {
+        terms: TermPlan::for_distribution(&BitSubset::range(0, 4))
+            .terms()
+            .to_vec(),
         nonce: 0,
         profile: false,
     }
@@ -465,21 +547,27 @@ fn query_errors_are_frames_not_hangups() {
     let server = Server::start("127.0.0.1:0", ann, ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     // Unknown subset: the pool has nothing for positions {5}.
-    match client.conjunctive(BitSubset::single(5), BitString::from_bits(&[true])) {
+    let unknown = conj_plan(&BitSubset::single(5), &BitString::from_bits(&[true]));
+    match client.execute_plan(&unknown) {
         Err(ClientError::Server { code, .. }) => {
             assert_eq!(code, psketch_server::wire::codes::QUERY);
         }
         other => panic!("expected server error, got {other:?}"),
     }
-    // Width mismatch caught server-side.
-    match client.conjunctive(BitSubset::range(0, 2), BitString::from_bits(&[true])) {
+    // Empty pool: the subset is announced but holds no records yet.
+    let empty = conj_plan(
+        &BitSubset::range(0, 2),
+        &BitString::from_bits(&[true, false]),
+    );
+    match client.execute_plan(&empty) {
         Err(ClientError::Server { code, .. }) => {
             assert_eq!(code, psketch_server::wire::codes::QUERY);
         }
         other => panic!("expected server error, got {other:?}"),
     }
-    // Distribution wider than the server cap.
-    match client.distribution(BitSubset::range(0, 17)) {
+    // A 17-bit distribution's worth of terms: over the server cap.
+    let term = ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap();
+    match client.partial_term_counts(&vec![term; 1 << 17]) {
         Err(ClientError::Server { code, .. }) => {
             assert_eq!(code, psketch_server::wire::codes::BAD_REQUEST);
         }
@@ -537,9 +625,9 @@ fn hello_handshake_reports_shard_identity_and_partials_match_counts() {
     let counts = client.partial_term_counts(&[term]).unwrap();
     assert_eq!(counts.len(), 1);
     assert_eq!(counts[0].population, 300);
-    let served = client.conjunctive(subset.clone(), value).unwrap();
+    let served = client.execute_plan(&conj_plan(&subset, &value)).unwrap();
     let inverted = psketch_core::Estimate::from_counts(counts[0].ones, counts[0].population, ann.p);
-    assert_eq!(inverted.fraction.to_bits(), served.fraction.to_bits());
+    assert_eq!(inverted.fraction.to_bits(), served[0].value.to_bits());
 
     // A distribution plan's term counts invert to the served
     // distribution (the generic frame covers what the retired
@@ -547,11 +635,11 @@ fn hello_handshake_reports_shard_identity_and_partials_match_counts() {
     let dist_plan = psketch_queries::TermPlan::for_distribution(&subset);
     let partial = client.partial_term_counts(dist_plan.terms()).unwrap();
     assert_eq!(partial.len(), 4);
-    let served = client.distribution(subset.clone()).unwrap();
+    let served = client.execute_plan(&dist_plan).unwrap();
     for (c, s) in partial.iter().zip(&served) {
         assert_eq!(c.population, 300);
         let e = psketch_core::Estimate::from_counts(c.ones, c.population, ann.p);
-        assert_eq!(e.fraction.to_bits(), s.fraction.to_bits());
+        assert_eq!(e.fraction.to_bits(), s.value.to_bits());
     }
 
     // An unknown subset is an *empty share*, not an error, on the
@@ -599,8 +687,9 @@ fn analyst_budget_is_enforced_with_a_dedicated_error_frame() {
     // Analyst 1: first query fine, second refused with the BUDGET code.
     let mut analyst = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     analyst.hello(1).unwrap();
-    analyst.conjunctive(subset.clone(), value.clone()).unwrap();
-    match analyst.conjunctive(subset.clone(), value.clone()) {
+    let one_term = conj_plan(&subset, &value);
+    analyst.execute_plan(&one_term).unwrap();
+    match analyst.execute_plan(&one_term) {
         Err(ClientError::Server { code, message }) => {
             assert_eq!(code, codes::BUDGET);
             assert!(message.contains("analyst 1"), "{message}");
@@ -617,20 +706,20 @@ fn analyst_budget_is_enforced_with_a_dedicated_error_frame() {
     let mut same = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     same.hello(1).unwrap();
     assert!(matches!(
-        same.conjunctive(subset.clone(), value.clone()),
+        same.execute_plan(&one_term),
         Err(ClientError::Server { code, .. }) if code == codes::BUDGET
     ));
     // ...while a different analyst has their own fresh budget.
     let mut other = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     other.hello(2).unwrap();
-    other.conjunctive(subset.clone(), value.clone()).unwrap();
+    other.execute_plan(&one_term).unwrap();
 
     // A 2-bit distribution charges 4 estimates at once: refused for a
     // fresh analyst whose budget affords only one.
     let mut wide = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     wide.hello(3).unwrap();
     assert!(matches!(
-        wide.distribution(BitSubset::range(0, 2)),
+        wide.execute_plan(&TermPlan::for_distribution(&BitSubset::range(0, 2))),
         Err(ClientError::Server { code, .. }) if code == codes::BUDGET
     ));
 
@@ -688,15 +777,18 @@ fn server_stats_count_frames_by_kind() {
     client.ping().unwrap();
     client.ping().unwrap();
     client
-        .conjunctive(BitSubset::single(0), BitString::from_bits(&[true]))
+        .execute_plan(&conj_plan(
+            &BitSubset::single(0),
+            &BitString::from_bits(&[true]),
+        ))
         .unwrap();
     let stats = client.server_stats().unwrap();
-    // Kinds: hello 0x08 ×1, submit 0x02 ×1, ping 0x07 ×2, conjunctive
-    // 0x03 ×1, server-stats 0x0B ×1 (this very request).
+    // Kinds: hello 0x08 ×1, submit 0x02 ×1, ping 0x07 ×2, plan 0x05 ×1,
+    // server-stats 0x0B ×1 (this very request).
     assert_eq!(stats.count_for(0x08), 1);
     assert_eq!(stats.count_for(0x02), 1);
     assert_eq!(stats.count_for(0x07), 2);
-    assert_eq!(stats.count_for(0x03), 1);
+    assert_eq!(stats.count_for(0x05), 1);
     assert_eq!(stats.count_for(0x0B), 1);
     assert_eq!(stats.malformed, 0);
     assert_eq!(stats.total_requests(), 6);
@@ -748,7 +840,7 @@ fn client_is_send() {
 
 #[test]
 fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
-    use psketch_server::{next_nonce, wire};
+    use psketch_server::wire;
     let ann = announcement();
     // Generous budget: the point here is counting charges, not refusals.
     let server = Server::start(
@@ -782,9 +874,8 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
             wire::Response::decode(&hello).unwrap(),
             wire::Response::Hello { .. }
         ));
-        let req = wire::Request::Conjunctive {
-            subset: subset.clone(),
-            value: value.clone(),
+        let req = wire::Request::PartialTermCounts {
+            terms: vec![ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap()],
             nonce,
             profile: false,
         };
@@ -798,7 +889,7 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
     let mut retry = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     retry.hello(7).unwrap();
     let answer = loop {
-        match retry.conjunctive_nonced(nonce, subset.clone(), value.clone()) {
+        match conjunctive(&mut retry, nonce, &subset, &value) {
             Err(ClientError::Server { code, .. })
                 if code == psketch_server::wire::codes::RETRY_PENDING =>
             {
@@ -815,13 +906,13 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
     let local = estimator.estimate(oracle.pool(), &q).unwrap();
     assert_eq!(answer.fraction.to_bits(), local.fraction.to_bits());
 
-    // Wait until the server has processed *both* conjunctive frames
-    // (the killed socket's frame was already in flight and races the
-    // retry), then the ledger must have advanced exactly once.
+    // Wait until the server has processed *both* count frames (the
+    // killed socket's frame was already in flight and races the retry),
+    // then the ledger must have advanced exactly once.
     let stats = {
         let mut observed = retry.server_stats().unwrap();
         for _ in 0..100 {
-            if observed.count_for(0x03) >= 2 {
+            if observed.count_for(0x09) >= 2 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -830,8 +921,8 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
         observed
     };
     assert!(
-        stats.count_for(0x03) >= 2,
-        "server never saw both conjunctive frames: {stats:?}"
+        stats.count_for(0x09) >= 2,
+        "server never saw both count frames: {stats:?}"
     );
     assert_eq!(
         stats.budget.charged_terms, 1,
@@ -842,7 +933,7 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
 
     // A *different* logical query (fresh nonce) is a real charge, not a
     // replay — dedup must not overreach.
-    retry.conjunctive(subset, value).unwrap();
+    conjunctive(&mut retry, next_nonce(), &subset, &value).unwrap();
     let stats = retry.server_stats().unwrap();
     assert_eq!(stats.budget.charged_terms, 2, "{stats:?}");
     assert_eq!(stats.budget.replays, 1, "{stats:?}");
@@ -851,7 +942,6 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
 
 #[test]
 fn plan_replays_with_the_same_nonce_charge_once() {
-    use psketch_server::next_nonce;
     let ann = announcement();
     let server = Server::start(
         "127.0.0.1:0",
@@ -908,16 +998,12 @@ fn plan_replays_with_the_same_nonce_charge_once() {
     let nonce = next_nonce();
     let q0 = (BitSubset::single(0), BitString::from_bits(&[true]));
     let q1 = (BitSubset::single(1), BitString::from_bits(&[true]));
-    client
-        .conjunctive_nonced(nonce, q0.0.clone(), q0.1.clone())
-        .unwrap();
-    client
-        .conjunctive_nonced(nonce, q1.0.clone(), q1.1.clone())
-        .unwrap();
+    conjunctive(&mut client, nonce, &q0.0, &q0.1).unwrap();
+    conjunctive(&mut client, nonce, &q1.0, &q1.1).unwrap();
     let stats = client.server_stats().unwrap();
     assert_eq!(stats.budget.charged_terms, 6, "{stats:?}");
     assert_eq!(stats.budget.replays, 3, "{stats:?}");
-    client.conjunctive_nonced(nonce, q1.0, q1.1).unwrap();
+    conjunctive(&mut client, nonce, &q1.0, &q1.1).unwrap();
     let stats = client.server_stats().unwrap();
     assert_eq!(stats.budget.charged_terms, 6, "{stats:?}");
     assert_eq!(stats.budget.replays, 4, "{stats:?}");
@@ -930,7 +1016,6 @@ fn replays_serve_the_cached_response_not_a_recomputation() {
     // grown must return the *original* answer verbatim, not a fresh
     // evaluation over the larger pool (that would be a second release
     // for one Corollary 3.4 charge).
-    use psketch_server::next_nonce;
     let ann = announcement();
     let server = Server::start(
         "127.0.0.1:0",
@@ -948,24 +1033,20 @@ fn replays_serve_the_cached_response_not_a_recomputation() {
     let subset = BitSubset::single(0);
     let value = BitString::from_bits(&[true]);
     let nonce = next_nonce();
-    let first = client
-        .conjunctive_nonced(nonce, subset.clone(), value.clone())
-        .unwrap();
+    let first = conjunctive(&mut client, nonce, &subset, &value).unwrap();
     assert_eq!(first.sample_size, 100);
 
     // Grow the pool, then replay: same answer bytes, original n.
     client
         .submit_batch(&submissions(&ann, 100..150, 43))
         .unwrap();
-    let replay = client
-        .conjunctive_nonced(nonce, subset.clone(), value.clone())
-        .unwrap();
+    let replay = conjunctive(&mut client, nonce, &subset, &value).unwrap();
     assert_eq!(replay.sample_size, 100, "replay re-evaluated the pool");
     assert_eq!(replay.fraction.to_bits(), first.fraction.to_bits());
     assert_eq!(replay.raw.to_bits(), first.raw.to_bits());
 
     // A fresh nonce sees the grown pool and is a fresh charge.
-    let fresh = client.conjunctive(subset, value).unwrap();
+    let fresh = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
     assert_eq!(fresh.sample_size, 150);
     let stats = client.server_stats().unwrap();
     assert_eq!(stats.budget.charged_terms, 2, "{stats:?}");
