@@ -8,9 +8,10 @@
 //!   with memoization — one estimator scan per distinct term, one
 //!   snapshot take per scan) against the plan path
 //!   (`QueryEngine::execute_plan` over the batched
-//!   `count_terms` entry point: one snapshot per distinct *subset*,
-//!   dense per-subset groups answered by the one-pass distribution
-//!   tally);
+//!   `count_terms` entry point: one snapshot and one fused scan per
+//!   distinct *subset*, counting every value its terms ask for in one
+//!   pass — so `plan_ms` grows with `scans`, and each extra term on an
+//!   already-scanned subset costs one more finalization per record);
 //! * **cluster**: plan throughput through the scatter-gather router at
 //!   1, 2 and 4 loopback shards — one generic `PartialTermCounts`
 //!   round trip per shard per plan, whatever the family;
@@ -134,6 +135,8 @@ fn make_submissions(cfg: &Config, ann: &Announcement, m: usize) -> Vec<Submissio
 struct FamilyRun {
     name: &'static str,
     terms: usize,
+    /// Scan passes per plan: its distinct subsets.
+    scans: usize,
     legacy_ms: f64,
     plan_ms: f64,
     cluster_qps: Vec<(u32, f64)>,
@@ -186,6 +189,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
             FamilyRun {
                 name,
                 terms: plan.cost(),
+                scans: plan.required_subsets().len(),
                 legacy_ms,
                 plan_ms,
                 cluster_qps: Vec::new(),
@@ -257,6 +261,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         &[
             "family",
             "terms",
+            "scans",
             "legacy (ms)",
             "plan (ms)",
             "speedup",
@@ -269,6 +274,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         let mut row = vec![
             run.name.to_string(),
             run.terms.to_string(),
+            run.scans.to_string(),
             f(run.legacy_ms, 3),
             f(run.plan_ms, 3),
             f(run.legacy_ms / run.plan_ms.max(1e-12), 2),
@@ -290,10 +296,11 @@ pub fn run(cfg: &Config) -> Vec<Table> {
                 .map(|(shards, qps)| format!("{{\"shards\": {shards}, \"qps\": {qps:.1}}}"))
                 .collect();
             format!(
-                "    {{\"family\": \"{}\", \"terms\": {}, \"legacy_ms\": {:.4}, \
+                "    {{\"family\": \"{}\", \"terms\": {}, \"scans\": {}, \"legacy_ms\": {:.4}, \
                  \"plan_ms\": {:.4}, \"cluster\": [{}]}}",
                 r.name,
                 r.terms,
+                r.scans,
                 r.legacy_ms,
                 r.plan_ms,
                 cluster.join(", ")

@@ -6,13 +6,18 @@
 //! measures the full matrix — lane width ∈ {1, 4, 8} × worker threads ∈
 //! {1, 2, 4} — over the same 1M-record shard scan e20 measures, asserts
 //! that every cell produces the *same count* as the scalar reference
-//! (lane paths are bit-identical, so this must hold exactly), and rewrites
-//! `BENCH_throughput.json` with the matrix alongside the e20-style
-//! baseline fields.
+//! (lane paths are bit-identical, so this must hold exactly), and writes
+//! `BENCH_lanes.json` with the matrix alongside the e20-style baseline
+//! fields.
+//!
+//! A second, single-thread cell runs the fused multi-value scan: all 4
+//! values of a 2-bit subset counted in one pass over the columns, at
+//! every width, against four one-value scans. Its counts must equal the
+//! per-value scalar oracle.
 //!
 //! In quick mode this doubles as the CI throughput smoke: identity is
-//! asserted at every width, and the best lane width must not be
-//! slower than the scalar loop beyond a generous noise margin — a
+//! asserted at every width, and in both cells the best lane width must
+//! not be slower than the scalar loop beyond a generous noise margin — a
 //! catastrophic-regression guard, not a precision benchmark.
 
 use crate::common::Config;
@@ -29,14 +34,19 @@ const EXP: u64 = 25;
 const CORE_STEPS: [usize; 3] = [1, 2, 4];
 
 /// Best observed rate over `reps` runs of `scan` (which returns the
-/// satisfying count, checked against `expected` every time).
-fn best_rate(reps: u64, records: usize, expected: usize, mut scan: impl FnMut() -> usize) -> f64 {
+/// satisfying counts, checked against `expected` every time).
+fn best_rate<T: PartialEq + std::fmt::Debug>(
+    reps: u64,
+    records: usize,
+    expected: &T,
+    mut scan: impl FnMut() -> T,
+) -> f64 {
     (0..reps.max(1))
         .map(|_| {
             let start = Instant::now();
             let ones = scan();
             let rate = records as f64 / start.elapsed().as_secs_f64();
-            assert_eq!(ones, expected, "lane scan diverged from the scalar oracle");
+            assert_eq!(&ones, expected, "lane scan diverged from the scalar oracle");
             rate
         })
         .fold(0.0, f64::max)
@@ -47,8 +57,8 @@ fn best_rate(reps: u64, records: usize, expected: usize, mut scan: impl FnMut() 
 /// # Panics
 ///
 /// Panics if any lane/thread combination miscounts, if the best lane
-/// width regresses far below the scalar loop, or if
-/// `BENCH_throughput.json` cannot be written.
+/// width regresses far below the scalar loop, or if `BENCH_lanes.json`
+/// cannot be written.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn run(cfg: &Config) -> Vec<Table> {
@@ -57,14 +67,17 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let params = cfg.params(0.3, 10, EXP);
     let sketcher = Sketcher::new(params);
     let subset = BitSubset::range(0, k as u32);
+    let pair = BitSubset::range(0, 2);
     let db = SketchDb::new();
     let mut rng = cfg.rng(EXP, 0);
     for i in 0..m as u64 {
         let profile = Profile::from_bits(&vec![i % 3 == 0; k]);
-        let sketch = sketcher
-            .sketch(UserId(i), &profile, &subset, &mut rng)
-            .expect("sketching at ell=10 cannot exhaust");
-        db.insert(subset.clone(), UserId(i), sketch);
+        for s in [&subset, &pair] {
+            let sketch = sketcher
+                .sketch(UserId(i), &profile, s, &mut rng)
+                .expect("sketching at ell=10 cannot exhaust");
+            db.insert(s.clone(), UserId(i), sketch);
+        }
     }
 
     // The raw scan under measurement: PreparedH::count_ones over the
@@ -102,9 +115,39 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     for &lanes in SUPPORTED_LANE_WIDTHS {
         set_lane_width(lanes).expect("supported width");
         for cores in CORE_STEPS {
-            let rate = best_rate(reps, m, expected, || scan_with_threads(cores));
+            let rate = best_rate(reps, m, &expected, || scan_with_threads(cores));
             matrix.push((lanes, cores, rate));
         }
+    }
+
+    // The 4-value cell: every value of a 2-bit subset, fused into one
+    // pass, against four one-value scans. Oracle: one scalar-width scan
+    // per value.
+    let values: Vec<BitString> = (0..4).map(|v| BitString::from_u64(v, 2)).collect();
+    let h = HFunction::new(&params);
+    let pair_h = h.prepare(&pair, 2);
+    let per_value: Vec<_> = values.iter().map(|v| h.prepare_query(&pair, v)).collect();
+    let pair_snapshot = db.snapshot(&pair).expect("populated");
+    let (pair_ids, pair_keys) = (pair_snapshot.ids(), pair_snapshot.keys());
+    set_lane_width(1).expect("1 is a supported width");
+    let pair_expected: Vec<usize> = per_value
+        .iter()
+        .map(|p| p.count_ones(pair_ids, pair_keys))
+        .collect();
+    // (lanes, fused 4-value rate, four one-value scans' rate), records/s.
+    let mut fused: Vec<(usize, f64, f64)> = Vec::new();
+    for &lanes in SUPPORTED_LANE_WIDTHS {
+        set_lane_width(lanes).expect("supported width");
+        let one_pass = best_rate(reps, m, &pair_expected, || {
+            pair_h.count_values(pair_ids, pair_keys, &values)
+        });
+        let four_scans = best_rate(reps, m, &pair_expected, || {
+            per_value
+                .iter()
+                .map(|p| p.count_ones(pair_ids, pair_keys))
+                .collect()
+        });
+        fused.push((lanes, one_pass, four_scans));
     }
     set_lane_width(0).expect("0 restores auto-probing");
 
@@ -122,7 +165,7 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         scalar_estimate.fraction.to_bits(),
         "auto-lane estimate not float-bit-identical to the scalar estimate"
     );
-    let estimator_rate = best_rate(reps, m, expected, || {
+    let estimator_rate = best_rate(reps, m, &expected, || {
         let e = estimator.estimate(&db, &query).expect("populated");
         assert_eq!(e.raw.to_bits(), auto_estimate.raw.to_bits());
         expected
@@ -154,6 +197,12 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     assert!(
         best_1core >= 0.8 * scalar_1core,
         "lane path regressed below the scalar loop: best {best_1core:.0} vs scalar {scalar_1core:.0} records/s"
+    );
+    let fused_scalar = fused[0].1;
+    let fused_best = fused.iter().map(|&(_, r, _)| r).fold(0.0, f64::max);
+    assert!(
+        fused_best >= 0.8 * fused_scalar,
+        "4-value lane scan regressed below the scalar loop: best {fused_best:.0} vs scalar {fused_scalar:.0} records/s"
     );
 
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -190,11 +239,38 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         psketch_core::probe_lane_width(),
         f(estimator_rate, 0)
     ));
+    let mut values_table = Table::new(
+        format!("E25 — all 4 values of a 2-bit subset at M = {m}, 1 thread, records/s"),
+        &[
+            "lanes",
+            "one fused pass",
+            "4 one-value scans",
+            "fused speedup",
+        ],
+    );
+    for &(lanes, one_pass, four_scans) in &fused {
+        values_table.row(vec![
+            format!("{lanes}"),
+            f(one_pass, 0),
+            f(four_scans, 0),
+            format!("{:.2}x", one_pass / four_scans),
+        ]);
+    }
+    values_table.note("every width's 4 counts verified equal to the per-value scalar oracle");
 
     let matrix_json: Vec<String> = matrix
         .iter()
         .map(|&(lanes, cores, rate)| {
             format!("{{\"lanes\": {lanes}, \"threads\": {cores}, \"records_per_sec\": {rate:.1}}}")
+        })
+        .collect();
+    let values_json: Vec<String> = fused
+        .iter()
+        .map(|&(lanes, one_pass, four_scans)| {
+            format!(
+                "{{\"lanes\": {lanes}, \"values\": 4, \"fused_records_per_sec\": {one_pass:.1}, \
+                 \"per_value_scans_records_per_sec\": {four_scans:.1}}}"
+            )
         })
         .collect();
     let json = format!(
@@ -207,17 +283,19 @@ pub fn run(cfg: &Config) -> Vec<Table> {
          \"best_single_core_records_per_sec\": {best_1core:.1},\n  \
          \"best_single_core_lanes\": {best_lanes},\n  \
          \"lane_speedup_vs_scalar\": {:.3},\n  \
-         \"lanes_matrix\": [\n    {}\n  ]\n}}\n",
+         \"lanes_matrix\": [\n    {}\n  ],\n  \
+         \"values_matrix\": [\n    {}\n  ]\n}}\n",
         psketch_core::probe_lane_width(),
         best_1core / scalar_1core,
         matrix_json.join(",\n    "),
+        values_json.join(",\n    "),
     );
     if cfg.quick {
-        t.note("quick mode: BENCH_throughput.json not written");
+        t.note("quick mode: BENCH_lanes.json not written");
     } else {
-        std::fs::write("BENCH_throughput.json", json).expect("write BENCH_throughput.json");
-        t.note("wrote BENCH_throughput.json");
+        std::fs::write("BENCH_lanes.json", json).expect("write BENCH_lanes.json");
+        t.note("wrote BENCH_lanes.json");
     }
 
-    vec![t]
+    vec![t, values_table]
 }

@@ -175,7 +175,7 @@ impl ConjunctiveEstimator {
     /// Runs Algorithm 2 for `query` against `db` — the batched path.
     ///
     /// Takes a columnar [`SubsetSnapshot`] (no record cloning), prepares
-    /// the PRF input template for `(B, v)` once, and streams the id/key
+    /// the PRF input template for `B` once, and streams the id/key
     /// columns through the batch PRF entry point, splitting the columns
     /// across threads for large shards. The result is bit-identical to
     /// [`ConjunctiveEstimator::estimate_scalar`]: the per-record PRF
@@ -191,7 +191,7 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let ones = self.count_ones(&snapshot, query);
+        let ones = self.count_one(&snapshot, query);
         Ok(self.finish(ones, snapshot.len()))
     }
 
@@ -209,7 +209,7 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let ones = self.count_ones(snapshot, query);
+        let ones = self.count_one(snapshot, query);
         Ok(self.finish(ones, snapshot.len()))
     }
 
@@ -231,7 +231,7 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let ones = self.count_ones(&snapshot, query);
+        let ones = self.count_one(&snapshot, query);
         Ok((ones as u64, snapshot.len() as u64))
     }
 
@@ -255,7 +255,7 @@ impl ConjunctiveEstimator {
         if snapshot.is_empty() {
             return Err(Error::EmptyDatabase);
         }
-        let ones = self.distribution_ones(&snapshot, subset);
+        let ones = self.count_values(&snapshot, subset, &all_values(subset));
         Ok((
             ones.into_iter().map(|c| c as u64).collect(),
             snapshot.len() as u64,
@@ -266,12 +266,9 @@ impl ConjunctiveEstimator {
     /// population)` pair per query, in input order.
     ///
     /// This is the batch entry point plan executors drive. Terms are
-    /// grouped by subset so each distinct subset's snapshot is taken
-    /// once and every term on it scans the same consistent columns; a
-    /// group that covers most of a narrow subset's `2^k` value space is
-    /// answered by the one-pass distribution tally instead of per-term
-    /// scans (the counts are identical either way — both are exact
-    /// integer tallies over the same records).
+    /// grouped by subset, and each distinct subset costs one snapshot and
+    /// one scan that counts every value its terms ask for: one
+    /// `estimator:scan` per subset, however many terms sit on it.
     ///
     /// # Errors
     ///
@@ -327,29 +324,13 @@ impl ConjunctiveEstimator {
                 }
                 Err(e) => return Err(e),
             };
-            let n = snapshot.len() as u64;
-            let k = subset.len();
-            // Dense groups over a narrow subset: one distribution pass.
-            if k <= 16 && idxs.len() as u64 > (1u64 << k) / 2 && !snapshot.is_empty() {
-                let ones = self.distribution_ones(&snapshot, subset);
-                for &i in &idxs {
-                    let value = queries[i].value();
-                    let mut index = 0usize;
-                    for b in 0..k {
-                        if value.get(b) {
-                            index |= 1 << b;
-                        }
-                    }
-                    counts[i] = (ones[index] as u64, n);
-                }
-                continue;
+            if snapshot.is_empty() {
+                continue; // (0, 0) for every term, without a scan
             }
-            for &i in &idxs {
-                let ones = if snapshot.is_empty() {
-                    0
-                } else {
-                    self.count_ones(&snapshot, &queries[i])
-                };
+            let values: Vec<BitString> = idxs.iter().map(|&i| queries[i].value().clone()).collect();
+            let ones = self.count_values(&snapshot, subset, &values);
+            let n = snapshot.len() as u64;
+            for (&i, ones) in idxs.iter().zip(ones) {
                 counts[i] = (ones as u64, n);
             }
         }
@@ -390,10 +371,10 @@ impl ConjunctiveEstimator {
     /// a single pass.
     ///
     /// Each user's sketch supports *every* value query on its subset, so
-    /// one scan over the records suffices: per record, the encoded prefix
-    /// `domain ‖ id ‖ B` is reused across all `2^k` spliced values
-    /// instead of running `2^k` independent full scans. Values are
-    /// indexed by their LSB-first integer encoding.
+    /// one scan over the records suffices: per record, the absorbed
+    /// `domain ‖ B ‖ id ‖ s` state is finished once per value instead of
+    /// running `2^k` independent full scans. Values are indexed by their
+    /// LSB-first integer encoding.
     ///
     /// # Errors
     ///
@@ -413,124 +394,69 @@ impl ConjunctiveEstimator {
             return Err(Error::EmptyDatabase);
         }
         let n = snapshot.len();
-        let ones = self.distribution_ones(&snapshot, subset);
+        let ones = self.count_values(&snapshot, subset, &all_values(subset));
         Ok(ones
             .into_iter()
             .map(|count| self.finish(count, n))
             .collect())
     }
 
-    /// One-pass per-value satisfying counts over a snapshot (the shared
-    /// scan behind `estimate_distribution` and `count_distribution`).
-    fn distribution_ones(&self, snapshot: &SubsetSnapshot, subset: &BitSubset) -> Vec<usize> {
-        let values = 1usize << subset.len();
-        let n = snapshot.len();
-        let threads = self.thread_count(n.saturating_mul(values));
-        let started = obs::enabled().then(Instant::now);
-        let span = scan_span(n, threads);
-        let ones = self.distribution_ones_inner(snapshot, subset, values, threads);
-        drop(span);
-        if let Some(started) = started {
-            record_scan("distribution", n, threads, started.elapsed());
-        }
-        ones
+    /// Counts records with `H(id, B, v, s) = 1` for one query.
+    fn count_one(&self, snapshot: &SubsetSnapshot, query: &ConjunctiveQuery) -> usize {
+        self.count_values(
+            snapshot,
+            query.subset(),
+            std::slice::from_ref(query.value()),
+        )[0]
     }
 
-    fn distribution_ones_inner(
+    /// The one scan behind every count: per-value satisfying counts of
+    /// `values` (each of width `subset.len()`) over the snapshot's
+    /// columns, in one pass, split across threads once the scan's
+    /// records × values PRF evaluations cross [`PARALLEL_THRESHOLD`].
+    fn count_values(
         &self,
         snapshot: &SubsetSnapshot,
         subset: &BitSubset,
-        values: usize,
-        threads: usize,
+        values: &[BitString],
     ) -> Vec<usize> {
-        let n = snapshot.len();
         let ids = snapshot.ids();
         let keys = snapshot.keys();
-        if threads <= 1 {
-            let mut prepared = self.h.prepare(subset, subset.len());
-            let mut ones = vec![0usize; values];
-            for (&id, &key) in ids.iter().zip(keys) {
-                prepared.tally_record(id, key, &mut ones);
-            }
-            ones
+        let threads = self.thread_count(ids.len().saturating_mul(values.len()));
+        let started = obs::enabled().then(Instant::now);
+        let span = scan_span(ids.len(), values.len(), threads);
+        let prepared = self.h.prepare(subset, subset.len());
+        let counts = if threads <= 1 {
+            prepared.count_values(ids, keys, values)
         } else {
-            // Chunk the records; each thread tallies into its own vector
-            // and the tallies are summed — identical to the sequential
-            // counts because addition of exact counts commutes.
-            let chunk = n.div_ceil(threads);
-            let prepared = self.h.prepare(subset, subset.len());
-            let partials: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            // Each thread counts a chunk of the records; the partial
+            // counts are summed — identical to the sequential counts
+            // because addition of exact counts commutes.
+            let chunk = ids.len().div_ceil(threads);
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = ids
                     .chunks(chunk)
                     .zip(keys.chunks(chunk))
                     .map(|(ids, keys)| {
-                        let mut prepared = prepared.clone();
-                        scope.spawn(move || {
-                            let mut ones = vec![0usize; values];
-                            for (&id, &key) in ids.iter().zip(keys) {
-                                prepared.tally_record(id, key, &mut ones);
-                            }
-                            ones
-                        })
+                        let prepared = &prepared;
+                        scope.spawn(move || prepared.count_values(ids, keys, values))
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tally worker panicked"))
-                    .collect()
-            });
-            let mut ones = vec![0usize; values];
-            for partial in partials {
-                for (total, part) in ones.iter_mut().zip(partial) {
-                    *total += part;
+                let mut counts = vec![0usize; values.len()];
+                for handle in handles {
+                    let partial = handle.join().expect("count worker panicked");
+                    for (total, part) in counts.iter_mut().zip(partial) {
+                        *total += part;
+                    }
                 }
-            }
-            ones
-        }
-    }
-
-    /// Counts records with `H(id, B, v, s) = 1` over the snapshot's
-    /// columns, splitting across threads above [`PARALLEL_THRESHOLD`].
-    fn count_ones(&self, snapshot: &SubsetSnapshot, query: &ConjunctiveQuery) -> usize {
-        let ids = snapshot.ids();
-        let threads = self.thread_count(ids.len());
-        let started = obs::enabled().then(Instant::now);
-        let span = scan_span(ids.len(), threads);
-        let ones = self.count_ones_inner(snapshot, query, threads);
+                counts
+            })
+        };
         drop(span);
         if let Some(started) = started {
-            record_scan("conjunctive", ids.len(), threads, started.elapsed());
+            record_scan(ids.len(), threads, started.elapsed());
         }
-        ones
-    }
-
-    fn count_ones_inner(
-        &self,
-        snapshot: &SubsetSnapshot,
-        query: &ConjunctiveQuery,
-        threads: usize,
-    ) -> usize {
-        let ids = snapshot.ids();
-        let keys = snapshot.keys();
-        let prepared = self.h.prepare_query(query.subset(), query.value());
-        if threads <= 1 {
-            return prepared.count_ones(ids, keys);
-        }
-        let chunk = ids.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .zip(keys.chunks(chunk))
-                .map(|(ids, keys)| {
-                    let prepared = &prepared;
-                    scope.spawn(move || prepared.count_ones(ids, keys))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("count worker panicked"))
-                .sum()
-        })
+        counts
     }
 
     /// Number of worker threads for a scan of `work` PRF evaluations.
@@ -547,33 +473,37 @@ impl ConjunctiveEstimator {
     }
 }
 
-/// Records one sketch scan into the process metrics registry, labeled by
-/// query kind, the active SIMD lane width, and the thread count the
-/// dispatcher chose — the three knobs that determine scan throughput.
-/// Called once per scan (never per record), so the registry lookup is
-/// noise next to the scan itself.
 /// Opens the per-scan profiling span (inert — one relaxed load — unless
 /// the request thread has a trace open). One span per scan, not per
-/// record: a profiled plan grows one `estimator:scan` child per term.
-fn scan_span(records: usize, threads: usize) -> obs::SpanGuard {
+/// record: a profiled plan grows one `estimator:scan` child per distinct
+/// subset, and `values` says how many values that scan counted.
+fn scan_span(records: usize, values: usize, threads: usize) -> obs::SpanGuard {
     let span = obs::span::enter("estimator:scan");
     span.attr("records", records as u64);
+    span.attr("values", values as u64);
     span.attr("threads", threads as u64);
     span.attr("lanes", psketch_prf::lane_width() as u64);
     span
 }
 
-fn record_scan(kind: &str, records: usize, threads: usize, elapsed: std::time::Duration) {
+/// Records one sketch scan into the process metrics registry, labeled by
+/// the active SIMD lane width and the thread count the dispatcher chose —
+/// the knobs that determine scan throughput. Called once per scan (never
+/// per record), so the registry lookup is noise next to the scan itself.
+fn record_scan(records: usize, threads: usize, elapsed: std::time::Duration) {
     let lanes = psketch_prf::lane_width().to_string();
     let threads = threads.to_string();
-    let labels = [
-        ("kind", kind),
-        ("lanes", lanes.as_str()),
-        ("threads", threads.as_str()),
-    ];
+    let labels = [("lanes", lanes.as_str()), ("threads", threads.as_str())];
     obs::histogram("psketch_scan_nanos", &labels).record_duration(elapsed);
     obs::counter("psketch_scan_records_total", &labels).add(records as u64);
     obs::counter("psketch_scans_total", &labels).inc();
+}
+
+/// Every value of `subset`, in LSB-first integer order (the index order
+/// of a distribution's counts).
+fn all_values(subset: &BitSubset) -> Vec<BitString> {
+    let k = subset.len();
+    (0..1u64 << k).map(|v| BitString::from_u64(v, k)).collect()
 }
 
 /// The host's available parallelism, probed once per process.
@@ -596,7 +526,7 @@ mod tests {
     use super::*;
     use crate::profile::{Profile, UserId};
     use crate::sketcher::Sketcher;
-    use psketch_prf::{GlobalKey, Prg};
+    use psketch_prf::{GlobalKey, PrfKind, Prg};
     use rand::SeedableRng;
 
     fn params(p: f64) -> SketchParams {
@@ -606,7 +536,15 @@ mod tests {
     /// Builds a database where a known fraction of users satisfies the
     /// all-ones value on a k-bit subset.
     fn build_db(p: f64, k: usize, m: u64, true_fraction: f64) -> (SketchDb, BitSubset) {
-        let params = params(p);
+        build_db_with(params(p), k, m, true_fraction)
+    }
+
+    fn build_db_with(
+        params: SketchParams,
+        k: usize,
+        m: u64,
+        true_fraction: f64,
+    ) -> (SketchDb, BitSubset) {
         let sketcher = Sketcher::new(params);
         let subset = BitSubset::range(0, k as u32);
         let db = SketchDb::new();
@@ -818,29 +756,58 @@ mod tests {
         }
     }
 
+    /// `count_terms` over `queries` equals `count_terms_partial`, the
+    /// per-term `count`, and the scalar reference path's raw fraction.
+    fn assert_terms_match_per_term(
+        est: &ConjunctiveEstimator,
+        db: &SketchDb,
+        queries: &[ConjunctiveQuery],
+    ) {
+        let batched = est.count_terms(db, queries).unwrap();
+        let partial = est.count_terms_partial(db, queries);
+        assert_eq!(batched, partial);
+        for (q, &(ones, n)) in queries.iter().zip(&batched) {
+            assert_eq!((ones, n), est.count(db, q).unwrap());
+            let scalar = est.estimate_scalar(db, q).unwrap();
+            let p = est.params().p();
+            assert_eq!(
+                Estimate::from_counts(ones, n, p).raw.to_bits(),
+                scalar.raw.to_bits()
+            );
+        }
+    }
+
     #[test]
     fn count_terms_matches_per_term_counts() {
         let p = 0.3;
         let (db, subset) = build_db(p, 4, 2_000, 0.4);
         let est = ConjunctiveEstimator::new(params(p));
-        // A sparse mix (per-term scan path) plus the full value space
-        // (the one-pass distribution path) — both must match the
-        // per-term oracle exactly.
-        let sparse: Vec<ConjunctiveQuery> = [3u64, 9]
-            .iter()
-            .map(|&v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, 4)).unwrap())
-            .collect();
-        let dense: Vec<ConjunctiveQuery> = (0..16u64)
-            .map(|v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, 4)).unwrap())
-            .collect();
-        for queries in [&sparse, &dense] {
-            let batched = est.count_terms(&db, queries).unwrap();
-            let partial = est.count_terms_partial(&db, queries);
-            assert_eq!(batched, partial);
-            for (q, &(ones, n)) in queries.iter().zip(&batched) {
-                assert_eq!((ones, n), est.count(&db, q).unwrap());
-            }
+        let terms = |subset: &BitSubset, values: &[u64]| -> Vec<ConjunctiveQuery> {
+            values
+                .iter()
+                .map(|&v| {
+                    ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, subset.len()))
+                        .unwrap()
+                })
+                .collect()
+        };
+        // A sparse pair, the full value space, a 6-of-16 group (the
+        // `sumlt` shape) and a duplicated term: each subset group is one
+        // fused scan, and every count must match the per-term oracle.
+        let all: Vec<u64> = (0..16).collect();
+        for values in [&[3u64, 9][..], &all, &[0, 1, 2, 4, 5, 8], &[3, 9, 3]] {
+            assert_terms_match_per_term(&est, &db, &terms(&subset, values));
         }
+        // A 25-bit value: its tail is 8 bytes, so the generic per-value
+        // loop counts it.
+        let (wide_db, wide) = build_db(p, 25, 300, 0.5);
+        assert_terms_match_per_term(&est, &wide_db, &terms(&wide, &[0, (1 << 25) - 1, 12345]));
+        // The ChaCha family.
+        let chacha = SketchParams::new(p, 10, GlobalKey::from_seed(21), PrfKind::ChaCha).unwrap();
+        let (chacha_db, small) = build_db_with(chacha, 3, 600, 0.5);
+        let chacha_est = ConjunctiveEstimator::new(chacha);
+        assert_terms_match_per_term(&chacha_est, &chacha_db, &terms(&small, &[0, 5, 7, 5]));
+
         // Unknown subsets: strict errors, partial reports empty shares.
         let unknown =
             ConjunctiveQuery::new(BitSubset::single(40), BitString::from_bits(&[true])).unwrap();

@@ -141,14 +141,7 @@ impl PreparedH {
             self.set_value_u64(value.to_u64());
             return;
         }
-        // Wide values: pack LSB-first, exactly as `InputEncoder::put_bits`.
-        let region = &mut self.suffix[SUFFIX_VALUE_AT..];
-        region.fill(0);
-        for (i, bit) in value.to_bools().into_iter().enumerate() {
-            if bit {
-                region[i / 8] |= 1 << (i % 8);
-            }
-        }
+        pack_value(value, &mut self.suffix[SUFFIX_VALUE_AT..]);
     }
 
     /// Splices a value given as its LSB-first integer encoding (the
@@ -198,9 +191,8 @@ impl PreparedH {
 
     /// Batched Algorithm 2 inner loop: counts records with
     /// `H(id, B, v, s) = 1` over aligned id/key columns, for the value
-    /// currently spliced into the template. Per record this absorbs just
-    /// the 16-byte `(id, key)` pair and the short value tail on top of
-    /// the precomputed prefix state.
+    /// currently spliced into the template — the one-value case of
+    /// [`PreparedH::count_values`].
     ///
     /// # Panics
     ///
@@ -208,40 +200,42 @@ impl PreparedH {
     #[must_use]
     pub fn count_ones(&self, ids: &[u64], keys: &[u64]) -> usize {
         self.base
-            .count_biased_columns(ids, keys, &self.suffix[16..], self.bias)
+            .count_biased_columns(ids, keys, &[&self.suffix[16..]], self.bias)[0]
     }
 
-    /// Batched distribution inner loop: for one record, tallies
-    /// `H(id, B, v, s)` into `ones[v]` for every value
-    /// `v ∈ [0, ones.len())`. The record's state (prefix + id + key) is
-    /// absorbed once and reused across all values.
-    pub fn tally_record(&mut self, id: u64, key: u64, ones: &mut [usize]) {
-        self.set_record(id, key);
-        let record_state = self.base.advanced_u64x2(id, key);
-        let tail_bytes = 4 + self.value_bytes;
-        if record_state.supports_short_tail(tail_bytes) && self.width <= 24 {
-            // Register-only per value: the tail is the 4-byte bit count
-            // followed by the value's little-endian bytes.
-            let width_block = self.width as u64;
-            record_state.eval_biased_short_tails(
-                ones.len(),
-                self.bias,
-                tail_bytes as u32,
-                |v| width_block | ((v as u64) << 32),
-                |v, bit| ones[v] += usize::from(bit),
-            );
-        } else {
-            let value_bytes = self.value_bytes;
-            record_state.eval_biased_suffixes(
-                ones.len(),
-                self.bias,
-                &mut self.suffix[16..],
-                |v, tail| {
-                    tail[4..4 + value_bytes]
-                        .copy_from_slice(&(v as u64).to_le_bytes()[..value_bytes]);
-                },
-                |v, bit| ones[v] += usize::from(bit),
-            );
+    /// Batched Algorithm 2 over several values of the prepared subset:
+    /// `counts[t]` is the number of records with `H(id, B, values[t], s)
+    /// = 1` over aligned id/key columns. The value trails the canonical
+    /// encoding, so each record's `id ‖ s` state is absorbed once and
+    /// finished once per value — one pass over the columns, whatever the
+    /// number of values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns have different lengths or a value's width
+    /// differs from the prepared width.
+    #[must_use]
+    pub fn count_values(&self, ids: &[u64], keys: &[u64], values: &[BitString]) -> Vec<usize> {
+        // Each tail is the template's `bit-count(4) ‖ packed value`
+        // region (everything after `id ‖ key`) with that value spliced in.
+        let template = &self.suffix[16..];
+        let mut packed = template.repeat(values.len());
+        for (tail, value) in packed.chunks_exact_mut(template.len()).zip(values) {
+            assert_eq!(value.len(), self.width, "value width mismatch");
+            pack_value(value, &mut tail[SUFFIX_VALUE_AT - 16..]);
+        }
+        let tails: Vec<&[u8]> = packed.chunks_exact(template.len()).collect();
+        self.base.count_biased_columns(ids, keys, &tails, self.bias)
+    }
+}
+
+/// Packs `value` LSB-first into a zeroed value region, exactly as
+/// `InputEncoder::put_bits` lays out its payload.
+fn pack_value(value: &BitString, region: &mut [u8]) {
+    region.fill(0);
+    for (i, bit) in value.iter().enumerate() {
+        if bit {
+            region[i / 8] |= 1 << (i % 8);
         }
     }
 }
@@ -349,21 +343,26 @@ mod tests {
     }
 
     #[test]
-    fn tally_record_matches_per_value_evals() {
-        let f = h();
-        let b = BitSubset::new(vec![0, 1, 4]).unwrap();
-        let mut prepared = f.prepare(&b, 3);
-        let mut ones = vec![0usize; 8];
-        for (id, key) in [(3u64, 5u64), (8, 0), (100, 1023)] {
-            prepared.tally_record(id, key, &mut ones);
-        }
-        for value in 0..8u64 {
-            let v = BitString::from_u64(value, 3);
-            let expected = [(3u64, 5u64), (8, 0), (100, 1023)]
-                .iter()
-                .filter(|&&(id, key)| f.eval(UserId(id), &b, &v, key))
-                .count();
-            assert_eq!(ones[value as usize], expected, "value {value}");
+    fn count_values_matches_per_value_evals() {
+        // All 2^3 values of a 3-bit subset in one pass, for both PRF
+        // families, against one scalar `eval` per record and value.
+        for kind in [PrfKind::Sip, PrfKind::ChaCha] {
+            let params = SketchParams::new(0.3, 10, GlobalKey::from_seed(7), kind).unwrap();
+            let f = HFunction::new(&params);
+            let b = BitSubset::new(vec![0, 1, 4]).unwrap();
+            let prepared = f.prepare(&b, 3);
+            let values: Vec<BitString> = (0..8u64).map(|v| BitString::from_u64(v, 3)).collect();
+            let ids: Vec<u64> = (0..37).map(|i| i * 11 + 3).collect();
+            let keys: Vec<u64> = (0..37).map(|i| (i * 5) % 1024).collect();
+            let counts = prepared.count_values(&ids, &keys, &values);
+            for (v, &count) in values.iter().zip(&counts) {
+                let expected = ids
+                    .iter()
+                    .zip(&keys)
+                    .filter(|&(&id, &key)| f.eval(UserId(id), &b, v, key))
+                    .count();
+                assert_eq!(count, expected, "{kind:?} value {v:?}");
+            }
         }
     }
 

@@ -13,7 +13,8 @@
 //!
 //! [`SipStateXN`] is the lane-parallel mirror of
 //! [`SipState`](crate::siphash::SipState): it broadcasts a block-aligned
-//! scalar prefix state into N lanes and finishes N suffixes per call. The
+//! scalar prefix state into N lanes, absorbs N records' `(id, key)`
+//! blocks, and finishes all N once per requested query value. The
 //! scalar `SipState` remains the reference implementation — it carries the
 //! official-test-vector anchor — and every lane path is bit-identical to
 //! it by construction (same compression schedule, same finalization; the
@@ -188,35 +189,30 @@ impl<const LANES: usize> SipStateXN<LANES> {
         out
     }
 
-    /// Lane-parallel mirror of
-    /// [`SipState::finish_u64x2_then`](crate::siphash::SipState::finish_u64x2_then):
-    /// per lane `i`, absorbs `a[i]` and `b[i]` (the per-record id/key
-    /// pair) plus the shared precomputed final block, and finalizes.
-    /// `self` is unchanged (copy semantics), so one broadcast prefix
-    /// state serves the whole scan.
+    /// Lane-parallel mirror of two
+    /// [`SipState::absorb_u64`](crate::siphash::SipState::absorb_u64)
+    /// calls: per lane `i`, absorbs `a[i]` and `b[i]` (the per-record
+    /// id/key pair). `self` is unchanged (copy semantics), so one
+    /// broadcast prefix state serves the whole scan.
     #[inline(always)]
     #[must_use]
-    pub fn finish_u64x2_then(
-        &self,
-        a: &[u64; LANES],
-        b: &[u64; LANES],
-        packed_tail: u64,
-    ) -> [u64; LANES] {
+    pub fn absorbed_u64x2(&self, a: &[u64; LANES], b: &[u64; LANES]) -> Self {
         let mut s = *self;
         s.compress(a);
         s.compress(b);
-        s.compress_splat(packed_tail);
-        s.finalize_rounds()
+        s
     }
 
     /// Lane-parallel mirror of
     /// [`SipState::finish_then`](crate::siphash::SipState::finish_then):
-    /// one precomputed final block per lane on top of the shared prefix.
+    /// every lane absorbs the same precomputed final block (a query
+    /// value's packed tail) and finalizes. `self` is unchanged, so one
+    /// absorbed record state finishes once per requested value.
     #[inline(always)]
     #[must_use]
-    pub fn finish_then(&self, packed_tails: &[u64; LANES]) -> [u64; LANES] {
+    pub fn finish_splat(&self, packed_tail: u64) -> [u64; LANES] {
         let mut s = *self;
-        s.compress(packed_tails);
+        s.compress_splat(packed_tail);
         s.finalize_rounds()
     }
 }
@@ -313,305 +309,138 @@ fn avx512_available() -> bool {
     std::arch::is_x86_feature_detected!("avx512f")
 }
 
-/// Counts biased-1 outcomes over `(id, key)` column pairs under a shared
-/// block-aligned prefix state and a shared precomputed final block — the
-/// Algorithm 2 inner loop, dispatched by lane width.
-pub(crate) fn count_columns(
+/// Counts biased-1 outcomes per requested value over `(id, key)` column
+/// pairs under a shared block-aligned prefix state: `counts[t]` is the
+/// number of records `i` whose stream `prefix ‖ id_i ‖ key_i ‖ tail_t`
+/// decides 1, where `packed_tails[t]` is tail `t`'s precomputed final
+/// block. Each record's `id ‖ key` state is absorbed once and finished
+/// once per value — the Algorithm 2 inner loop for every value a query
+/// needs on one subset, dispatched by lane width.
+pub(crate) fn count_values(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
     width: usize,
-) -> usize {
+) -> Vec<usize> {
     match width {
         8 => {
             #[cfg(target_arch = "x86_64")]
             if avx512_available() {
-                // SAFETY: `count_columns_x8_avx512` requires AVX-512F,
+                // SAFETY: `count_values_x8_avx512` requires AVX-512F,
                 // which the branch above just detected at runtime.
                 #[allow(unsafe_code)]
-                return unsafe { count_columns_x8_avx512(state, ids, keys, packed_tail, bias) };
+                return unsafe { count_values_x8_avx512(state, ids, keys, packed_tails, bias) };
             }
-            count_columns_lanes::<8>(state, ids, keys, packed_tail, bias)
+            count_values_lanes::<8>(state, ids, keys, packed_tails, bias)
         }
-        4 => count_columns_lanes::<4>(state, ids, keys, packed_tail, bias),
-        _ => count_columns_scalar(state, ids, keys, packed_tail, bias),
+        4 => count_values_lanes::<4>(state, ids, keys, packed_tails, bias),
+        _ => count_values_scalar(state, ids, keys, packed_tails, bias),
     }
 }
 
-/// The scalar reference loop: four independent streams interleaved by
+/// Adds one record's outcomes to `counts`: its `id ‖ key` state is
+/// absorbed once, then finished against every packed tail.
+#[inline(always)]
+fn count_record(
+    state: &SipState,
+    id: u64,
+    key: u64,
+    packed_tails: &[u64],
+    bias: Bias,
+    counts: &mut [usize],
+) {
+    let mut record = *state;
+    record.absorb_u64(id).absorb_u64(key);
+    for (count, &tail) in counts.iter_mut().zip(packed_tails) {
+        *count += usize::from(bias.decide(record.finish_then(tail)));
+    }
+}
+
+/// The scalar reference loop: four independent records interleaved by
 /// hand so the CPU overlaps their round chains (SipHash is latency-bound
-/// on a single stream). This is the `width = 1` path and the remainder
-/// loop's big brother; it was the pre-lane production code.
-fn count_columns_scalar(
+/// on a single stream). This is the `width = 1` path.
+fn count_values_scalar(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
-) -> usize {
-    let mut ones = 0usize;
+) -> Vec<usize> {
+    let mut counts = vec![0usize; packed_tails.len()];
     let mut id4 = ids.chunks_exact(4);
     let mut key4 = keys.chunks_exact(4);
     for (id, key) in (&mut id4).zip(&mut key4) {
-        let r0 = state.finish_u64x2_then(id[0], key[0], packed_tail);
-        let r1 = state.finish_u64x2_then(id[1], key[1], packed_tail);
-        let r2 = state.finish_u64x2_then(id[2], key[2], packed_tail);
-        let r3 = state.finish_u64x2_then(id[3], key[3], packed_tail);
-        ones += usize::from(bias.decide(r0))
-            + usize::from(bias.decide(r1))
-            + usize::from(bias.decide(r2))
-            + usize::from(bias.decide(r3));
+        let records: [SipState; 4] = core::array::from_fn(|i| {
+            let mut record = *state;
+            record.absorb_u64(id[i]).absorb_u64(key[i]);
+            record
+        });
+        for (count, &tail) in counts.iter_mut().zip(packed_tails) {
+            *count += usize::from(bias.decide(records[0].finish_then(tail)))
+                + usize::from(bias.decide(records[1].finish_then(tail)))
+                + usize::from(bias.decide(records[2].finish_then(tail)))
+                + usize::from(bias.decide(records[3].finish_then(tail)));
+        }
     }
     for (&id, &key) in id4.remainder().iter().zip(key4.remainder()) {
-        ones += usize::from(bias.decide(state.finish_u64x2_then(id, key, packed_tail)));
+        count_record(state, id, key, packed_tails, bias, &mut counts);
     }
-    ones
+    counts
 }
 
-/// The generic N-lane column counter; the scalar loop handles the
-/// `n % LANES` remainder so every batch size is covered.
+/// The generic N-lane counter; the scalar loop handles the `n % LANES`
+/// remainder so every batch size is covered. Counts accumulate
+/// lane-wise (`[u64; LANES]` per value) and are summed across lanes
+/// once at the end, so the per-value inner loop stays in vector
+/// registers.
 #[inline(always)]
-fn count_columns_lanes<const LANES: usize>(
+fn count_values_lanes<const LANES: usize>(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
-) -> usize {
+) -> Vec<usize> {
     let xs = SipStateXN::<LANES>::splat(state);
-    let mut ones = 0usize;
+    let mut lane_counts = vec![[0u64; LANES]; packed_tails.len()];
     let mut idc = ids.chunks_exact(LANES);
     let mut keyc = keys.chunks_exact(LANES);
     for (id, key) in (&mut idc).zip(&mut keyc) {
         let id: &[u64; LANES] = id.try_into().expect("chunks_exact yields LANES");
         let key: &[u64; LANES] = key.try_into().expect("chunks_exact yields LANES");
-        let tags = xs.finish_u64x2_then(id, key, packed_tail);
-        for tag in tags {
-            ones += usize::from(bias.decide(tag));
+        let records = xs.absorbed_u64x2(id, key);
+        for (lanes, &tail) in lane_counts.iter_mut().zip(packed_tails) {
+            let tags = records.finish_splat(tail);
+            for (count, tag) in lanes.iter_mut().zip(tags) {
+                *count += u64::from(bias.decide(tag));
+            }
         }
     }
+    let mut counts: Vec<usize> = lane_counts
+        .iter()
+        .map(|lanes| lanes.iter().sum::<u64>() as usize)
+        .collect();
     for (&id, &key) in idc.remainder().iter().zip(keyc.remainder()) {
-        ones += usize::from(bias.decide(state.finish_u64x2_then(id, key, packed_tail)));
+        count_record(state, id, key, packed_tails, bias, &mut counts);
     }
-    ones
+    counts
 }
 
 /// The AVX-512 monomorphization: same code as
-/// [`count_columns_lanes`]`::<8>`, compiled with zmm registers and
+/// [`count_values_lanes`]`::<8>`, compiled with zmm registers and
 /// `vprolq` available so the elementwise lane loops vectorize 8-wide.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn count_columns_x8_avx512(
+fn count_values_x8_avx512(
     state: &SipState,
     ids: &[u64],
     keys: &[u64],
-    packed_tail: u64,
+    packed_tails: &[u64],
     bias: Bias,
-) -> usize {
-    count_columns_lanes::<8>(state, ids, keys, packed_tail, bias)
-}
-
-/// Tallies the biased bit for every enumerated short tail (the
-/// distribution inner loop: one record state, `2^k` value tails),
-/// dispatched by lane width. `make_tail(i)` returns the value bytes of
-/// tail `i`; the shared `len_block` carries the final block's length
-/// byte. `sink` observes outcomes in ascending `i` order.
-pub(crate) fn tally_short_tails<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    len_block: u64,
-    make_tail: F,
-    sink: G,
-    width: usize,
-) where
-    F: Fn(usize) -> u64,
-    G: FnMut(usize, bool),
-{
-    match width {
-        8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx512_available() {
-                // SAFETY: requires AVX-512F, detected just above.
-                #[allow(unsafe_code)]
-                return unsafe {
-                    tally_short_tails_x8_avx512(state, n, bias, len_block, make_tail, sink)
-                };
-            }
-            tally_short_tails_lanes::<8, F, G>(state, n, bias, len_block, make_tail, sink);
-        }
-        4 => tally_short_tails_lanes::<4, F, G>(state, n, bias, len_block, make_tail, sink),
-        _ => {
-            let mut sink = sink;
-            for i in 0..n {
-                let last = len_block | make_tail(i);
-                sink(i, bias.decide(state.finish_then(last)));
-            }
-        }
-    }
-}
-
-/// The generic N-lane short-tail tally with a scalar remainder loop.
-#[inline(always)]
-fn tally_short_tails_lanes<const LANES: usize, F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    len_block: u64,
-    make_tail: F,
-    mut sink: G,
-) where
-    F: Fn(usize) -> u64,
-    G: FnMut(usize, bool),
-{
-    let xs = SipStateXN::<LANES>::splat(state);
-    let full = n - n % LANES;
-    let mut base = 0usize;
-    while base < full {
-        let mut tails = [0u64; LANES];
-        for (lane, tail) in tails.iter_mut().enumerate() {
-            *tail = len_block | make_tail(base + lane);
-        }
-        let tags = xs.finish_then(&tails);
-        for (lane, tag) in tags.into_iter().enumerate() {
-            sink(base + lane, bias.decide(tag));
-        }
-        base += LANES;
-    }
-    for i in full..n {
-        let last = len_block | make_tail(i);
-        sink(i, bias.decide(state.finish_then(last)));
-    }
-}
-
-/// AVX-512 monomorphization of the 8-lane short-tail tally.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn tally_short_tails_x8_avx512<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    len_block: u64,
-    make_tail: F,
-    sink: G,
-) where
-    F: Fn(usize) -> u64,
-    G: FnMut(usize, bool),
-{
-    tally_short_tails_lanes::<8, F, G>(state, n, bias, len_block, make_tail, sink);
-}
-
-/// Evaluates the biased bit for `n` short (< 8 byte) suffixes assembled
-/// one at a time in a shared scratch buffer, dispatched by lane width.
-/// Each filled suffix packs into a single final block (`len_block`
-/// carries the shared length byte), so lanes finish LANES items per
-/// round sequence. `sink` observes outcomes in ascending order.
-pub(crate) fn eval_short_suffixes<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    suffix: &mut [u8],
-    fill: F,
-    sink: G,
-    width: usize,
-) where
-    F: FnMut(usize, &mut [u8]),
-    G: FnMut(usize, bool),
-{
-    debug_assert!(suffix.len() < 8, "short suffixes fit one final block");
-    let zeros = [0u8; 8];
-    let len_block = state.pack_short_tail(0, &zeros[..suffix.len()]);
-    match width {
-        8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx512_available() {
-                // SAFETY: requires AVX-512F, detected just above.
-                #[allow(unsafe_code)]
-                return unsafe {
-                    eval_short_suffixes_x8_avx512(state, n, bias, suffix, len_block, fill, sink)
-                };
-            }
-            eval_short_suffixes_lanes::<8, F, G>(state, n, bias, suffix, len_block, fill, sink);
-        }
-        4 => eval_short_suffixes_lanes::<4, F, G>(state, n, bias, suffix, len_block, fill, sink),
-        _ => {
-            let mut fill = fill;
-            let mut sink = sink;
-            for i in 0..n {
-                fill(i, suffix);
-                let last = len_block | pack_bytes(suffix);
-                sink(i, bias.decide(state.finish_then(last)));
-            }
-        }
-    }
-}
-
-/// The generic N-lane short-suffix evaluator with a scalar remainder.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn eval_short_suffixes_lanes<const LANES: usize, F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    suffix: &mut [u8],
-    len_block: u64,
-    mut fill: F,
-    mut sink: G,
-) where
-    F: FnMut(usize, &mut [u8]),
-    G: FnMut(usize, bool),
-{
-    let xs = SipStateXN::<LANES>::splat(state);
-    let full = n - n % LANES;
-    let mut base = 0usize;
-    while base < full {
-        let mut tails = [0u64; LANES];
-        for (lane, tail) in tails.iter_mut().enumerate() {
-            fill(base + lane, suffix);
-            *tail = len_block | pack_bytes(suffix);
-        }
-        let tags = xs.finish_then(&tails);
-        for (lane, tag) in tags.into_iter().enumerate() {
-            sink(base + lane, bias.decide(tag));
-        }
-        base += LANES;
-    }
-    for i in full..n {
-        fill(i, suffix);
-        let last = len_block | pack_bytes(suffix);
-        sink(i, bias.decide(state.finish_then(last)));
-    }
-}
-
-/// AVX-512 monomorphization of the 8-lane short-suffix evaluator.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[allow(clippy::too_many_arguments)]
-fn eval_short_suffixes_x8_avx512<F, G>(
-    state: &SipState,
-    n: usize,
-    bias: Bias,
-    suffix: &mut [u8],
-    len_block: u64,
-    fill: F,
-    sink: G,
-) where
-    F: FnMut(usize, &mut [u8]),
-    G: FnMut(usize, bool),
-{
-    eval_short_suffixes_lanes::<8, F, G>(state, n, bias, suffix, len_block, fill, sink);
-}
-
-/// Packs up to 7 bytes LSB-first into the data region of a final block.
-#[inline(always)]
-fn pack_bytes(bytes: &[u8]) -> u64 {
-    let mut packed = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        packed |= u64::from(b) << (8 * i);
-    }
-    packed
+) -> Vec<usize> {
+    count_values_lanes::<8>(state, ids, keys, packed_tails, bias)
 }
 
 #[cfg(test)]
@@ -651,7 +480,22 @@ mod tests {
     /// Packs `msg` (≤ 7 bytes) plus the length byte for a message of
     /// `total` bytes into a SipHash final block.
     fn final_block(msg: &[u8], total: u64) -> u64 {
-        pack_bytes(msg) | (total << 56)
+        let mut packed = total << 56;
+        for (i, &b) in msg.iter().enumerate() {
+            packed |= u64::from(b) << (8 * i);
+        }
+        packed
+    }
+
+    /// Finishes every lane with its own final block — the compression
+    /// and finalization the scan kernels run, one message per lane.
+    fn finish_lanewise<const LANES: usize>(
+        state: SipStateXN<LANES>,
+        blocks: &[u64; LANES],
+    ) -> [u64; LANES] {
+        let mut s = state;
+        s.compress(blocks);
+        s.finalize_rounds()
     }
 
     #[test]
@@ -665,13 +509,13 @@ mod tests {
 
         let empty = SipStateXN::<8>::splat(&sip.begin());
         let tails: [u64; 8] = core::array::from_fn(|len| final_block(&msg[..len], len as u64));
-        assert_eq!(empty.finish_then(&tails), REFERENCE_VECTORS[..8]);
+        assert_eq!(finish_lanewise(empty, &tails), REFERENCE_VECTORS[..8]);
 
         let mut one_block = sip.begin();
         one_block.absorb(&msg[..8]);
         let aligned = SipStateXN::<8>::splat(&one_block);
         let tails: [u64; 8] = core::array::from_fn(|i| final_block(&msg[8..8 + i], (8 + i) as u64));
-        assert_eq!(aligned.finish_then(&tails), REFERENCE_VECTORS[8..]);
+        assert_eq!(finish_lanewise(aligned, &tails), REFERENCE_VECTORS[8..]);
 
         // The x4 shape replays the same anchors in two halves.
         let narrow = SipStateXN::<4>::splat(&sip.begin());
@@ -681,7 +525,7 @@ mod tests {
                 final_block(&msg[..len], len as u64)
             });
             assert_eq!(
-                narrow.finish_then(&tails),
+                finish_lanewise(narrow, &tails),
                 REFERENCE_VECTORS[4 * half..4 * half + 4]
             );
         }
@@ -695,7 +539,9 @@ mod tests {
         let packed_tail = state.pack_short_tail(16, b"xyz");
         let ids: [u64; 8] = core::array::from_fn(|i| (i as u64) * 77 + 1);
         let keys: [u64; 8] = core::array::from_fn(|i| (i as u64) ^ 0xABCD);
-        let lanes = SipStateXN::<8>::splat(&state).finish_u64x2_then(&ids, &keys, packed_tail);
+        let lanes = SipStateXN::<8>::splat(&state)
+            .absorbed_u64x2(&ids, &keys)
+            .finish_splat(packed_tail);
         for i in 0..8 {
             assert_eq!(
                 lanes[i],
@@ -731,7 +577,8 @@ mod tests {
         assert!(SUPPORTED_LANE_WIDTHS.contains(&probe_lane_width()));
     }
 
-    /// The scalar oracle for `count_columns`: one full state per record.
+    /// The scalar oracle for `count_values`: one full state per record
+    /// and value.
     fn count_oracle(state: &SipState, ids: &[u64], keys: &[u64], tail: &[u8], bias: Bias) -> usize {
         ids.iter()
             .zip(keys)
@@ -744,16 +591,18 @@ mod tests {
     }
 
     proptest! {
-        /// Every supported lane width × unaligned batch remainders ×
-        /// short-tail shapes: the dispatched column counter equals the
-        /// scalar absorb/finish oracle exactly.
+        /// Every supported lane width × record counts that leave a
+        /// remainder at every width × 1–20 short tails of mixed lengths
+        /// (duplicates included): each value's count from the dispatched
+        /// kernel equals the scalar absorb/finish oracle exactly.
         #[test]
         fn lane_eval_bit_identical_to_scalar(
             k0 in any::<u64>(),
             k1 in any::<u64>(),
             prefix_blocks in 0usize..4,
-            n in 0usize..67,
-            tail_len in 0usize..8,
+            lane_groups in 0usize..9,
+            remainder in 1usize..4,
+            tail_shapes in proptest::collection::vec((0usize..8, 0u64..6), 1..=20),
             seed in any::<u64>(),
             p_milli in 1u64..999,
         ) {
@@ -763,90 +612,26 @@ mod tests {
                 .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 11) as u8)
                 .collect();
             state.absorb(&prefix);
-            let tail: Vec<u8> = (0..tail_len).map(|i| (seed >> (i * 7)) as u8).collect();
+            // A small seed pool makes duplicate tails likely.
+            let tails: Vec<Vec<u8>> = tail_shapes
+                .iter()
+                .map(|&(len, s)| (0..len).map(|i| (s * 37 + i as u64) as u8).collect())
+                .collect();
             let bias = Bias::from_prob(p_milli as f64 / 1000.0);
+            let n = 8 * lane_groups + remainder;
             let ids: Vec<u64> = (0..n as u64).map(|i| seed.wrapping_add(i * 31)).collect();
             let keys: Vec<u64> = (0..n as u64).map(|i| seed.rotate_left(i as u32)).collect();
-            let expected = count_oracle(&state, &ids, &keys, &tail, bias);
-            let packed_tail = state.pack_short_tail(16, &tail);
+            let expected: Vec<usize> = tails
+                .iter()
+                .map(|tail| count_oracle(&state, &ids, &keys, tail, bias))
+                .collect();
+            let packed: Vec<u64> = tails.iter().map(|t| state.pack_short_tail(16, t)).collect();
             for &width in SUPPORTED_LANE_WIDTHS {
                 prop_assert_eq!(
-                    count_columns(&state, &ids, &keys, packed_tail, bias, width),
-                    expected,
-                    "width {} diverged (n = {}, tail = {})", width, n, tail_len
+                    count_values(&state, &ids, &keys, &packed, bias, width),
+                    expected.clone(),
+                    "width {} diverged (n = {}, tails = {})", width, n, tails.len()
                 );
-            }
-        }
-
-        /// The short-tail tally (distribution inner loop) is
-        /// bit-identical across widths, including remainder-sized value
-        /// spaces.
-        #[test]
-        fn short_tail_tally_bit_identical_to_scalar(
-            k0 in any::<u64>(),
-            k1 in any::<u64>(),
-            n in 0usize..40,
-            tail_bytes in 1u64..8,
-            p_milli in 1u64..999,
-        ) {
-            let sip = SipHash24::new(k0, k1);
-            let mut state = sip.begin();
-            state.absorb(&[7u8; 16]);
-            let bias = Bias::from_prob(p_milli as f64 / 1000.0);
-            let len_block = state.pack_short_tail(0, &vec![0u8; tail_bytes as usize]);
-            let make_tail = |i: usize| (i as u64) & ((1u64 << (8 * tail_bytes.min(7))) - 1);
-            let mut expected = vec![false; n];
-            for (i, slot) in expected.iter_mut().enumerate() {
-                *slot = bias.decide(state.finish_then(len_block | make_tail(i)));
-            }
-            for &width in SUPPORTED_LANE_WIDTHS {
-                let mut got = vec![false; n];
-                tally_short_tails(
-                    &state, n, bias, len_block, make_tail,
-                    |i, bit| got[i] = bit,
-                    width,
-                );
-                prop_assert_eq!(&got, &expected, "width {} diverged", width);
-            }
-        }
-
-        /// The short-suffix evaluator (scratch-buffer batch path) is
-        /// bit-identical across widths and suffix lengths.
-        #[test]
-        fn short_suffix_eval_bit_identical_to_scalar(
-            k0 in any::<u64>(),
-            k1 in any::<u64>(),
-            n in 0usize..40,
-            suffix_len in 0usize..8,
-            seed in any::<u64>(),
-            p_milli in 1u64..999,
-        ) {
-            let sip = SipHash24::new(k0, k1);
-            let mut state = sip.begin();
-            state.absorb(&[3u8; 8]);
-            let bias = Bias::from_prob(p_milli as f64 / 1000.0);
-            let fill = |i: usize, buf: &mut [u8]| {
-                for (j, b) in buf.iter_mut().enumerate() {
-                    *b = (seed.wrapping_mul(i as u64 + 1) >> (j * 5)) as u8;
-                }
-            };
-            let mut expected = vec![false; n];
-            let mut buf = vec![0u8; suffix_len];
-            for (i, slot) in expected.iter_mut().enumerate() {
-                fill(i, &mut buf);
-                let mut s = state;
-                s.absorb(&buf);
-                *slot = bias.decide(s.finish());
-            }
-            for &width in SUPPORTED_LANE_WIDTHS {
-                let mut got = vec![false; n];
-                let mut buf = vec![0u8; suffix_len];
-                eval_short_suffixes(
-                    &state, n, bias, &mut buf, fill,
-                    |i, bit| got[i] = bit,
-                    width,
-                );
-                prop_assert_eq!(&got, &expected, "width {} diverged", width);
             }
         }
     }

@@ -22,10 +22,10 @@
 //! provides two independent PRF families so the utility experiments can
 //! cross-check one against the other.
 
-// `deny` rather than `forbid`: the lane dispatcher in `lanes` needs two
-// tightly-scoped `#[allow(unsafe_code)]` blocks to call its runtime-
-// feature-detected `#[target_feature]` kernels. Everything else stays
-// unsafe-free, and any new unsafe outside those blocks is still an error.
+// `deny` rather than `forbid`: the lane dispatcher in `lanes` needs one
+// tightly-scoped `#[allow(unsafe_code)]` block to call its runtime-
+// feature-detected `#[target_feature]` kernel. Everything else stays
+// unsafe-free, and any new unsafe outside that block is still an error.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

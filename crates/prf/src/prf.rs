@@ -304,23 +304,6 @@ impl PrfPrefix {
         next
     }
 
-    /// As [`PrfPrefix::advanced`] with two fixed-width u64 fields — the
-    /// per-record `(id, key)` pair, absorbed without touching memory.
-    #[must_use]
-    pub fn advanced_u64x2(&self, a: u64, b: u64) -> Self {
-        let mut next = *self;
-        match &mut next {
-            Self::Sip(state) => {
-                state.absorb_u64(a).absorb_u64(b);
-            }
-            Self::ChaCha { lo, hi, .. } => {
-                lo.absorb_u64(a).absorb_u64(b);
-                hi.absorb_u64(a).absorb_u64(b);
-            }
-        }
-        next
-    }
-
     /// Evaluates the PRF on `prefix ‖ suffix`.
     #[inline]
     #[must_use]
@@ -349,55 +332,17 @@ impl PrfPrefix {
         bias.decide(self.eval_u64(suffix))
     }
 
-    /// Batch entry point over per-item suffixes assembled in a shared
-    /// scratch buffer: `fill(i, buf)` writes item `i`'s suffix fields in
-    /// place, `sink(i, bit)` receives the biased outcome. The family
-    /// dispatch is hoisted out of the loop.
-    pub fn eval_biased_suffixes<F, G>(
-        &self,
-        n: usize,
-        bias: Bias,
-        suffix: &mut [u8],
-        fill: F,
-        sink: G,
-    ) where
-        F: FnMut(usize, &mut [u8]),
-        G: FnMut(usize, bool),
-    {
-        let mut fill = fill;
-        let mut sink = sink;
-        match self {
-            Self::Sip(state) if state.is_block_aligned() && suffix.len() < 8 => {
-                // Every assembled suffix packs into one final block, so the
-                // lane evaluator finishes LANES items per round sequence.
-                lanes::eval_short_suffixes(state, n, bias, suffix, fill, sink, lanes::lane_width());
-            }
-            Self::Sip(state) => {
-                for i in 0..n {
-                    fill(i, suffix);
-                    let mut s = *state;
-                    s.absorb(suffix);
-                    sink(i, bias.decide(s.finish()));
-                }
-            }
-            Self::ChaCha { lo, hi, key } => {
-                for i in 0..n {
-                    fill(i, suffix);
-                    let mut l = *lo;
-                    l.absorb(suffix);
-                    let mut h = *hi;
-                    h.absorb(suffix);
-                    let digest = (u128::from(h.finish()) << 64) | u128::from(l.finish());
-                    sink(i, bias.decide(chacha_output(key, digest)));
-                }
-            }
-        }
-    }
-
-    /// Counts biased-1 outcomes over `(id, key)` column pairs followed by
-    /// a constant `tail` (the encoded query value): the Algorithm 2 inner
-    /// loop. Equivalent to evaluating
-    /// `prefix ‖ id_i ‖ key_i ‖ tail` for every aligned column pair.
+    /// Counts biased-1 outcomes over `(id, key)` column pairs once per
+    /// value tail: `counts[t]` is the number of aligned column pairs
+    /// whose `prefix ‖ id_i ‖ key_i ‖ tails[t]` decides 1 — the
+    /// Algorithm 2 inner loop for every value a query needs on one
+    /// subset, in one pass over the columns.
+    ///
+    /// On the SipHash family with a block-aligned prefix and tails under
+    /// 8 bytes, each record's `id ‖ key` state is absorbed once and
+    /// finished once per tail, `lane_width()` records at a time (see
+    /// [`crate::lanes`]). Other shapes run the generic per-record loop
+    /// once per tail. Counts are exact either way.
     ///
     /// # Panics
     ///
@@ -407,42 +352,30 @@ impl PrfPrefix {
         &self,
         ids: &[u64],
         keys: &[u64],
-        tail: &[u8],
+        tails: &[&[u8]],
         bias: Bias,
-    ) -> usize {
-        self.count_biased_columns_lanes(ids, keys, tail, bias, lanes::lane_width())
+    ) -> Vec<usize> {
+        assert_eq!(ids.len(), keys.len(), "misaligned id/key columns");
+        match self {
+            Self::Sip(state) if state.is_block_aligned() && tails.iter().all(|t| t.len() < 8) => {
+                // Register-only inner loop: two compressions per record,
+                // then one per value with the tail's final block
+                // precomputed.
+                let packed: Vec<u64> = tails.iter().map(|t| state.pack_short_tail(16, t)).collect();
+                lanes::count_values(state, ids, keys, &packed, bias, lanes::lane_width())
+            }
+            _ => tails
+                .iter()
+                .map(|tail| self.count_biased_tail(ids, keys, tail, bias))
+                .collect(),
+        }
     }
 
-    /// As [`PrfPrefix::count_biased_columns`] with an explicit lane
-    /// `width` instead of the process-wide knob — the side-by-side entry
-    /// point for benchmarks and lane-identity tests. Widths outside
-    /// [`crate::lanes::SUPPORTED_LANE_WIDTHS`] run the scalar reference
-    /// loop; non-Sip families ignore the width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the columns have different lengths.
-    #[must_use]
-    pub fn count_biased_columns_lanes(
-        &self,
-        ids: &[u64],
-        keys: &[u64],
-        tail: &[u8],
-        bias: Bias,
-        width: usize,
-    ) -> usize {
-        assert_eq!(ids.len(), keys.len(), "misaligned id/key columns");
+    /// The generic per-record loop of
+    /// [`PrfPrefix::count_biased_columns`] for one value tail.
+    fn count_biased_tail(&self, ids: &[u64], keys: &[u64], tail: &[u8], bias: Bias) -> usize {
         let mut ones = 0usize;
         match self {
-            Self::Sip(state) if state.is_block_aligned() && tail.len() < 8 => {
-                // Register-only inner loop: three compressions per record
-                // with the constant tail's final block precomputed, run
-                // `width` interleaved streams at a time (structure-of-
-                // arrays lanes vectorize; the scalar width-1 path unrolls
-                // 4× so the CPU overlaps the independent round chains).
-                let packed_tail = state.pack_short_tail(16, tail);
-                ones += lanes::count_columns(state, ids, keys, packed_tail, bias, width);
-            }
             Self::Sip(state) => {
                 for (&id, &key) in ids.iter().zip(keys) {
                     let mut s = *state;
@@ -471,69 +404,6 @@ impl PrfPrefix {
             }
         }
         ones
-    }
-
-    /// Tallies the biased bit for every short constant-length tail in an
-    /// enumerated family: `sink(i, bit)` receives the outcome of
-    /// `prefix ‖ tails[i]` where `tails` is produced by `make_tail(i)`
-    /// returning the packed final block (see
-    /// [`SipState::pack_short_tail`] composition handled internally).
-    /// Used by distribution queries: one record state, `2^k` value tails.
-    ///
-    /// Falls back to [`PrfPrefix::eval_biased_suffixes`] when the state
-    /// is not block-aligned or the tail does not fit one block.
-    pub fn eval_biased_short_tails<G>(
-        &self,
-        n: usize,
-        bias: Bias,
-        tail_bytes: u32,
-        make_tail: impl Fn(usize) -> u64,
-        sink: G,
-    ) where
-        G: FnMut(usize, bool),
-    {
-        let mut sink = sink;
-        let zeros = [0u8; 8];
-        let zero_tail = &zeros[..tail_bytes as usize];
-        match self {
-            Self::Sip(state) => {
-                debug_assert!(state.is_block_aligned() && tail_bytes < 8);
-                let len_block = state.pack_short_tail(0, zero_tail);
-                lanes::tally_short_tails(
-                    state,
-                    n,
-                    bias,
-                    len_block,
-                    make_tail,
-                    sink,
-                    lanes::lane_width(),
-                );
-            }
-            Self::ChaCha { lo, hi, key: ck } => {
-                debug_assert!(lo.is_block_aligned() && tail_bytes < 8);
-                let len_lo = lo.pack_short_tail(0, zero_tail);
-                let len_hi = hi.pack_short_tail(0, zero_tail);
-                for i in 0..n {
-                    let t = make_tail(i);
-                    let digest = (u128::from(hi.finish_then(len_hi | t)) << 64)
-                        | u128::from(lo.finish_then(len_lo | t));
-                    sink(i, bias.decide(chacha_output(ck, digest)));
-                }
-            }
-        }
-    }
-
-    /// Whether the short-tail fast paths apply: the prefix sits on a
-    /// block boundary and `tail_bytes` fit one final block.
-    #[must_use]
-    pub fn supports_short_tail(&self, tail_bytes: usize) -> bool {
-        if tail_bytes >= 8 {
-            return false;
-        }
-        match self {
-            Self::Sip(state) => state.is_block_aligned(),
-            Self::ChaCha { lo, .. } => lo.is_block_aligned(),
-        }
     }
 }
 
@@ -635,62 +505,40 @@ mod tests {
         for kind in [PrfKind::Sip, PrfKind::ChaCha] {
             let prf = AnyPrf::new(kind, &key());
             let bias = Bias::from_prob(0.3);
-            let prefix_bytes = b"shared-prefix";
-            let tail = b"tail";
             let ids: Vec<u64> = (0..200).map(|i| i * 3 + 1).collect();
             let keys: Vec<u64> = (0..200).map(|i| i ^ 0x5555).collect();
+            // An unaligned and a block-aligned prefix; short, empty,
+            // duplicated and over-long (≥ 8 byte) tails in one call.
+            let tails: [&[u8]; 4] = [b"tail", b"", b"a-long-tail", b"tail"];
+            for prefix_bytes in [b"shared-prefix".as_slice(), b"aligned!"] {
+                let prefix = prf.begin_prefix(prefix_bytes);
+                let batched = prefix.count_biased_columns(&ids, &keys, &tails, bias);
+                let scalar: Vec<usize> = tails
+                    .iter()
+                    .map(|tail| {
+                        ids.iter()
+                            .zip(&keys)
+                            .filter(|&(&id, &k)| {
+                                let mut flat = prefix_bytes.to_vec();
+                                flat.extend_from_slice(&id.to_le_bytes());
+                                flat.extend_from_slice(&k.to_le_bytes());
+                                flat.extend_from_slice(tail);
+                                prf.eval_biased(&flat, bias)
+                            })
+                            .count()
+                    })
+                    .collect();
+                assert_eq!(batched, scalar, "{kind:?} column counts diverged");
+            }
 
+            // `advanced` composes the same stream.
+            let prefix_bytes = b"shared-prefix";
             let prefix = prf.begin_prefix(prefix_bytes);
-            let batched = prefix.count_biased_columns(&ids, &keys, tail, bias);
-
-            let scalar = ids
-                .iter()
-                .zip(&keys)
-                .filter(|&(&id, &k)| {
-                    let mut flat = prefix_bytes.to_vec();
-                    flat.extend_from_slice(&id.to_le_bytes());
-                    flat.extend_from_slice(&k.to_le_bytes());
-                    flat.extend_from_slice(tail);
-                    prf.eval_biased(&flat, bias)
-                })
-                .count();
-            assert_eq!(batched, scalar, "{kind:?} column count diverged");
-
-            // advanced / advanced_u64x2 compose the same stream.
-            let adv = prefix.advanced_u64x2(ids[0], keys[0]);
-            let mut flat = prefix_bytes.to_vec();
-            flat.extend_from_slice(&ids[0].to_le_bytes());
-            flat.extend_from_slice(&keys[0].to_le_bytes());
-            assert_eq!(adv.eval_u64(tail), prf.begin_prefix(&flat).eval_u64(tail));
             assert_eq!(
                 prefix.advanced(b"xy").eval_u64(b"z"),
                 prf.eval_u64(&[prefix_bytes.as_slice(), b"xy", b"z"].concat())
             );
         }
-    }
-
-    #[test]
-    fn suffix_batch_matches_scalar() {
-        let prf = AnyPrf::new(PrfKind::Sip, &key());
-        let bias = Bias::from_prob(0.4);
-        let prefix = prf.begin_prefix(b"p");
-        let mut suffix = [0u8; 8];
-        let mut batch = Vec::new();
-        prefix.eval_biased_suffixes(
-            64,
-            bias,
-            &mut suffix,
-            |i, buf| buf.copy_from_slice(&(i as u64).to_le_bytes()),
-            |_, bit| batch.push(bit),
-        );
-        let scalar: Vec<bool> = (0..64u64)
-            .map(|i| {
-                let mut flat = b"p".to_vec();
-                flat.extend_from_slice(&i.to_le_bytes());
-                prf.eval_biased(&flat, bias)
-            })
-            .collect();
-        assert_eq!(batch, scalar);
     }
 
     #[test]

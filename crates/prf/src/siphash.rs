@@ -275,8 +275,10 @@ impl SipState {
     /// Packs a short (< 8 bytes) constant tail into the SipHash final
     /// block for a message that will consist of this state's bytes plus
     /// `extra` more fixed-width bytes plus the tail. Feed the result to
-    /// [`SipState::finish_u64x2_then`] (`extra = 16`) or
-    /// [`SipState::finish_then`] (`extra = 0`).
+    /// [`SipState::finish_u64x2_then`] (`extra = 16`), or to
+    /// [`SipState::finish_then`] on the state after those `extra` bytes
+    /// were absorbed (the multi-value scan: one record state, one packed
+    /// block per value).
     ///
     /// # Panics
     ///

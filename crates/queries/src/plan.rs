@@ -265,11 +265,11 @@ impl TermPlan {
         &self.outputs
     }
 
-    /// The plan's cost: the number of distinct conjunctive terms. This
-    /// is both the scan count (each term is one pass over a shard's
-    /// records) and the Corollary 3.4 ε charge a serving node levies —
-    /// compound queries are charged for exactly the estimates computed,
-    /// never per-output or per-wire-frame.
+    /// The plan's cost: the number of distinct conjunctive terms — the
+    /// Corollary 3.4 ε charge a serving node levies. Compound queries
+    /// are charged for exactly the estimates computed, never per-output
+    /// or per-wire-frame. (Scanning costs one pass per distinct subset,
+    /// [`TermPlan::required_subsets`], however many terms share it.)
     #[must_use]
     pub fn cost(&self) -> usize {
         self.terms.len()
