@@ -2,9 +2,10 @@
 //!
 //! The multi-lane SipHash evaluator (`psketch_prf::lanes`) advances 4 or
 //! 8 interleaved hash streams per instruction sequence; the estimator's
-//! `thread::scope` chunking multiplies that across cores. This experiment
-//! measures the full matrix — lane width ∈ {1, 4, 8} × worker threads ∈
-//! {1, 2, 4} — over the same 1M-record shard scan e20 measures, asserts
+//! scan pool multiplies that across cores. This experiment measures the
+//! full matrix — lane width ∈ {1, 4, 8} × worker threads ∈ {1, 2, 4},
+//! each cell splitting the scan over its own scoped threads — over the
+//! same 1M-record shard scan e20 measures, asserts
 //! that every cell produces the *same count* as the scalar reference
 //! (lane paths are bit-identical, so this must hold exactly), and writes
 //! `BENCH_lanes.json` with the matrix alongside the e20-style baseline
@@ -15,10 +16,17 @@
 //! every width, against four one-value scans. Its counts must equal the
 //! per-value scalar oracle.
 //!
+//! A third cell runs the shipping path, `ConjunctiveEstimator::count`
+//! at the auto-probed width, over 64k records: large enough that the
+//! estimator splits the scan across the scan pool. Its count must equal
+//! the scalar oracle.
+//!
 //! In quick mode this doubles as the CI throughput smoke: identity is
-//! asserted at every width, and in both cells the best lane width must
-//! not be slower than the scalar loop beyond a generous noise margin — a
-//! catastrophic-regression guard, not a precision benchmark.
+//! asserted at every width; in the first two cells the best lane width
+//! must not be slower than the scalar loop, and in the pooled cell the
+//! shipping path must not be slower than a one-thread lane scan, each
+//! beyond a generous noise margin — a catastrophic-regression guard, not
+//! a precision benchmark.
 
 use crate::common::Config;
 use crate::report::{f, Table};
@@ -32,6 +40,10 @@ const EXP: u64 = 25;
 
 /// Worker-thread counts for the cores dimension of the matrix.
 const CORE_STEPS: [usize; 3] = [1, 2, 4];
+
+/// Records in the pooled cell: four times the estimator's parallel
+/// threshold, so the shipping path cuts the scan into chunks.
+const POOLED_RECORDS: usize = 1 << 16;
 
 /// Best observed rate over `reps` runs of `scan` (which returns the
 /// satisfying counts, checked against `expected` every time).
@@ -151,11 +163,40 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     }
     set_lane_width(0).expect("0 restores auto-probing");
 
+    // The pooled cell: the shipping path at 64k records against one
+    // thread running the same lane scan.
+    let pooled_db = SketchDb::new();
+    for i in 0..POOLED_RECORDS as u64 {
+        let profile = Profile::from_bits(&vec![i % 3 == 0; k]);
+        let sketch = sketcher
+            .sketch(UserId(i), &profile, &subset, &mut rng)
+            .expect("sketching at ell=10 cannot exhaust");
+        pooled_db.insert(subset.clone(), UserId(i), sketch);
+    }
+    let pooled_snapshot = pooled_db.snapshot(&subset).expect("populated");
+    let (pooled_ids, pooled_keys) = (pooled_snapshot.ids(), pooled_snapshot.keys());
+    set_lane_width(1).expect("1 is a supported width");
+    let pooled_expected = prepared.count_ones(pooled_ids, pooled_keys);
+    set_lane_width(0).expect("0 restores auto-probing");
+    let estimator = ConjunctiveEstimator::new(params);
+    let query = ConjunctiveQuery::new(subset, value).expect("widths match");
+    let one_thread_rate = best_rate(reps, POOLED_RECORDS, &pooled_expected, || {
+        prepared.count_ones(pooled_ids, pooled_keys)
+    });
+    let shipping_rate = best_rate(reps, POOLED_RECORDS, &pooled_expected, || {
+        let (ones, n) = estimator.count(&pooled_db, &query).expect("populated");
+        assert_eq!(n, POOLED_RECORDS as u64);
+        usize::try_from(ones).expect("count fits")
+    });
+    assert!(
+        shipping_rate >= 0.8 * one_thread_rate,
+        "pooled shipping path regressed below a one-thread lane scan: \
+         {shipping_rate:.0} vs {one_thread_rate:.0} records/s"
+    );
+
     // The full estimator path at auto width (continuity with e20's
     // batched figure, and a check that estimates — not just counts —
     // are identical to the scalar-width run).
-    let estimator = ConjunctiveEstimator::new(params);
-    let query = ConjunctiveQuery::new(subset, value).expect("widths match");
     let auto_estimate = estimator.estimate(&db, &query).expect("populated");
     set_lane_width(1).expect("supported width");
     let scalar_estimate = estimator.estimate(&db, &query).expect("populated");
@@ -257,6 +298,24 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         ]);
     }
     values_table.note("every width's 4 counts verified equal to the per-value scalar oracle");
+    let mut pooled_table = Table::new(
+        format!(
+            "E25 — shipping path at {POOLED_RECORDS} records, lanes {}, records/s",
+            psketch_core::lane_width()
+        ),
+        &["path", "records/s", "speedup"],
+    );
+    pooled_table.row(vec![
+        "one thread (lane scan)".into(),
+        f(one_thread_rate, 0),
+        "1.00x".into(),
+    ]);
+    pooled_table.row(vec![
+        "ConjunctiveEstimator::count (scan pool)".into(),
+        f(shipping_rate, 0),
+        format!("{:.2}x", shipping_rate / one_thread_rate),
+    ]);
+    pooled_table.note("count verified equal to the scalar oracle");
 
     let matrix_json: Vec<String> = matrix
         .iter()
@@ -284,11 +343,16 @@ pub fn run(cfg: &Config) -> Vec<Table> {
          \"best_single_core_lanes\": {best_lanes},\n  \
          \"lane_speedup_vs_scalar\": {:.3},\n  \
          \"lanes_matrix\": [\n    {}\n  ],\n  \
-         \"values_matrix\": [\n    {}\n  ]\n}}\n",
+         \"values_matrix\": [\n    {}\n  ],\n  \
+         \"pooled\": {{\"records\": {POOLED_RECORDS}, \
+         \"one_thread_records_per_sec\": {one_thread_rate:.1}, \
+         \"shipping_records_per_sec\": {shipping_rate:.1}, \
+         \"speedup\": {:.3}}}\n}}\n",
         psketch_core::probe_lane_width(),
         best_1core / scalar_1core,
         matrix_json.join(",\n    "),
         values_json.join(",\n    "),
+        shipping_rate / one_thread_rate,
     );
     if cfg.quick {
         t.note("quick mode: BENCH_lanes.json not written");
@@ -297,5 +361,5 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         t.note("wrote BENCH_lanes.json");
     }
 
-    vec![t, values_table]
+    vec![t, values_table, pooled_table]
 }

@@ -18,22 +18,29 @@ use crate::params::{Error, SketchParams};
 use crate::profile::{BitString, BitSubset};
 use psketch_obs as obs;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Below this record count the batched scan stays single-threaded, and
-/// above it each worker thread gets at least this many records: the
-/// per-thread setup (a scoped spawn + join) only pays for itself on
-/// large chunks.
+/// Below this many record·values (records × values counted) a scan runs
+/// on the calling thread; from it up, the scan is cut into chunks that
+/// the caller and the [`ScanPool`] helpers claim.
 ///
-/// Re-tuned after the SIMD-lane PRF landed (e25): the 8-lane scan runs
-/// ~271M records/s on the reference AVX-512 host (was ~64M/s batched
-/// scalar), so a 2^16-record chunk dropped from ~1 ms of work to ~240 µs
-/// while a scoped spawn+join measures 9–20 µs — the old threshold would
-/// spend up to ~8% of each chunk on thread setup. 2^18 records ≈ 1 ms at
-/// lane speed, restoring the ~2% overhead the original tuning chose; the
-/// scans this leaves single-threaded finish in under a millisecond
-/// anyway.
-const PARALLEL_THRESHOLD: usize = 1 << 18;
+/// The pool's helpers are parked, not spawned, so handing a scan to them
+/// costs one queue send and one wake-up instead of the 9–20 µs a scoped
+/// spawn + join cost when this threshold was 2^18. e20's crossover sweep
+/// (pooled `count` against a one-thread `PreparedH::count_values` with
+/// the threshold forced to 1; 2-vCPU AVX-512 VM, 8 lanes, one value)
+/// measured 0.95–1.02× at 8k records — two equal chunks, so the caller
+/// waits out the helper's wake-up — and 1.13–1.28× at 16k: 2^14 is the
+/// smallest power of two at which the pooled path is no slower.
+const PARALLEL_THRESHOLD: usize = 1 << 14;
+
+/// The smallest chunk a pooled scan is cut into: ~15 µs of 8-lane work,
+/// well above the cost of claiming it.
+const MIN_CHUNK: usize = 4096;
 
 /// A conjunctive query `d_B = v`: "what fraction of users has every
 /// attribute in `B` equal to the corresponding bit of `v`?"
@@ -412,59 +419,50 @@ impl ConjunctiveEstimator {
 
     /// The one scan behind every count: per-value satisfying counts of
     /// `values` (each of width `subset.len()`) over the snapshot's
-    /// columns, in one pass, split across threads once the scan's
-    /// records × values PRF evaluations cross [`PARALLEL_THRESHOLD`].
+    /// columns, in one pass, split into chunks across the [`ScanPool`]
+    /// once the scan's records × values PRF evaluations reach
+    /// [`PARALLEL_THRESHOLD`].
     fn count_values(
         &self,
         snapshot: &SubsetSnapshot,
         subset: &BitSubset,
         values: &[BitString],
     ) -> Vec<usize> {
-        let ids = snapshot.ids();
-        let keys = snapshot.keys();
-        let threads = self.thread_count(ids.len().saturating_mul(values.len()));
-        let started = obs::enabled().then(Instant::now);
-        let span = scan_span(ids.len(), values.len(), threads);
-        let prepared = self.h.prepare(subset, subset.len());
-        let counts = if threads <= 1 {
-            prepared.count_values(ids, keys, values)
+        let n = snapshot.len();
+        let workers = if n.saturating_mul(values.len()) < PARALLEL_THRESHOLD {
+            1
         } else {
-            // Each thread counts a chunk of the records; the partial
-            // counts are summed — identical to the sequential counts
-            // because addition of exact counts commutes.
-            let chunk = ids.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ids
-                    .chunks(chunk)
-                    .zip(keys.chunks(chunk))
-                    .map(|(ids, keys)| {
-                        let prepared = &prepared;
-                        scope.spawn(move || prepared.count_values(ids, keys, values))
-                    })
-                    .collect();
-                let mut counts = vec![0usize; values.len()];
-                for handle in handles {
-                    let partial = handle.join().expect("count worker panicked");
-                    for (total, part) in counts.iter_mut().zip(partial) {
-                        *total += part;
-                    }
-                }
-                counts
+            available_workers()
+        };
+        let chunk = MIN_CHUNK.max(n / (4 * workers));
+        let started = obs::enabled().then(Instant::now);
+        let span = scan_span(n, values.len());
+        let prepared = self.h.prepare(subset, subset.len());
+        let scan = if workers <= 1 || n <= chunk {
+            Forked {
+                counts: prepared.count_values(snapshot.ids(), snapshot.keys(), values),
+                chunks: 1,
+                threads: 1,
+                helped: 0,
+            }
+        } else {
+            // The chunks' partial counts are summed — identical to the
+            // sequential counts because addition of exact counts commutes.
+            let snapshot = snapshot.clone();
+            let values: Arc<[BitString]> = values.into();
+            ScanPool::global().fork_join(n, chunk, values.len(), move |range| {
+                let (ids, keys) = (snapshot.ids(), snapshot.keys());
+                prepared.count_values(&ids[range.clone()], &keys[range], &values)
             })
         };
+        span.attr("threads", scan.threads as u64);
+        span.attr("chunks", scan.chunks as u64);
+        span.attr("helped", scan.helped as u64);
         drop(span);
         if let Some(started) = started {
-            record_scan(ids.len(), threads, started.elapsed());
+            record_scan(n, scan.threads, started.elapsed());
         }
-        counts
-    }
-
-    /// Number of worker threads for a scan of `work` PRF evaluations.
-    fn thread_count(&self, work: usize) -> usize {
-        if work < PARALLEL_THRESHOLD {
-            return 1;
-        }
-        available_workers().min(work / PARALLEL_THRESHOLD + 1)
+        scan.counts
     }
 
     /// Step 2 of Algorithm 2: the unbiased inversion.
@@ -476,20 +474,22 @@ impl ConjunctiveEstimator {
 /// Opens the per-scan profiling span (inert — one relaxed load — unless
 /// the request thread has a trace open). One span per scan, not per
 /// record: a profiled plan grows one `estimator:scan` child per distinct
-/// subset, and `values` says how many values that scan counted.
-fn scan_span(records: usize, values: usize, threads: usize) -> obs::SpanGuard {
+/// subset, and `values` says how many values that scan counted. The
+/// caller adds `threads`, `chunks` and `helped` once the scan is done.
+fn scan_span(records: usize, values: usize) -> obs::SpanGuard {
     let span = obs::span::enter("estimator:scan");
     span.attr("records", records as u64);
     span.attr("values", values as u64);
-    span.attr("threads", threads as u64);
     span.attr("lanes", psketch_prf::lane_width() as u64);
     span
 }
 
 /// Records one sketch scan into the process metrics registry, labeled by
-/// the active SIMD lane width and the thread count the dispatcher chose —
-/// the knobs that determine scan throughput. Called once per scan (never
-/// per record), so the registry lookup is noise next to the scan itself.
+/// the active SIMD lane width and the number of threads the scan was
+/// offered to (1 inline, else the caller plus the pool helpers it
+/// posted tickets to) — the knobs that determine scan throughput. Called
+/// once per scan (never per record), so the registry lookup is noise
+/// next to the scan itself.
 fn record_scan(records: usize, threads: usize, elapsed: std::time::Duration) {
     let lanes = psketch_prf::lane_width().to_string();
     let threads = threads.to_string();
@@ -509,16 +509,245 @@ fn all_values(subset: &BitSubset) -> Vec<BitString> {
 /// The host's available parallelism, probed once per process.
 ///
 /// `std::thread::available_parallelism()` is a syscall (it walks the
-/// cgroup quota and CPU affinity mask on Linux); every scan consults
-/// [`ConjunctiveEstimator::thread_count`], so the probe is cached here to
-/// keep the dispatch decision a branch and a load.
+/// cgroup quota and CPU affinity mask on Linux); every scan above
+/// [`PARALLEL_THRESHOLD`] consults it to size its chunks, so the probe is
+/// cached here to keep the dispatch decision a branch and a load.
 fn available_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
     })
+}
+
+/// One scan's result and how it was split.
+struct Forked {
+    /// Per-value satisfying counts, summed over every chunk.
+    counts: Vec<usize>,
+    /// Chunks the records were cut into (1 for an inline scan).
+    chunks: usize,
+    /// Threads the scan was offered to: the caller plus one per posted
+    /// ticket.
+    threads: usize,
+    /// Chunks a pool helper counted (the caller counted the rest).
+    helped: usize,
+}
+
+/// A claim ticket: a helper that receives one counts chunks of its job
+/// until the job's cursor runs out.
+type Ticket = Arc<dyn Help + Send + Sync>;
+
+/// The helper side of a [`Job`], type-erased so one queue carries every
+/// job's tickets.
+trait Help {
+    fn help(&self);
+}
+
+/// The process-wide scan pool: `available_workers() − 1` parked helper
+/// threads, started by the first scan that needs them.
+///
+/// A pooled scan posts one ticket per helper and then counts chunks
+/// itself, claiming them from the same cursor the helpers claim from, so
+/// it only ever waits for chunks a helper has already started — never on
+/// a ticket no helper has picked up (another scan may be keeping them
+/// busy). Jobs own everything they touch (an `Arc`-shared snapshot, a
+/// prepared evaluator, the values), so helpers outlive no borrow and the
+/// pool needs no `unsafe`. Helpers are detached rather than joined: a
+/// chunk's panic is caught and reported through its job, and a helper
+/// exits once the pool's ticket sender is dropped.
+struct ScanPool {
+    tickets: mpsc::Sender<Ticket>,
+    helpers: usize,
+}
+
+impl ScanPool {
+    /// Starts `helpers` parked threads. A helper that fails to spawn is
+    /// simply absent: the caller counts the chunks it would have taken.
+    fn new(helpers: usize) -> Self {
+        let (tickets, queue) = mpsc::channel::<Ticket>();
+        let queue = Arc::new(Mutex::new(queue));
+        let helpers = (0..helpers)
+            .filter(|i| {
+                let queue = Arc::clone(&queue);
+                std::thread::Builder::new()
+                    .name(format!("psketch-scan-{i}"))
+                    .spawn(move || help_loop(&queue))
+                    .is_ok()
+            })
+            .count();
+        Self { tickets, helpers }
+    }
+
+    /// The process-wide pool. Its one-time start is an
+    /// `estimator:pool_start` span inside the scan that triggers it.
+    fn global() -> &'static Self {
+        static POOL: OnceLock<ScanPool> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let span = obs::span::enter("estimator:pool_start");
+            let pool = Self::new(available_workers().saturating_sub(1));
+            span.attr("helpers", pool.helpers as u64);
+            pool
+        })
+    }
+
+    /// Counts records `0..n` in chunks of `chunk`, each chunk's `width`
+    /// partial counts coming from `count`, and sums them.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `count worker panicked` if `count` panicked on a
+    /// helper; a panic on the calling thread propagates as itself.
+    fn fork_join<F>(&self, n: usize, chunk: usize, width: usize, count: F) -> Forked
+    where
+        F: Fn(Range<usize>) -> Vec<usize> + Send + Sync + 'static,
+    {
+        let chunks = n.div_ceil(chunk);
+        let job = Arc::new(Job {
+            n,
+            chunk,
+            width,
+            cursor: AtomicUsize::new(0),
+            count,
+            state: Mutex::new(JobState {
+                counts: vec![0; width],
+                busy: 0,
+                helped: 0,
+                failed: false,
+            }),
+            idle: Condvar::new(),
+        });
+        let mut posted = 0;
+        for _ in 0..self.helpers.min(chunks - 1) {
+            // The queue's send/recv orders everything the caller wrote
+            // before posting (the lane width included) before the
+            // helper's reads. A send error means no helper is left, and
+            // the caller then claims every chunk itself.
+            if self.tickets.send(Arc::clone(&job) as Ticket).is_ok() {
+                posted += 1;
+            }
+        }
+        let mut own = vec![0; width];
+        job.claim_chunks(&mut own);
+        let mut state = job.lock();
+        add_counts(&mut state.counts, own);
+        while state.busy > 0 {
+            state = job.idle.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        assert!(!state.failed, "count worker panicked");
+        Forked {
+            counts: std::mem::take(&mut state.counts),
+            chunks,
+            threads: 1 + posted,
+            helped: state.helped,
+        }
+    }
+}
+
+/// A helper's life: wait for a ticket, help with its job, repeat. Ends
+/// when the pool (the queue's only sender) is dropped.
+fn help_loop(queue: &Mutex<mpsc::Receiver<Ticket>>) {
+    // A poisoned queue lock is harmless: the receiver has no state of
+    // ours to leave half-updated.
+    loop {
+        let ticket = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        match ticket {
+            Ok(ticket) => ticket.help(),
+            Err(mpsc::RecvError) => return,
+        }
+    }
+}
+
+/// One pooled scan: the chunk cursor every participant claims from, the
+/// chunk-counting closure, and the accumulator the helpers fold their
+/// partial counts into.
+struct Job<F> {
+    n: usize,
+    chunk: usize,
+    /// Values counted per chunk.
+    width: usize,
+    /// Start of the next unclaimed chunk; `≥ n` once every chunk is
+    /// claimed.
+    cursor: AtomicUsize,
+    count: F,
+    state: Mutex<JobState>,
+    /// Signalled whenever a helper leaves the job.
+    idle: Condvar,
+}
+
+/// The mutable half of a [`Job`], behind its mutex.
+struct JobState {
+    /// Partial counts folded in so far.
+    counts: Vec<usize>,
+    /// Helpers inside the job (they may hold claimed chunks).
+    busy: usize,
+    /// Chunks counted by helpers.
+    helped: usize,
+    /// Whether a chunk panicked on a helper.
+    failed: bool,
+}
+
+impl<F: Fn(Range<usize>) -> Vec<usize>> Job<F> {
+    /// The state, even past a poisoned lock: chunks run outside it, and
+    /// every update under it is one field write, valid at every step.
+    fn lock(&self) -> MutexGuard<'_, JobState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims and counts chunks into `sums` until the cursor runs out;
+    /// returns how many chunks this thread counted.
+    fn claim_chunks(&self, sums: &mut [usize]) -> usize {
+        let mut claimed = 0;
+        loop {
+            // Partial counts and the `busy` mark travel under the `state`
+            // mutex, which orders a helper's entry before its first claim
+            // against the caller's final wait.
+            // ord: the RMW alone makes every claim unique
+            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+            if start >= self.n {
+                return claimed;
+            }
+            let part = (self.count)(start..self.n.min(start + self.chunk));
+            add_counts(sums, part);
+            claimed += 1;
+        }
+    }
+}
+
+impl<F: Fn(Range<usize>) -> Vec<usize>> Help for Job<F> {
+    fn help(&self) {
+        // ord: a stale read only sends this helper through the mutex
+        // below to find nothing left to claim.
+        if self.cursor.load(Ordering::Relaxed) >= self.n {
+            return; // the caller (or another helper) took every chunk
+        }
+        self.lock().busy += 1;
+        let mut sums = vec![0; self.width];
+        let claimed = panic::catch_unwind(AssertUnwindSafe(|| self.claim_chunks(&mut sums)));
+        let mut state = self.lock();
+        match claimed {
+            Ok(claimed) => {
+                add_counts(&mut state.counts, sums);
+                state.helped += claimed;
+            }
+            Err(_) => {
+                state.failed = true;
+                // Mark the job done: the caller claims no further chunks.
+                // ord: as in `claim_chunks`; the counts are discarded
+                self.cursor.fetch_max(self.n, Ordering::Relaxed);
+            }
+        }
+        state.busy -= 1;
+        drop(state);
+        self.idle.notify_all();
+    }
+}
+
+/// `total[t] += part[t]` for every value `t`.
+fn add_counts(total: &mut [usize], part: Vec<usize>) {
+    for (total, part) in total.iter_mut().zip(part) {
+        *total += part;
+    }
 }
 
 #[cfg(test)]
@@ -860,5 +1089,161 @@ mod tests {
         let total: f64 = dist.iter().map(|e| e.fraction).sum();
         // Each of the 8 estimates is unbiased; their sum concentrates at 1.
         assert!((total - 1.0).abs() < 0.1, "distribution total {total}");
+    }
+
+    /// Runs `body` on its own thread and fails — rather than hangs — if
+    /// it does not finish within a minute; a panic in `body` is re-raised.
+    fn under_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(()) => {}
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                if let Err(panic) = worker.join() {
+                    panic::resume_unwind(panic);
+                }
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("scan pool hung"),
+        }
+    }
+
+    /// A chunk closure counting one per record. On the calling thread it
+    /// first waits until a helper has started a chunk, so every scan it
+    /// drives is helped; on a helper it panics if `fail_on_helper`.
+    fn helped_chunks(
+        caller: std::thread::ThreadId,
+        fail_on_helper: bool,
+    ) -> impl Fn(Range<usize>) -> Vec<usize> + Send + Sync + 'static {
+        let helper_started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        move |range| {
+            if std::thread::current().id() == caller {
+                while !helper_started.load(Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            } else {
+                helper_started.store(true, Ordering::SeqCst);
+                assert!(!fail_on_helper, "chunk panicked on purpose");
+            }
+            vec![range.len()]
+        }
+    }
+
+    #[test]
+    fn helper_panic_reaches_the_caller_and_the_pool_keeps_serving() {
+        under_watchdog(|| {
+            let pool = ScanPool::new(1);
+            assert_eq!(pool.helpers, 1);
+            let caller = std::thread::current().id();
+            let (n, chunk) = (10 * 4096 + 3, 4096);
+            let failed = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.fork_join(n, chunk, 1, helped_chunks(caller, true))
+            }))
+            .err()
+            .expect("a helper's panic must reach the caller");
+            assert_eq!(
+                failed.downcast_ref::<&str>().copied(),
+                Some("count worker panicked")
+            );
+            // The helper survived its chunk's panic and serves the next scan.
+            let scan = pool.fork_join(n, chunk, 1, helped_chunks(caller, false));
+            assert_eq!(scan.counts, vec![n]);
+            assert_eq!(scan.chunks, 11);
+            assert_eq!(scan.threads, 2);
+            assert!(scan.helped >= 1, "the helper counted no chunk");
+        });
+    }
+
+    /// Record counts that straddle the scan's split points: both sides of
+    /// the `4096·k` chunk edges (all with `n % 8 ≠ 0`), a size whose chunks
+    /// are `n / (4·threads)` long, and both sides of the threshold for
+    /// `values` values.
+    fn edge_sizes(values: usize) -> Vec<usize> {
+        let mut sizes: Vec<usize> = (1..=4).flat_map(|k| [4096 * k - 1, 4096 * k + 1]).collect();
+        sizes.push(33_003);
+        let crossing = PARALLEL_THRESHOLD.div_ceil(values);
+        sizes.extend([crossing - 1, crossing]);
+        sizes
+    }
+
+    /// `n` records with distinct ids and arbitrary keys.
+    fn columns(n: usize) -> (Vec<u64>, Vec<u64>) {
+        let ids: Vec<u64> = (0..n as u64).map(|i| i * 7 + 1).collect();
+        let keys = ids
+            .iter()
+            .map(|id| id.wrapping_mul(0x9E37_79B9) >> 22)
+            .collect();
+        (ids, keys)
+    }
+
+    /// The single-threaded `PreparedH::count_values` counts of every
+    /// value of a `k`-bit subset over [`columns`]`(n)`, computed once per
+    /// `(n, k)` and shared by every case.
+    fn oracle(params: SketchParams, n: usize, k: usize) -> Vec<usize> {
+        type Cache = Mutex<std::collections::HashMap<(usize, usize), Vec<usize>>>;
+        static CACHE: OnceLock<Cache> = OnceLock::new();
+        let cache = CACHE.get_or_init(Cache::default);
+        if let Some(counts) = cache.lock().unwrap().get(&(n, k)) {
+            return counts.clone();
+        }
+        let subset = BitSubset::range(0, k as u32);
+        let (ids, keys) = columns(n);
+        let prepared = HFunction::new(&params).prepare(&subset, k);
+        let counts = prepared.count_values(&ids, &keys, &all_values(&subset));
+        cache.lock().unwrap().insert((n, k), counts.clone());
+        counts
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn concurrent_pooled_scans_match_the_single_thread_oracle(
+            draws in proptest::collection::vec((0usize..11, 1usize..=6, 0u64..1 << 18), 8)
+        ) {
+            // 8 threads (the server's default worker count) scan their own
+            // pools at once, every pooled scan sharing the one scan pool.
+            let params = params(0.3);
+            let start = Arc::new(std::sync::Barrier::new(draws.len()));
+            let workers: Vec<_> = draws
+                .into_iter()
+                .enumerate()
+                .map(|(t, (pick, values, picks))| {
+                    let start = Arc::clone(&start);
+                    std::thread::spawn(move || {
+                        let n = edge_sizes(values)[pick];
+                        let k = if t % 2 == 0 { 3 } else { 1 + values % 2 };
+                        let subset = BitSubset::range(0, k as u32);
+                        let db = SketchDb::new();
+                        let (ids, keys) = columns(n);
+                        db.insert_columns(subset.clone(), ids, keys);
+                        let est = ConjunctiveEstimator::new(params);
+                        let expected = oracle(params, n, k);
+                        start.wait();
+                        if t % 2 == 0 {
+                            // 1–6 terms on a 3-bit subset, duplicates allowed.
+                            let picked: Vec<u64> = (0..values).map(|j| (picks >> (3 * j)) & 7).collect();
+                            let terms: Vec<ConjunctiveQuery> = picked
+                                .iter()
+                                .map(|&v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, k)).unwrap())
+                                .collect();
+                            let counts = est.count_terms(&db, &terms).unwrap();
+                            let oracle: Vec<(u64, u64)> =
+                                picked.iter().map(|&v| (expected[v as usize] as u64, n as u64)).collect();
+                            assert_eq!(counts, oracle, "count_terms: n = {n}, values = {picked:?}");
+                        } else {
+                            // Every value of a 1- or 2-bit subset: 2 or 4 values.
+                            let (counts, population) = est.count_distribution(&db, &subset).unwrap();
+                            let oracle: Vec<u64> = expected.iter().map(|&c| c as u64).collect();
+                            assert_eq!(population, n as u64);
+                            assert_eq!(counts, oracle, "count_distribution: n = {n}, k = {k}");
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        }
     }
 }

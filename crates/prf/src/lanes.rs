@@ -280,8 +280,9 @@ pub fn set_lane_width(width: usize) -> Result<(), LaneWidthError> {
     if width != AUTO && !SUPPORTED_LANE_WIDTHS.contains(&width) {
         return Err(LaneWidthError(width));
     }
-    // ord: standalone config word; callers set it before spawning the
-    // scan threads that read it, and thread::spawn orders the handoff
+    // Callers set it before posting the scans that read it.
+    // ord: standalone config word; the scan pool queue's send/recv
+    // orders the handoff to its helper threads
     CONFIGURED.store(width, Ordering::Relaxed);
     Ok(())
 }
@@ -290,7 +291,8 @@ pub fn set_lane_width(width: usize) -> Result<(), LaneWidthError> {
 /// hardware default.
 #[must_use]
 pub fn lane_width() -> usize {
-    // ord: see `set_lane_width` — the spawn edge does the ordering
+    // ord: see `set_lane_width` — the pool queue's send/recv edge does the
+    // ordering; a stale width only changes speed, never a count
     match CONFIGURED.load(Ordering::Relaxed) {
         AUTO => probe_lane_width(),
         width => width,
