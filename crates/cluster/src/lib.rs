@@ -10,8 +10,9 @@
 //!   by a stable public hash of the user id;
 //! * [`router`] — a [`Router`] that fans ingest out by shard and serves
 //!   analyst queries by **parallel scatter-gather over exact partial
-//!   counts**: one long-lived worker thread per shard owns a persistent
-//!   connection, every query family compiles to a
+//!   counts**: the router writes every shard's request over its
+//!   persistent connection before reading the replies in shard order,
+//!   every query family compiles to a
 //!   [`TermPlan`](psketch_queries::TermPlan), every shard concurrently
 //!   reports integer `(ones, population)` pairs for the plan's
 //!   deduplicated terms through one generic `PartialTermCounts` frame,

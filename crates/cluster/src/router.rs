@@ -1,12 +1,14 @@
-//! The cluster router: **parallel** scatter-gather over shard nodes.
+//! The cluster router: scatter-gather over shard nodes, on the
+//! calling thread.
 //!
-//! A [`Router`] owns one long-lived worker thread per shard. Each
-//! worker holds that shard's persistent connection (lazily opened,
-//! hello handshake verified against the [`ShardMap`]) and executes the
-//! operations the router feeds it over a channel — so a query's
-//! per-shard round trips run **concurrently**, and per-shard scan work
-//! (which shrinks as `1/N`) actually buys wall-clock throughput
-//! instead of being serialized behind one mutable connection.
+//! A [`Router`] holds one persistent connection per shard (lazily
+//! opened, hello handshake verified against the [`ShardMap`]). A
+//! scatter writes every shard's request frame first — up to
+//! [`RouterConfig::fanout`] in flight — and only then reads the replies,
+//! in ascending shard order. Every shard has its request before the
+//! router blocks on the first reply, so the shards' round trips and
+//! scans overlap without a thread per shard: a query pays about
+//! `max(per-shard latency)`, not the sum.
 //!
 //! The router serves the same analyst surface a single node does —
 //! **any compiled [`TermPlan`]**, which covers every query family
@@ -19,8 +21,7 @@
 //!    terms (a shard holding none of a subset's records reports
 //!    `(0, 0)`);
 //! 2. the router sums them ([`PlanAccumulator`]) — integer addition,
-//!    exact in any order, and merged **in ascending shard order**
-//!    regardless of which worker finished first;
+//!    exact in any order, and merged **in ascending shard order**;
 //! 3. the Algorithm 2 float inversion runs **once per term**, on the
 //!    merged sums, via the same [`psketch_core::Estimate::from_counts`]
 //!    a single node uses, and [`TermPlan::evaluate`] replays the
@@ -28,30 +29,31 @@
 //!
 //! Cluster answers are therefore bit-identical to a single node holding
 //! the union of the records — and bit-identical at every
-//! [`RouterConfig::fanout`], because parallelism only changes *when*
-//! a shard's counts arrive, never the order they are merged in (the
-//! property tests in this crate pin both down, family by family).
+//! [`RouterConfig::fanout`], because the fan-out only changes *when* a
+//! shard's request is written, never the order counts are merged in
+//! (the property tests in this crate pin both down, family by family).
 //!
 //! # Failure handling
 //!
-//! Transport failures are retried per shard with **capped** exponential
-//! backoff ([`backoff_delay`]); retries on different shards run in
-//! parallel, so one slow shard no longer stalls the others' attempts.
-//! A shard that stays unreachable is reported as **missing** in the
-//! answer's [`Coverage`] rather than silently skewing `r'`: the
-//! estimate then covers exactly the responding shards' population, and
-//! the caller can see which shards — and, when a prior
-//! [`Router::status`] sweep recorded their size, what fraction of the
-//! known user population — the answer excludes.
+//! A scatter runs in rounds. Each round gives every shard still owed
+//! an answer one attempt, with one deadline per attempt (request
+//! written + [`RouterConfig::timeout`]): each read waits only for what
+//! is left of it, so `k` silent shards cost one timeout, not `k`.
+//! Shards that failed in transport are retried together in the next
+//! round, behind one **capped** exponential backoff sleep
+//! ([`backoff_delay`]). A shard that stays unreachable is reported as
+//! **missing** in the answer's [`Coverage`] rather than silently
+//! skewing `r'`: the estimate then covers exactly the responding
+//! shards' population, and the caller can see which shards — and,
+//! when a prior [`Router::status`] sweep recorded their size, what
+//! fraction of the known user population — the answer excludes.
 //!
 //! Deterministic server refusals (budget exhausted, malformed query)
-//! are never retried and fail the whole query. When several shards
-//! fail fatally in the same round — two refuse concurrently, or one
-//! refuses while another turns out misrouted — the router stops
-//! dispatching further shards, waits for the in-flight ones, and
-//! reports the fatal outcome of the **lowest-numbered** shard, so
-//! concurrent failures surface exactly as they would under the old
-//! sequential visit order.
+//! and misrouted nodes are never retried and fail the whole query.
+//! Replies are read in shard order, so the first fatal outcome read is
+//! the lowest-numbered shard's: the router then dispatches no further
+//! shard, reads the replies already in flight, and reports it —
+//! exactly as the sequential visit order (`fanout = 1`) would.
 //!
 //! # Retry correctness
 //!
@@ -66,10 +68,10 @@ use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Estimate};
 use psketch_obs::{self as obs, RegistrySnapshot, SpanNode};
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
 use psketch_queries::{LinearAnswer, LinearQuery, PlanAccumulator, TermPlan};
-use psketch_server::{next_nonce, Client, ClientError, ServerStats, MAX_PLAN_TERMS};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use psketch_server::{
+    next_nonce, Client, ClientError, Request, Response, ServerStats, MAX_PLAN_TERMS,
+};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Backoff ceiling: however many retries are configured, no single
@@ -110,7 +112,8 @@ fn dur_ns(d: Duration) -> u64 {
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Connect/read/write timeout for every shard connection.
+    /// Connect and write timeout for every shard connection, and each
+    /// attempt's reply deadline (counted from its request's write).
     pub timeout: Duration,
     /// Extra attempts per shard operation after the first failure.
     pub retries: u32,
@@ -121,10 +124,11 @@ pub struct RouterConfig {
     pub analyst: u64,
     /// Chunk size for batch submissions (bounds frame sizes).
     pub submit_chunk: usize,
-    /// Maximum shard operations in flight at once. `0` (the default)
-    /// fans out to every shard concurrently; `1` degrades to the old
-    /// sequential visit order (useful as a latency/answer oracle).
-    /// Answers are bit-identical at every fanout.
+    /// Maximum shard requests written and not yet answered at once.
+    /// `0` (the default) writes every shard's request before reading
+    /// the first reply; `1` is the sequential visit order (useful as a
+    /// latency/answer oracle). Answers are bit-identical at every
+    /// fanout.
     pub fanout: usize,
     /// `Some(ms)` emits one structured WARN record, with a per-shard
     /// timing breakdown and slowest-shard attribution, for every plan
@@ -389,214 +393,83 @@ enum ShardAttempt<T> {
     Misrouted(Option<ShardIdentity>),
 }
 
-/// One shard operation, boxed for the worker channel. `FnMut` because
-/// the retry loop re-invokes it after reconnecting.
-type ShardOp<T> = Box<dyn FnMut(&mut Client) -> Result<T, ClientError> + Send>;
+impl<T> ShardAttempt<T> {
+    fn is_fatal(&self) -> bool {
+        matches!(self, Self::Refused { .. } | Self::Misrouted(_))
+    }
 
-/// A job posted to a shard worker.
-type Job = Box<dyn FnOnce(&mut ShardConn) + Send>;
+    /// The shard's value, or its outage; fatal outcomes become the
+    /// whole operation's error.
+    fn settle(self, shard: u32) -> Result<Result<T, ShardOutage>, ClusterError> {
+        match self {
+            Self::Ok(value) => Ok(Ok(value)),
+            Self::Down(error) => Ok(Err(ShardOutage { shard, error })),
+            Self::Refused { code, message } => Err(ClusterError::Refused {
+                shard,
+                code,
+                message,
+            }),
+            Self::Misrouted(found) => Err(ClusterError::Misrouted { shard, found }),
+        }
+    }
+}
 
-/// Reports a shard outcome even if the operation panics: while armed,
-/// dropping the reporter (unwinding included) sends a `Down` outcome so
-/// [`Router::run_on_shards`] can never hang on a lost result.
-struct PanicReporter<T> {
-    tx: mpsc::Sender<(u32, ShardAttempt<T>)>,
+/// How a shard's reply in a scatter was obtained.
+#[derive(Clone, Copy)]
+struct Stamp {
     shard: u32,
-    /// The logical query's trace id, when the operation carries one.
-    trace: Option<u64>,
-    armed: bool,
+    /// Attempts made: 1 plus the retries used.
+    attempts: u32,
+    /// When the last attempt's request was written, and how long until
+    /// its reply was read (`None` if no request frame went out).
+    exchange: Option<(Instant, Duration)>,
 }
 
-impl<T> Drop for PanicReporter<T> {
-    fn drop(&mut self) {
-        if self.armed {
-            // A panic silently becoming a `Down` outcome is exactly the
-            // failure an operator can't diagnose from coverage alone —
-            // leave a structured record before degrading.
-            let mut event = obs::log::error("psketch::router").field("shard", self.shard);
-            if let Some(trace) = self.trace {
-                event = event.trace(trace);
-            }
-            event.emit("shard operation panicked; degrading shard to Down");
-            obs::counter("psketch_router_panics_total", &[]).inc();
-            let _ = self.tx.send((
-                self.shard,
-                ShardAttempt::Down("shard operation panicked".into()),
-            ));
-        }
-    }
+/// One shard's result from a scatter.
+type Reply<T> = (Stamp, ShardAttempt<T>);
+
+/// A plan scatter's counts and (when profiled) the shard's span tree.
+type PlanCounts = (Vec<QueryCounts>, Option<SpanNode>);
+
+/// A shard whose frame is written and whose reply is unread.
+struct Flight {
+    /// Index into the scatter's targets.
+    target: usize,
+    /// The shard's connection, back in its slot once the reply is read
+    /// and the connection is still healthy.
+    client: Client,
+    /// Whether the frame written was a fresh connection's hello; the
+    /// request itself follows once the identity checks out.
+    hello: bool,
+    /// When the frame's write began.
+    sent: Instant,
 }
 
-/// Connection-owning retry parameters, copied per shard worker.
-#[derive(Clone)]
-struct RetryConfig {
-    timeout: Duration,
-    retries: u32,
-    backoff: Duration,
-    analyst: u64,
+/// The shortest read timeout a scatter sets. A reply already buffered
+/// is read at once whatever the timeout, and the socket option rejects
+/// zero.
+const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// Reads `client`'s next reply, waiting no later than `deadline`.
+fn read_by(client: &mut Client, deadline: Instant) -> Result<Response, ClientError> {
+    client.set_read_timeout(
+        deadline
+            .saturating_duration_since(Instant::now())
+            .max(MIN_READ_TIMEOUT),
+    )?;
+    client.receive()
 }
 
-/// One shard's connection state, owned by its worker thread. The
-/// connection persists across operations and is reopened (with a fresh
-/// hello handshake) after transport failures.
-struct ShardConn {
-    addr: String,
-    /// The identity the map expects behind `addr`.
-    expected: ShardIdentity,
-    /// Whether an unsharded node is acceptable (single-entry maps).
-    standalone_ok: bool,
-    retry: RetryConfig,
-    client: Option<Client>,
-}
-
-impl ShardConn {
-    /// Ensures a verified connection, running the hello handshake on
-    /// fresh connects.
-    fn ensure(&mut self) -> Result<&mut Client, ShardAttempt<()>> {
-        if self.client.is_none() {
-            let mut client = Client::connect(self.addr.as_str(), self.retry.timeout)
-                .map_err(|e| ShardAttempt::Down(e.to_string()))?;
-            let identity = match client.hello(self.retry.analyst) {
-                Ok(identity) => identity,
-                Err(ClientError::Server { code, message }) => {
-                    return Err(ShardAttempt::Refused { code, message });
-                }
-                Err(e) => return Err(ShardAttempt::Down(e.to_string())),
-            };
-            match identity {
-                Some(found) if found == self.expected => {}
-                // A standalone node is acceptable only as a 1-shard map.
-                None if self.standalone_ok => {}
-                other => return Err(ShardAttempt::Misrouted(other)),
-            }
-            self.client = Some(client);
-        }
-        Ok(self.client.as_mut().expect("connection just ensured"))
-    }
-
-    /// Runs one operation with retry + capped backoff. Transport
-    /// failures retry (reconnecting each time); server error frames
-    /// don't.
-    fn run<T>(&mut self, op: &mut ShardOp<T>) -> ShardAttempt<T> {
-        let mut last_err = String::from("no connection attempt made");
-        for attempt in 0..=self.retry.retries {
-            if attempt > 0 {
-                let delay = backoff_delay(self.retry.backoff, attempt);
-                obs::counter("psketch_router_retries_total", &[]).inc();
-                obs::histogram("psketch_router_backoff_sleep_nanos", &[])
-                    .record(u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX));
-                std::thread::sleep(delay);
-            }
-            let client = match self.ensure() {
-                Ok(client) => client,
-                Err(ShardAttempt::Down(e)) => {
-                    last_err = e;
-                    continue;
-                }
-                Err(ShardAttempt::Refused { code, message }) => {
-                    return ShardAttempt::Refused { code, message };
-                }
-                Err(ShardAttempt::Misrouted(found)) => return ShardAttempt::Misrouted(found),
-                Err(ShardAttempt::Ok(())) => unreachable!("ensure never yields Ok"),
-            };
-            match op(client) {
-                Ok(value) => return ShardAttempt::Ok(value),
-                Err(ClientError::Server { code, message })
-                    if code == psketch_server::wire::codes::RETRY_PENDING =>
-                {
-                    // Transient by contract: our own earlier attempt's
-                    // evaluation is still running server-side and its
-                    // answer will be cached. The exchange completed, so
-                    // the connection stays healthy — just retry.
-                    last_err = message;
-                }
-                Err(ClientError::Server { code, message }) => {
-                    return ShardAttempt::Refused { code, message };
-                }
-                Err(e) => {
-                    // The connection is poisoned or gone; reconnect on
-                    // the next attempt.
-                    last_err = e.to_string();
-                    self.client = None;
-                }
-            }
-        }
-        ShardAttempt::Down(last_err)
-    }
-}
-
-/// A long-lived worker thread owning one shard's connection. Jobs
-/// arrive over the channel; dropping the sender shuts the worker down
-/// (its connection closes with it).
-struct ShardWorker {
-    tx: Option<mpsc::Sender<Job>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ShardWorker {
-    fn spawn(shard: u32, mut conn: ShardConn) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let handle = std::thread::Builder::new()
-            .name(format!("psketch-shard-{shard}"))
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    // A panic in client code must not kill the worker:
-                    // the job's own guard reports it as a Down outcome,
-                    // the (possibly poisoned) connection is dropped,
-                    // and the worker keeps serving later queries.
-                    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        job(&mut conn);
-                    }))
-                    .is_err()
-                    {
-                        obs::log::error("psketch::router")
-                            .field("shard", shard)
-                            .field("addr", conn.addr.as_str())
-                            .emit("shard worker caught a panic; dropping its connection");
-                        conn.client = None;
-                    }
-                }
-            })
-            .expect("spawn shard worker thread");
-        Self {
-            tx: Some(tx),
-            handle: Some(handle),
-        }
-    }
-
-    fn send(&self, job: Job) -> Result<(), ()> {
-        self.tx
-            .as_ref()
-            .expect("worker alive until drop")
-            .send(job)
-            .map_err(|_| ())
-    }
-}
-
-impl Drop for ShardWorker {
-    fn drop(&mut self) {
-        // Close the channel first so the worker's recv loop exits, then
-        // join. Workers are idle between router calls, so this does not
-        // block on in-flight I/O.
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A parallel scatter-gather router over a shard map.
+/// A scatter-gather router over a shard map.
 pub struct Router {
     map: ShardMap,
     config: RouterConfig,
-    /// One connection-owning worker per shard, in shard order.
-    workers: Vec<ShardWorker>,
+    /// Each shard's persistent, hello-verified connection, in shard
+    /// order; `None` until first needed and after a transport failure.
+    conns: Vec<Option<Client>>,
     /// Last-known accepted-user count per shard (status sweeps).
     known_users: Vec<Option<u64>>,
     announcement: Option<Announcement>,
-    /// Per-shard dispatch→result durations of the most recent scatter
-    /// (ascending by shard), for slow-query attribution.
-    last_timings: Mutex<Vec<(u32, Duration)>>,
 }
 
 impl std::fmt::Debug for Router {
@@ -609,9 +482,8 @@ impl std::fmt::Debug for Router {
 }
 
 impl Router {
-    /// Builds a router over a validated map, spawning one (idle) worker
-    /// thread per shard. No connections are opened until the first
-    /// operation needs them.
+    /// Builds a router over a validated map. No connections are opened
+    /// until the first operation needs them.
     ///
     /// # Errors
     ///
@@ -619,36 +491,12 @@ impl Router {
     pub fn new(map: ShardMap, config: RouterConfig) -> Result<Self, ClusterError> {
         map.validate()?;
         let n = map.len();
-        let retry = RetryConfig {
-            timeout: config.timeout,
-            retries: config.retries,
-            backoff: config.backoff,
-            analyst: config.analyst,
-        };
-        let workers = (0..n as u32)
-            .map(|shard| {
-                ShardWorker::spawn(
-                    shard,
-                    ShardConn {
-                        addr: map.addr_of(shard).to_string(),
-                        expected: ShardIdentity {
-                            shard_id: shard,
-                            shard_count: n as u32,
-                        },
-                        standalone_ok: n == 1,
-                        retry: retry.clone(),
-                        client: None,
-                    },
-                )
-            })
-            .collect();
         Ok(Self {
             map,
             config,
-            workers,
+            conns: (0..n).map(|_| None).collect(),
             known_users: vec![None; n],
             announcement: None,
-            last_timings: Mutex::new(Vec::new()),
         })
     }
 
@@ -667,147 +515,242 @@ impl Router {
         }
     }
 
-    /// Runs one prepared operation per listed shard **in parallel**
-    /// across the shard workers — at most [`RouterConfig::fanout`] in
-    /// flight at once — and returns every dispatched shard's outcome in
-    /// ascending shard order. Retries (with backoff) happen inside each
-    /// worker, so a slow or flapping shard never delays another shard's
-    /// attempt.
+    /// Sends each target shard its request and returns every dispatched
+    /// shard's reply, in ascending shard order (`targets` must ascend).
     ///
-    /// Once a **fatal** outcome (refusal, misroute) arrives, no further
-    /// shards are dispatched — the operation is doomed, and every extra
-    /// dispatch would charge another shard's ε-ledger and burn its
-    /// retry schedule for an answer that will be discarded. In-flight
-    /// shards are still drained. At `fanout = 1` this reproduces the
-    /// old sequential behavior exactly: shards after the first fatal
-    /// one are never contacted.
-    fn run_on_shards<T: Send + 'static>(
-        &self,
-        shards: &[u32],
-        trace: Option<u64>,
-        mut make_op: impl FnMut(u32) -> ShardOp<T>,
-    ) -> Vec<(u32, ShardAttempt<T>)> {
-        let fanout = self.effective_fanout().max(1);
-        let scatter_started = Instant::now();
-        let (result_tx, result_rx) = mpsc::channel::<(u32, ShardAttempt<T>)>();
-        let mut results: Vec<(u32, ShardAttempt<T>)> = Vec::with_capacity(shards.len());
-        let mut dispatched_at: Vec<Option<Instant>> = vec![None; self.map.len()];
-        let mut timings: Vec<(u32, Duration)> = Vec::with_capacity(shards.len());
-        let mut next = 0usize;
-        let mut in_flight = 0usize;
-        let mut fatal_seen = false;
-        while (next < shards.len() && !fatal_seen) || in_flight > 0 {
-            while next < shards.len() && in_flight < fanout && !fatal_seen {
-                let shard = shards[next];
-                next += 1;
-                let mut op = make_op(shard);
-                let tx = result_tx.clone();
-                let job: Job = Box::new(move |conn| {
-                    // If the operation panics, the guard's Drop still
-                    // reports an outcome — a panic in client code must
-                    // never leave the router waiting forever.
-                    let mut guard = PanicReporter {
-                        tx,
-                        shard,
-                        trace,
-                        armed: true,
-                    };
-                    let attempt = conn.run(&mut op);
-                    guard.armed = false;
-                    // The router may only be draining a fatal result;
-                    // a closed channel is fine.
-                    let _ = guard.tx.send((shard, attempt));
-                });
-                // Stamp before the send: a fast shard can answer before
-                // `send` returns, and a later stamp would under-time it.
-                let dispatched = Instant::now();
-                if self.workers[shard as usize].send(job).is_err() {
-                    // The worker thread died (it never panics by
-                    // design, but don't hang the query if it did).
-                    results.push((shard, ShardAttempt::Down("shard worker terminated".into())));
-                } else {
-                    dispatched_at[shard as usize] = Some(dispatched);
-                    in_flight += 1;
-                }
+    /// Each round writes the frames of the shards still owed an answer
+    /// — at most [`RouterConfig::fanout`] unread at once — and reads
+    /// the replies in shard order. Shards that failed in transport (or
+    /// answered `RETRY_PENDING`) are retried together in the next
+    /// round, behind one capped backoff sleep.
+    ///
+    /// Once a **fatal** outcome (refusal, misroute) is read, no further
+    /// shard is dispatched and no retry round runs — the operation is
+    /// doomed, and every extra dispatch would charge another shard's
+    /// ε-ledger for an answer that will be discarded. Replies already
+    /// in flight are still read.
+    fn scatter<T>(
+        &mut self,
+        targets: &[(u32, &Request)],
+        decode: impl Fn(Response) -> Option<T>,
+    ) -> Vec<Reply<T>> {
+        let started = Instant::now();
+        let mut replies: Vec<Option<Reply<T>>> = targets.iter().map(|_| None).collect();
+        let mut pending: Vec<usize> = (0..targets.len()).collect();
+        let mut attempt = 1;
+        loop {
+            let (retry, fatal) = self.round(targets, &pending, &decode, attempt, &mut replies);
+            pending = retry;
+            if fatal || pending.is_empty() || attempt > self.config.retries {
+                break;
             }
-            if in_flight > 0 {
-                match result_rx.recv() {
-                    Ok(result) => {
-                        if let Some(started) = dispatched_at[result.0 as usize] {
-                            timings.push((result.0, started.elapsed()));
-                        }
-                        if matches!(result.1, ShardAttempt::Down(_)) {
-                            obs::counter("psketch_router_shard_down_total", &[]).inc();
-                        }
-                        fatal_seen |= matches!(
-                            result.1,
-                            ShardAttempt::Refused { .. } | ShardAttempt::Misrouted(_)
-                        );
-                        results.push(result);
-                        in_flight -= 1;
-                    }
-                    Err(_) => break, // unreachable: we hold result_tx
-                }
-            }
+            let delay = backoff_delay(self.config.backoff, attempt);
+            obs::counter("psketch_router_retries_total", &[]).add(pending.len() as u64);
+            obs::histogram("psketch_router_backoff_sleep_nanos", &[]).record_duration(delay);
+            std::thread::sleep(delay);
+            attempt += 1;
         }
-        obs::histogram("psketch_router_scatter_nanos", &[])
-            .record_duration(scatter_started.elapsed());
+        obs::histogram("psketch_router_scatter_nanos", &[]).record_duration(started.elapsed());
         let attempt_nanos = obs::histogram("psketch_router_shard_attempt_nanos", &[]);
-        timings.sort_by_key(|&(shard, _)| shard);
-        for &(_, elapsed) in &timings {
-            attempt_nanos.record_duration(elapsed);
+        let replies: Vec<Reply<T>> = replies.into_iter().flatten().collect();
+        for (stamp, outcome) in &replies {
+            if let Some((_, elapsed)) = stamp.exchange {
+                attempt_nanos.record_duration(elapsed);
+            }
+            if matches!(outcome, ShardAttempt::Down(_)) {
+                obs::counter("psketch_router_shard_down_total", &[]).inc();
+            }
         }
-        *self.last_timings.lock().expect("timing mutex poisoned") = timings;
-        // Completion order is nondeterministic; merge order is not.
-        results.sort_by_key(|&(shard, _)| shard);
-        results
+        replies
     }
 
-    /// Splits per-shard outcomes into successes and outages, failing
-    /// deterministically on fatal outcomes: the scan runs in ascending
-    /// shard order, so when several shards fail fatally in one parallel
-    /// round the lowest-numbered shard's failure is reported — exactly
-    /// what the old sequential visit order produced.
-    fn gather<T>(results: Vec<(u32, ShardAttempt<T>)>) -> Result<Gathered<T>, ClusterError> {
+    /// One attempt for every `pending` target; returns the targets to
+    /// retry and whether a fatal outcome stopped dispatch.
+    fn round<T>(
+        &mut self,
+        targets: &[(u32, &Request)],
+        pending: &[usize],
+        decode: &impl Fn(Response) -> Option<T>,
+        attempts: u32,
+        replies: &mut [Option<Reply<T>>],
+    ) -> (Vec<usize>, bool) {
+        let fanout = self.effective_fanout().max(1);
+        let mut queue = pending.iter().copied();
+        let mut flights = VecDeque::with_capacity(fanout.min(pending.len()));
+        let mut retry = Vec::new();
+        let mut fatal = false;
+        loop {
+            // Fill the window in shard order, then read the oldest flight.
+            let next = (flights.len() < fanout && !fatal).then(|| queue.next());
+            let (target, outcome, exchange) = match next.flatten() {
+                Some(target) => match self.dispatch(target, targets) {
+                    Ok(flight) => {
+                        flights.push_back(flight);
+                        continue;
+                    }
+                    Err(error) => (target, ShardAttempt::Down(error), None),
+                },
+                None => {
+                    let Some(flight) = flights.pop_front() else {
+                        break;
+                    };
+                    if fatal && flight.hello {
+                        // Its request is not written yet, and now never
+                        // will be; the unverified connection is dropped.
+                        continue;
+                    }
+                    let target = flight.target;
+                    let (shard, request) = targets[target];
+                    let (outcome, exchange) = self.complete(shard, request, flight, decode);
+                    (target, outcome, exchange)
+                }
+            };
+            if matches!(outcome, ShardAttempt::Down(_)) {
+                retry.push(target);
+            }
+            fatal |= outcome.is_fatal();
+            let shard = targets[target].0;
+            let stamp = Stamp {
+                shard,
+                attempts,
+                exchange,
+            };
+            replies[target] = Some((stamp, outcome));
+        }
+        retry.sort_unstable();
+        (retry, fatal)
+    }
+
+    /// Writes target `target`'s request — or, on a fresh connection,
+    /// the hello handshake that must precede it. A failure drops the
+    /// connection.
+    fn dispatch(&mut self, target: usize, targets: &[(u32, &Request)]) -> Result<Flight, String> {
+        let (shard, request) = targets[target];
+        let slot = &mut self.conns[shard as usize];
+        let hello = slot.is_none();
+        let mut client = match slot.take() {
+            Some(client) => client,
+            None => Client::connect(self.map.addr_of(shard), self.config.timeout)
+                .map_err(|e| e.to_string())?,
+        };
+        // Stamp before the write: a fast shard can answer before the
+        // write returns, and a later stamp would under-time it.
+        let sent = Instant::now();
+        let written = if hello {
+            client.send(&Request::Hello {
+                analyst: self.config.analyst,
+            })
+        } else {
+            client.send(request)
+        };
+        written.map_err(|e| e.to_string())?;
+        Ok(Flight {
+            target,
+            client,
+            hello,
+            sent,
+        })
+    }
+
+    /// Reads `shard`'s reply to a dispatched flight by its deadline —
+    /// first verifying the hello and writing the request, on a fresh
+    /// connection. Server error frames complete the exchange; any other
+    /// failure drops the connection.
+    fn complete<T>(
+        &mut self,
+        shard: u32,
+        request: &Request,
+        flight: Flight,
+        decode: &impl Fn(Response) -> Option<T>,
+    ) -> (ShardAttempt<T>, Option<(Instant, Duration)>) {
+        let mut client = flight.client;
+        let deadline = flight.sent + self.config.timeout;
+        let mut sent = flight.sent;
+        if flight.hello {
+            let expected = ShardIdentity {
+                shard_id: shard,
+                shard_count: self.map.len() as u32,
+            };
+            match read_by(&mut client, deadline) {
+                // A standalone node is acceptable only as a 1-shard map.
+                Ok(Response::Hello { shard: found })
+                    if found.as_ref() == Some(&expected)
+                        || (found.is_none() && self.map.len() == 1) => {}
+                Ok(Response::Hello { shard: found }) => {
+                    return (ShardAttempt::Misrouted(found), None);
+                }
+                Ok(other) => {
+                    let error = format!("protocol error: unexpected hello reply {other:?}");
+                    return (ShardAttempt::Down(error), None);
+                }
+                Err(ClientError::Server { code, message }) => {
+                    return (ShardAttempt::Refused { code, message }, None);
+                }
+                Err(e) => return (ShardAttempt::Down(e.to_string()), None),
+            }
+            sent = Instant::now();
+            if let Err(e) = client.send(request) {
+                return (ShardAttempt::Down(e.to_string()), None);
+            }
+        }
+        let reply = read_by(&mut client, deadline);
+        let exchange = Some((sent, sent.elapsed()));
+        let (outcome, healthy) = match reply {
+            Ok(resp) => match decode(resp) {
+                Some(value) => (ShardAttempt::Ok(value), true),
+                None => {
+                    let error = "protocol error: unexpected response kind".to_string();
+                    (ShardAttempt::Down(error), false)
+                }
+            },
+            // Transient by contract: our own earlier attempt's
+            // evaluation is still running server-side and its answer
+            // will be cached. The exchange completed, so the connection
+            // stays healthy — just retry.
+            Err(ClientError::Server { code, message })
+                if code == psketch_server::wire::codes::RETRY_PENDING =>
+            {
+                (ShardAttempt::Down(message), true)
+            }
+            Err(ClientError::Server { code, message }) => {
+                (ShardAttempt::Refused { code, message }, true)
+            }
+            Err(e) => (ShardAttempt::Down(e.to_string()), false),
+        };
+        if healthy {
+            self.conns[shard as usize] = Some(client);
+        }
+        (outcome, exchange)
+    }
+
+    /// Sends every shard the same request.
+    fn broadcast<T>(
+        &mut self,
+        request: &Request,
+        decode: impl Fn(Response) -> Option<T>,
+    ) -> Vec<Reply<T>> {
+        let targets: Vec<(u32, &Request)> = (0..self.map.len() as u32)
+            .map(|shard| (shard, request))
+            .collect();
+        self.scatter(&targets, decode)
+    }
+
+    /// Splits replies into successes and outages. Replies ascend by
+    /// shard, so when several shards failed fatally the lowest-numbered
+    /// one is reported — what the sequential visit order produces.
+    fn gather<T>(replies: Vec<Reply<T>>) -> Result<Gathered<T>, ClusterError> {
         let mut gathered = Vec::new();
         let mut outages = Vec::new();
-        for (shard, attempt) in results {
-            match attempt {
-                ShardAttempt::Ok(value) => gathered.push((shard, value)),
-                ShardAttempt::Down(error) => outages.push(ShardOutage { shard, error }),
-                ShardAttempt::Refused { code, message } => {
-                    return Err(ClusterError::Refused {
-                        shard,
-                        code,
-                        message,
-                    });
-                }
-                ShardAttempt::Misrouted(found) => {
-                    return Err(ClusterError::Misrouted { shard, found });
-                }
+        for (stamp, outcome) in replies {
+            match outcome.settle(stamp.shard)? {
+                Ok(value) => gathered.push((stamp.shard, value)),
+                Err(outage) => outages.push(outage),
             }
         }
         if gathered.is_empty() {
             return Err(ClusterError::AllShardsDown(outages));
         }
         Ok((gathered, outages))
-    }
-
-    /// Scatters one operation over every shard in parallel, gathering
-    /// successes and outages. Deterministic refusals and misrouted
-    /// nodes abort (lowest shard wins).
-    fn scatter<T: Send + 'static>(
-        &mut self,
-        trace: Option<u64>,
-        op: impl Fn(&mut Client) -> Result<T, ClientError> + Send + Sync + 'static,
-    ) -> Result<Gathered<T>, ClusterError> {
-        let shards: Vec<u32> = (0..self.map.len() as u32).collect();
-        let op = Arc::new(op);
-        let results = self.run_on_shards(&shards, trace, |_| {
-            let op = Arc::clone(&op);
-            Box::new(move |client: &mut Client| op(client))
-        });
-        Self::gather(results)
     }
 
     fn coverage(
@@ -829,9 +772,9 @@ impl Router {
         }
     }
 
-    /// The deployment's announcement: fetched from every shard in
-    /// parallel and verified identical across responding shards (the
-    /// lowest responding shard is the reference), then cached.
+    /// The deployment's announcement: fetched from every shard and
+    /// verified identical across responding shards (the lowest
+    /// responding shard is the reference), then cached.
     ///
     /// # Errors
     ///
@@ -840,9 +783,12 @@ impl Router {
         if let Some(ann) = &self.announcement {
             return Ok(ann.clone());
         }
-        let (gathered, _) = self.scatter(None, Client::announcement)?;
-        let (first_shard, reference) = &gathered[0];
-        debug_assert!(first_shard < &(self.map.len() as u32));
+        let replies = self.broadcast(&Request::FetchAnnouncement, |resp| match resp {
+            Response::Announcement(ann) => Some(ann),
+            _ => None,
+        });
+        let (gathered, _) = Self::gather(replies)?;
+        let (_, reference) = &gathered[0];
         for (shard, ann) in &gathered[1..] {
             if ann != reference {
                 return Err(ClusterError::AnnouncementMismatch { shard: *shard });
@@ -862,10 +808,13 @@ impl Router {
         Ok(params.p())
     }
 
-    /// Submits a batch, fanned out by each user's shard — all shards in
-    /// parallel over the workers' persistent connections. Shards that
-    /// stay unreachable are reported in the outcome (those users are
-    /// *not* ingested); reachable shards are unaffected.
+    /// Submits a batch, fanned out by each user's shard over the
+    /// persistent shard connections: one scatter round per chunk, every
+    /// shard with submissions left taking its next chunk at once.
+    /// Shards that stay unreachable are reported in the outcome with
+    /// the submissions they did not acknowledge (chunks acked before
+    /// the failure are durable and counted); reachable shards are
+    /// unaffected.
     ///
     /// # Errors
     ///
@@ -875,77 +824,70 @@ impl Router {
         &mut self,
         subs: &[Submission],
     ) -> Result<ClusterSubmitReport, ClusterError> {
-        let mut per_shard: Vec<Vec<Submission>> = (0..self.map.len()).map(|_| Vec::new()).collect();
+        let mut per_shard: Vec<Vec<&Submission>> =
+            (0..self.map.len()).map(|_| Vec::new()).collect();
         for sub in subs {
-            per_shard[self.map.shard_of(sub.user) as usize].push(sub.clone());
+            per_shard[self.map.shard_of(sub.user) as usize].push(sub);
         }
         let chunk = self.config.submit_chunk.max(1);
-        let batches: Vec<Option<Arc<Vec<Submission>>>> = per_shard
-            .into_iter()
-            .map(|batch| (!batch.is_empty()).then(|| Arc::new(batch)))
-            .collect();
-        let sizes: Vec<usize> = batches
-            .iter()
-            .map(|b| b.as_ref().map_or(0, |batch| batch.len()))
-            .collect();
-        let shards: Vec<u32> = batches
-            .iter()
-            .enumerate()
-            .filter_map(|(shard, batch)| batch.as_ref().map(|_| shard as u32))
-            .collect();
-        let results = self.run_on_shards(&shards, None, |shard| {
-            let batch = Arc::clone(batches[shard as usize].as_ref().expect("non-empty batch"));
-            // Retries resume after the last acked submission instead of
-            // re-sending the whole batch: acked chunks are durable, and
-            // re-submitting them would mis-report them as duplicate
-            // rejections. Only the chunk whose ack was lost in flight
-            // can be double-sent (its users dedup server-side).
-            let mut processed = 0usize;
-            let mut total = psketch_server::SubmitAck::default();
-            Box::new(move |client: &mut Client| {
-                let (ack, err) = client.submit_chunked_partial(&batch[processed..], chunk);
-                total.accepted += ack.accepted;
-                total.rejected += ack.rejected;
-                processed += usize::try_from(ack.accepted + ack.rejected).unwrap_or(usize::MAX);
-                match err {
-                    None => Ok(total),
-                    Some(e) => Err(e),
-                }
-            })
-        });
         let mut report = ClusterSubmitReport::default();
-        for (shard, attempt) in results {
-            match attempt {
-                ShardAttempt::Ok(ack) => {
-                    report.accepted += ack.accepted;
-                    report.rejected += ack.rejected;
-                }
-                ShardAttempt::Down(error) => {
-                    report.failed.push((shard, sizes[shard as usize], error));
-                }
-                ShardAttempt::Refused { code, message } => {
-                    return Err(ClusterError::Refused {
-                        shard,
-                        code,
-                        message,
-                    });
-                }
-                ShardAttempt::Misrouted(found) => {
-                    return Err(ClusterError::Misrouted { shard, found });
+        // A failed shard's first unacked offset and error; it takes no
+        // further chunks. Retrying a chunk whose ack was lost in flight
+        // can double-send it (its users dedup server-side).
+        let mut failed: Vec<Option<(usize, String)>> = vec![None; self.map.len()];
+        for offset in (0..).step_by(chunk) {
+            let requests: Vec<(u32, Request)> = per_shard
+                .iter()
+                .enumerate()
+                .filter(|&(shard, batch)| failed[shard].is_none() && batch.len() > offset)
+                .map(|(shard, batch)| {
+                    let end = batch.len().min(offset + chunk);
+                    (
+                        shard as u32,
+                        Request::SubmitBatch(
+                            batch[offset..end].iter().map(|&s| s.clone()).collect(),
+                        ),
+                    )
+                })
+                .collect();
+            if requests.is_empty() {
+                break;
+            }
+            let targets: Vec<(u32, &Request)> = requests.iter().map(|(s, r)| (*s, r)).collect();
+            let replies = self.scatter(&targets, |resp| match resp {
+                Response::SubmitAck { accepted, rejected } => Some((accepted, rejected)),
+                _ => None,
+            });
+            for (stamp, outcome) in replies {
+                match outcome.settle(stamp.shard)? {
+                    Ok((accepted, rejected)) => {
+                        report.accepted += accepted;
+                        report.rejected += rejected;
+                    }
+                    Err(outage) => failed[outage.shard as usize] = Some((offset, outage.error)),
                 }
             }
         }
+        report.failed = failed
+            .into_iter()
+            .enumerate()
+            .filter_map(|(shard, failure)| {
+                failure
+                    .map(|(offset, error)| (shard as u32, per_shard[shard].len() - offset, error))
+            })
+            .collect();
         Ok(report)
     }
 
     /// Executes a compiled [`TermPlan`] across the cluster — the one
     /// distributed query path every family routes through. Each shard
     /// counts the plan's deduplicated terms in a single generic
-    /// `PartialTermCounts` round trip, all shards concurrently; the
-    /// router merges the integer counts in shard order, inverts once
-    /// per term, and runs the plan's post-combination exactly as the
-    /// single-node engine would. One nonce covers the whole logical
-    /// query, so per-shard retries never double-charge the analyst.
+    /// `PartialTermCounts` round trip, all shards' requests in flight at
+    /// once; the router merges the integer counts in shard order,
+    /// inverts once per term, and runs the plan's post-combination
+    /// exactly as the single-node engine would. One nonce covers the
+    /// whole logical query, so per-shard retries never double-charge
+    /// the analyst.
     ///
     /// # Errors
     ///
@@ -954,16 +896,40 @@ impl Router {
     /// for its subset).
     pub fn execute_plan(&mut self, plan: &TermPlan) -> Result<ClusterPlanAnswer, ClusterError> {
         let p = self.bias()?;
-        let terms: Arc<Vec<ConjunctiveQuery>> = Arc::new(plan.terms().to_vec());
-        let expected = terms.len();
-        let nonce = next_nonce();
-        let scatter_started = Instant::now();
-        let scattered = self.scatter(Some(nonce), move |client| {
-            client.partial_term_counts_nonced(nonce, &terms)
-        });
-        self.observe_plan_scatter(nonce, expected, scatter_started.elapsed(), &scattered);
+        let (_, _, scattered) = self.scatter_plan(plan, false);
         let (gathered, outages) = scattered?;
-        self.merge_plan_counts(plan, p, gathered, outages)
+        let counts = gathered
+            .into_iter()
+            .map(|(shard, (counts, _))| (shard, counts))
+            .collect();
+        self.merge_plan_counts(plan, p, counts, outages)
+    }
+
+    /// The scatter half of a plan query, shared by the plain and
+    /// profiled paths: one nonce, one `PartialTermCounts` frame to every
+    /// shard, and the per-query trace record. Returns the nonce, the
+    /// per-shard stamps and the gathered counts.
+    fn scatter_plan(
+        &mut self,
+        plan: &TermPlan,
+        profile: bool,
+    ) -> (u64, Vec<Stamp>, Result<Gathered<PlanCounts>, ClusterError>) {
+        let nonce = next_nonce();
+        let request = Request::PartialTermCounts {
+            terms: plan.terms().to_vec(),
+            nonce,
+            profile,
+        };
+        let started = Instant::now();
+        let replies = self.broadcast(&request, |resp| match resp {
+            Response::PartialTermCounts(counts, trace) => Some((counts, trace)),
+            _ => None,
+        });
+        let elapsed = started.elapsed();
+        let stamps: Vec<Stamp> = replies.iter().map(|&(stamp, _)| stamp).collect();
+        let outcome = Self::gather(replies);
+        self.observe_plan_scatter(nonce, plan.terms().len(), elapsed, &stamps, &outcome);
+        (nonce, stamps, outcome)
     }
 
     /// The merge half of a plan scatter, shared verbatim by the plain
@@ -1010,13 +976,15 @@ impl Router {
     /// own pipeline (wire `profile` flag) and the router stitches the
     /// returned subtrees into one waterfall under a `router:plan` root —
     /// `router:scatter` holds one `shard:<id>` wrapper per responding
-    /// shard whose duration is the dispatch→result round trip and whose
-    /// only child is the shard's own span tree, so the wrapper's *self*
-    /// time is the network + queue + framing gap no single node can see;
-    /// `router:merge` times the count merge, inversion, and plan
-    /// evaluation. The answer is **bit-identical** to the unprofiled
-    /// path: the scatter carries the same frames plus one flag byte, and
-    /// the merge runs the same code on the same integers.
+    /// shard, spanning request written → reply read, whose only child
+    /// is the shard's own span tree, so the wrapper's *self* time is the
+    /// network + queue + framing gap no single node can see. Replies
+    /// are read in shard order, so a reply that waited behind an earlier
+    /// shard's read is over-timed by at most that wait. `router:merge`
+    /// times the count merge, inversion, and plan evaluation. The answer
+    /// is **bit-identical** to the unprofiled path: the scatter carries
+    /// the same frames plus one flag byte, and the merge runs the same
+    /// code on the same integers.
     ///
     /// # Errors
     ///
@@ -1024,34 +992,10 @@ impl Router {
     pub fn explain_plan(&mut self, plan: &TermPlan) -> Result<ClusterExplain, ClusterError> {
         let overall = Instant::now();
         let p = self.bias()?;
-        let terms: Arc<Vec<ConjunctiveQuery>> = Arc::new(plan.terms().to_vec());
-        let expected = terms.len();
-        let nonce = next_nonce();
-        let shards: Vec<u32> = (0..self.map.len() as u32).collect();
-        // Per-shard attempt counts: the op runs once per (re)try, so a
-        // wrapper showing `attempt=3` had two transport failures behind
-        // its round-trip time.
-        let attempts: Arc<Vec<AtomicU64>> =
-            Arc::new((0..self.map.len()).map(|_| AtomicU64::new(0)).collect());
         let scatter_started = Instant::now();
-        let results = self.run_on_shards(&shards, Some(nonce), |shard| {
-            let terms = Arc::clone(&terms);
-            let attempts = Arc::clone(&attempts);
-            Box::new(move |client: &mut Client| {
-                // ord: per-shard retry tally read only after join()
-                attempts[shard as usize].fetch_add(1, Ordering::Relaxed);
-                client.partial_term_counts_traced(nonce, &terms)
-            })
-        });
+        let (nonce, stamps, scattered) = self.scatter_plan(plan, true);
         let scatter_elapsed = scatter_started.elapsed();
-        let scattered = Self::gather(results);
-        self.observe_plan_scatter(nonce, expected, scatter_elapsed, &scattered);
         let (gathered, outages) = scattered?;
-        let timings: Vec<(u32, Duration)> = self
-            .last_timings
-            .lock()
-            .expect("timing mutex poisoned")
-            .clone();
         let mut counts = Vec::with_capacity(gathered.len());
         let mut subtrees = Vec::with_capacity(gathered.len());
         for (shard, (shard_counts, subtree)) in gathered {
@@ -1062,20 +1006,22 @@ impl Router {
         let answer = self.merge_plan_counts(plan, p, counts, outages)?;
         let merge_elapsed = merge_started.elapsed();
 
-        let scatter_start_ns = dur_ns(scatter_started.duration_since(overall));
-        let mut scatter_span =
-            SpanNode::new("router:scatter", scatter_start_ns, dur_ns(scatter_elapsed));
+        let since = |at: Instant| dur_ns(at.duration_since(overall));
+        let mut scatter_span = SpanNode::new(
+            "router:scatter",
+            since(scatter_started),
+            dur_ns(scatter_elapsed),
+        );
         for (shard, subtree) in subtrees {
-            let rpc_ns = timings
-                .iter()
-                .find(|&&(s, _)| s == shard)
-                .map_or(0, |&(_, d)| dur_ns(d));
-            let mut wrapper = SpanNode::new(format!("shard:{shard}"), scatter_start_ns, rpc_ns);
-            wrapper.attrs.push((
-                "attempt".into(),
-                // ord: read after the worker joined; join synchronizes
-                attempts[shard as usize].load(Ordering::Relaxed),
-            ));
+            let Some(stamp) = stamps.iter().find(|s| s.shard == shard) else {
+                continue;
+            };
+            let (sent, rtt) = stamp.exchange.unwrap_or((scatter_started, Duration::ZERO));
+            let mut wrapper = SpanNode::new(format!("shard:{shard}"), since(sent), dur_ns(rtt));
+            // `attempt=3` had two transport failures behind its round trip.
+            wrapper
+                .attrs
+                .push(("attempt".into(), u64::from(stamp.attempts)));
             // A shard that skipped profiling (e.g. served the retry from
             // its replay cache) contributes a childless wrapper: the
             // round trip is still attributed, just not broken down.
@@ -1084,13 +1030,9 @@ impl Router {
             }
             scatter_span.children.push(wrapper);
         }
-        let merge_span = SpanNode::new(
-            "router:merge",
-            dur_ns(merge_started.duration_since(overall)),
-            dur_ns(merge_elapsed),
-        );
+        let merge_span = SpanNode::new("router:merge", since(merge_started), dur_ns(merge_elapsed));
         let mut root = SpanNode::new("router:plan", 0, dur_ns(overall.elapsed()));
-        root.attrs.push(("terms".into(), expected as u64));
+        root.attrs.push(("terms".into(), plan.terms().len() as u64));
         root.attrs
             .push(("shards".into(), answer.coverage.responding.len() as u64));
         root.children.push(scatter_span);
@@ -1103,9 +1045,9 @@ impl Router {
     }
 
     /// Fetches a recently profiled query's span subtree from every
-    /// shard's recent-trace ring by nonce, in parallel. Shards that
-    /// never profiled the nonce (or have since evicted it) report
-    /// `None`; unreachable shards appear as outages.
+    /// shard's recent-trace ring by nonce. Shards that never profiled
+    /// the nonce (or have since evicted it) report `None`; unreachable
+    /// shards appear as outages.
     ///
     /// # Errors
     ///
@@ -1115,19 +1057,24 @@ impl Router {
         &mut self,
         nonce: u64,
     ) -> Result<(Vec<(u32, Option<SpanNode>)>, Vec<ShardOutage>), ClusterError> {
-        self.scatter(Some(nonce), move |client: &mut Client| client.trace(nonce))
+        let replies = self.broadcast(&Request::Trace { nonce }, |resp| match resp {
+            Response::Trace(tree) => Some(tree),
+            _ => None,
+        });
+        Self::gather(replies)
     }
 
     /// Emits the per-query trace record for a plan scatter: a DEBUG
     /// line always (filter permitting), plus — past the configured
     /// [`RouterConfig::slow_query_ms`] threshold — one WARN with the
-    /// per-shard dispatch→result breakdown and slowest-shard
-    /// attribution, all correlated by the query nonce.
+    /// per-shard request-written → reply-read breakdown and
+    /// slowest-shard attribution, all correlated by the query nonce.
     fn observe_plan_scatter<T>(
         &self,
         nonce: u64,
         terms: usize,
         elapsed: Duration,
+        stamps: &[Stamp],
         outcome: &Result<Gathered<T>, ClusterError>,
     ) {
         obs::counter("psketch_router_plans_total", &[]).inc();
@@ -1143,14 +1090,16 @@ impl Router {
         if !obs::log::enabled(level, "psketch::router::query") {
             return;
         }
-        let timings = self.last_timings.lock().expect("timing mutex poisoned");
-        let breakdown = timings
+        let rtts: Vec<(u32, Duration)> = stamps
             .iter()
-            .map(|&(shard, d)| format!("{shard}:{}us", d.as_micros()))
+            .filter_map(|s| Some((s.shard, s.exchange?.1)))
+            .collect();
+        let breakdown = rtts
+            .iter()
+            .map(|(shard, rtt)| format!("{shard}:{}us", rtt.as_micros()))
             .collect::<Vec<_>>()
             .join(" ");
-        let slowest = timings.iter().max_by_key(|&&(_, d)| d).copied();
-        drop(timings);
+        let slowest = rtts.iter().max_by_key(|&&(_, rtt)| rtt);
         let mut event = obs::log::event(level, "psketch::router::query")
             .trace(nonce)
             .field("terms", terms)
@@ -1164,10 +1113,10 @@ impl Router {
                     Err(e) => format!("error({e})"),
                 },
             );
-        if let Some((shard, d)) = slowest {
+        if let Some(&(shard, rtt)) = slowest {
             event = event
                 .field("slowest_shard", shard)
-                .field("slowest_us", d.as_micros());
+                .field("slowest_us", rtt.as_micros());
         }
         event.emit(if slow { "slow query" } else { "plan scatter" });
     }
@@ -1232,8 +1181,8 @@ impl Router {
         })
     }
 
-    /// Sweeps every shard (in parallel) for coordinator + server stats,
-    /// refreshing the per-shard population cache used for
+    /// Sweeps every shard for coordinator + server stats (two scatter
+    /// rounds), refreshing the per-shard population cache used for
     /// degraded-answer reporting.
     ///
     /// Unreachable shards appear with their error instead of counters —
@@ -1243,15 +1192,33 @@ impl Router {
     ///
     /// All-shards-down, refusals, misrouted nodes.
     pub fn status(&mut self) -> Result<ClusterStatus, ClusterError> {
-        let (gathered, outages) = self.scatter(None, |client: &mut Client| {
-            let coordinator = client.stats()?;
-            let server = client.server_stats()?;
-            Ok((coordinator, server))
-        })?;
+        let replies = self.broadcast(&Request::Stats, |resp| match resp {
+            Response::Stats(stats) => Some(stats),
+            _ => None,
+        });
+        let (coordinators, mut outages) = Self::gather(replies)?;
+        let request = Request::ServerStats;
+        let targets: Vec<(u32, &Request)> = coordinators
+            .iter()
+            .map(|&(shard, _)| (shard, &request))
+            .collect();
+        let replies = self.scatter(&targets, |resp| match resp {
+            Response::ServerStats(stats) => Some(stats),
+            _ => None,
+        });
         let mut per_shard: Vec<ShardStatus> = Vec::with_capacity(self.map.len());
         let mut merged = CoordinatorStats::default();
         let mut merged_server = ServerStats::default();
-        for (shard, (coordinator, server)) in gathered {
+        // Replies follow `targets` in order; only a fatal outcome, which
+        // returns here, cuts them short.
+        for ((shard, coordinator), reply) in coordinators.into_iter().zip(replies) {
+            let server = match reply.1.settle(shard)? {
+                Ok(server) => server,
+                Err(outage) => {
+                    outages.push(outage);
+                    continue;
+                }
+            };
             self.known_users[shard as usize] = Some(coordinator.accepted);
             merged.merge(&coordinator);
             merged_server.merge(&server);
@@ -1260,6 +1227,10 @@ impl Router {
                 addr: self.map.addr_of(shard).to_string(),
                 status: Ok((coordinator, server)),
             });
+        }
+        if per_shard.is_empty() {
+            outages.sort_by_key(|o| o.shard);
+            return Err(ClusterError::AllShardsDown(outages));
         }
         for outage in outages {
             per_shard.push(ShardStatus {
@@ -1286,7 +1257,11 @@ impl Router {
     ///
     /// All-shards-down, refusals, misrouted nodes.
     pub fn metrics(&mut self) -> Result<(RegistrySnapshot, Vec<ShardOutage>), ClusterError> {
-        let (gathered, outages) = self.scatter(None, Client::metrics)?;
+        let replies = self.broadcast(&Request::Metrics, |resp| match resp {
+            Response::Metrics(snap) => Some(snap),
+            _ => None,
+        });
+        let (gathered, outages) = Self::gather(replies)?;
         let mut merged = RegistrySnapshot::default();
         for (_, snap) in gathered {
             merged.merge(&snap);
@@ -1294,15 +1269,18 @@ impl Router {
         Ok((merged, outages))
     }
 
-    /// Pings every shard in parallel; returns the set of unreachable
-    /// shards.
+    /// Pings every shard; returns the set of unreachable shards.
     ///
     /// # Errors
     ///
     /// Refusals and misrouted nodes only (a fully down cluster is a
     /// full outage list, not an error).
     pub fn ping(&mut self) -> Result<Vec<ShardOutage>, ClusterError> {
-        match self.scatter(None, Client::ping) {
+        let replies = self.broadcast(&Request::Ping, |resp| match resp {
+            Response::Pong => Some(()),
+            _ => None,
+        });
+        match Self::gather(replies) {
             Ok((_, outages)) => Ok(outages),
             Err(ClusterError::AllShardsDown(outages)) => Ok(outages),
             Err(e) => Err(e),
@@ -1397,8 +1375,8 @@ impl IngestReport {
 
 /// Ingests a submission set through one independent connection per
 /// shard, in parallel — the scale-out ingest path (a [`Router`] reuses
-/// per-shard worker connections, which measures steady-state scatter;
-/// this spins up fresh connections sized to the batch).
+/// its persistent shard connections, which measures steady-state
+/// scatter; this spins up fresh connections sized to the batch).
 ///
 /// Every submission is routed by the map's placement hash; chunking
 /// bounds frame sizes. Each shard's outcome is reported independently:

@@ -1067,3 +1067,125 @@ fn fatal_outcomes_stop_dispatching_further_shards() {
         server.shutdown();
     }
 }
+
+#[test]
+fn fatal_outcomes_stop_dispatching_at_a_partial_fanout() {
+    // At fanout = 2 shards 0 and 1 get their requests first. Replies
+    // are read in shard order, so shard 0's refusal is seen before any
+    // slot frees up for shard 2, which must never be asked — whatever
+    // order the replies arrive in.
+    let ann = announcement(31);
+    let servers: Vec<Server> = (0..3)
+        .map(|shard_id| {
+            Server::start(
+                "127.0.0.1:0",
+                ann.clone(),
+                ServerConfig {
+                    workers: 2,
+                    shard: Some(ShardIdentity {
+                        shard_id,
+                        shard_count: 3,
+                    }),
+                    // Shard 0 cannot afford one estimate at p = 0.45;
+                    // the others can afford many.
+                    analyst_budget: Some(if shard_id == 0 { 1.0 } else { 1e9 }),
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap()
+        })
+        .collect();
+    let map = ShardMap::new(1, servers.iter().map(|s| s.local_addr().to_string())).unwrap();
+    let ids: Vec<u64> = (0..90).collect();
+    let subs = submissions(&ann, &ids, 31);
+    let mut router = Router::new(
+        map,
+        RouterConfig {
+            timeout: TIMEOUT,
+            analyst: 42,
+            fanout: 2,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    router.submit_batch(&subs).unwrap();
+    let budget_of_shard_2 = || {
+        let mut probe = psketch_server::Client::connect(servers[2].local_addr(), TIMEOUT).unwrap();
+        probe.server_stats().unwrap().budget
+    };
+    let before = budget_of_shard_2();
+    match router.conjunctive(BitSubset::single(0), BitString::from_bits(&[true])) {
+        Err(ClusterError::Refused { shard: 0, .. }) => {}
+        other => panic!("expected shard 0 refusal, got {other:?}"),
+    }
+    let after = budget_of_shard_2();
+    assert_eq!(after.charged_terms, before.charged_terms, "{after:?}");
+    assert_eq!(after.denials, before.denials, "{after:?}");
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
+fn silent_shards_share_one_deadline() {
+    // Shards 1 and 2 accept connections and never answer. Each attempt's
+    // reads share one deadline (request written + timeout), so the two
+    // silent shards cost one timeout between them, not one each.
+    let ann = announcement(37);
+    let server = Server::start(
+        "127.0.0.1:0",
+        ann.clone(),
+        ServerConfig {
+            workers: 2,
+            shard: Some(ShardIdentity {
+                shard_id: 0,
+                shard_count: 3,
+            }),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let silent: Vec<std::net::TcpListener> = (0..2)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<String> = std::iter::once(server.local_addr().to_string())
+        .chain(silent.iter().map(|l| l.local_addr().unwrap().to_string()))
+        .collect();
+    for listener in silent {
+        std::thread::spawn(move || {
+            let held: Vec<_> = listener.incoming().map_while(Result::ok).collect();
+            drop(held);
+        });
+    }
+    let timeout = Duration::from_millis(300);
+    let mut router = Router::new(
+        ShardMap::new(1, addrs).unwrap(),
+        RouterConfig {
+            timeout,
+            retries: 0,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let ids: Vec<u64> = (0..60).collect();
+    let subs: Vec<Submission> = submissions(&ann, &ids, 37)
+        .into_iter()
+        .filter(|s| router.map().shard_of(s.user) == 0)
+        .collect();
+    router.submit_batch(&subs).unwrap();
+    // The announcement is cached by this first call.
+    router.announcement().unwrap();
+    let started = std::time::Instant::now();
+    let answer = router
+        .conjunctive(BitSubset::single(0), BitString::from_bits(&[true]))
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(answer.coverage.responding, vec![0]);
+    let missing: Vec<u32> = answer.coverage.missing.iter().map(|o| o.shard).collect();
+    assert_eq!(missing, vec![1, 2]);
+    assert!(
+        elapsed < 2 * timeout,
+        "two silent shards took {elapsed:?} at a {timeout:?} timeout"
+    );
+    server.shutdown();
+}

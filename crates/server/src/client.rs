@@ -8,9 +8,10 @@
 //! or [`Client::partial_term_counts`] (the caller inverts and combines
 //! the raw counts, as the cluster router does).
 //!
-//! A `Client` is `Send`, so a connection pool (one long-lived worker
-//! thread per shard, as the cluster router runs) can own and reuse
-//! clients freely.
+//! A caller talking to several servers at once (the cluster router)
+//! splits a round trip into [`Client::send`] and [`Client::receive`]:
+//! it writes every server's request first, then reads the replies, so
+//! the servers work concurrently while one thread waits.
 //!
 //! # Request nonces
 //!
@@ -106,14 +107,24 @@ pub struct SubmitAck {
     pub rejected: u64,
 }
 
+/// Where a connection stands in its request/response pairing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exchange {
+    /// No request outstanding: the next call is a [`Client::send`].
+    Idle,
+    /// A request is written and its reply not yet read.
+    Awaiting,
+    /// A transport/decode failure hit mid-exchange: the stream may hold
+    /// a stale response, so request/response pairing can no longer be
+    /// trusted and the connection refuses further use.
+    Poisoned,
+}
+
 /// A blocking connection to a sketch-pool server.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    /// Cleared after a transport/decode failure mid-exchange: the
-    /// stream may hold a stale response, so request/response pairing
-    /// can no longer be trusted and the connection refuses further use.
-    healthy: bool,
+    state: Exchange,
 }
 
 impl Client {
@@ -133,7 +144,7 @@ impl Client {
                     stream.set_write_timeout(Some(timeout))?;
                     return Ok(Self {
                         stream,
-                        healthy: true,
+                        state: Exchange::Idle,
                     });
                 }
                 Err(e) => last_err = Some(e),
@@ -144,34 +155,78 @@ impl Client {
         })))
     }
 
-    /// One request/response round trip on the shared connection.
+    /// Writes one request frame; read its reply with
+    /// [`Client::receive`] before the next `send`.
     ///
-    /// Any transport or decode failure poisons the connection: the
-    /// server's response may still be in flight, so a retry on the same
-    /// stream would read the *previous* exchange's answer. Callers must
-    /// reconnect after such an error (server-side error frames are a
-    /// completed exchange and do not poison).
-    fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        if !self.healthy {
-            return Err(ClientError::Protocol(
-                "connection poisoned by an earlier failed exchange; reconnect".into(),
-            ));
+    /// # Errors
+    ///
+    /// Transport failures, which poison the connection, and a send on a
+    /// connection that is poisoned or still awaiting a reply.
+    pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        if self.state != Exchange::Idle {
+            return Err(self.out_of_turn());
         }
-        self.healthy = false;
-        let resp = self.exchange(req)?;
-        self.healthy = true;
+        self.state = Exchange::Poisoned;
+        wire::write_frame(&mut self.stream, &req.encode())?;
+        self.state = Exchange::Awaiting;
+        Ok(())
+    }
+
+    /// Reads the reply to the last [`Client::send`]. A server error
+    /// frame comes back as [`ClientError::Server`]; it completes the
+    /// exchange and leaves the connection usable.
+    ///
+    /// # Errors
+    ///
+    /// Transport or decode failures, which poison the connection: the
+    /// reply may still be in flight, so a retry on the same stream
+    /// would read the *previous* exchange's answer and the caller must
+    /// reconnect. Also a receive with no request outstanding.
+    pub fn receive(&mut self) -> Result<Response, ClientError> {
+        if self.state != Exchange::Awaiting {
+            return Err(self.out_of_turn());
+        }
+        self.state = Exchange::Poisoned;
+        let payload = wire::read_frame(&mut self.stream)?.ok_or_else(|| {
+            ClientError::Protocol("server closed the connection mid request".into())
+        })?;
+        let resp = Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        self.state = Exchange::Idle;
         if let Response::Error { code, message } = resp {
             return Err(ClientError::Server { code, message });
         }
         Ok(resp)
     }
 
-    fn exchange(&mut self, req: &Request) -> Result<Response, ClientError> {
-        wire::write_frame(&mut self.stream, &req.encode())?;
-        let payload = wire::read_frame(&mut self.stream)?.ok_or_else(|| {
-            ClientError::Protocol("server closed the connection mid request".into())
-        })?;
-        Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+    /// Bounds how long each later read waits (`connect` set it to the
+    /// connect timeout).
+    ///
+    /// # Errors
+    ///
+    /// A zero `timeout`, or a socket that rejects the option.
+    pub fn set_read_timeout(&self, timeout: Duration) -> Result<(), ClientError> {
+        Ok(self.stream.set_read_timeout(Some(timeout))?)
+    }
+
+    /// The error for a `send` or `receive` the connection's state does
+    /// not allow.
+    fn out_of_turn(&self) -> ClientError {
+        ClientError::Protocol(
+            match self.state {
+                Exchange::Poisoned => {
+                    "connection poisoned by an earlier failed exchange; reconnect"
+                }
+                Exchange::Awaiting => "the previous request's reply is still unread",
+                Exchange::Idle => "no request awaits a reply on this connection",
+            }
+            .into(),
+        )
+    }
+
+    /// One request/response round trip on the shared connection.
+    fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.send(req)?;
+        self.receive()
     }
 
     fn unexpected<T>(resp: &Response) -> Result<T, ClientError> {

@@ -830,12 +830,51 @@ fn invalid_budget_and_shard_configs_are_rejected() {
     .is_err());
 }
 
-/// A `Client` must be sendable so connection pools (one worker thread
-/// per shard, as the cluster router runs) can own clients.
+/// A `Client` must be sendable so connection pools, and a router
+/// moved to another thread, can own clients.
 #[test]
 fn client_is_send() {
     fn assert_send<T: Send>() {}
     assert_send::<Client>();
+}
+
+#[test]
+fn send_and_receive_pair_one_request_with_one_reply() {
+    use psketch_server::wire::codes;
+    use psketch_server::{Request, Response};
+    // A budget too small for one estimate at p = 0.45: every charged
+    // query is refused with an error frame.
+    let config = ServerConfig {
+        analyst_budget: Some(1.0),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", announcement(), config).unwrap();
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    // Out of turn either way: nothing to receive yet, then a second send
+    // before the first reply is read.
+    assert!(matches!(client.receive(), Err(ClientError::Protocol(_))));
+    client.send(&Request::Ping).unwrap();
+    assert!(matches!(
+        client.send(&Request::Ping),
+        Err(ClientError::Protocol(_))
+    ));
+    assert!(matches!(client.receive(), Ok(Response::Pong)));
+    // A server error frame completes the exchange: the connection stays
+    // usable.
+    let term = ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap();
+    client
+        .send(&Request::PartialTermCounts {
+            terms: vec![term],
+            nonce: next_nonce(),
+            profile: false,
+        })
+        .unwrap();
+    match client.receive() {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, codes::BUDGET),
+        other => panic!("expected a budget refusal, got {other:?}"),
+    }
+    client.ping().unwrap();
+    server.shutdown();
 }
 
 #[test]
