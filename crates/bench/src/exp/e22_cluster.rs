@@ -22,11 +22,12 @@
 use crate::common::Config;
 use crate::report::{f, Table};
 use psketch_cluster::{parallel_ingest, Router, RouterConfig, ShardMap};
-use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, Profile, UserId};
+use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Profile, UserId};
 use psketch_prf::GlobalKey;
 use psketch_protocol::{
     Announcement, AnnouncementBuilder, Coordinator, ShardIdentity, Submission, UserAgent,
 };
+use psketch_queries::TermPlan;
 use psketch_server::{Server, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -111,40 +112,43 @@ fn run_shards(
     )
     .expect("valid map");
     let pair = BitSubset::range(0, 2);
-    let value = BitString::from_bits(&[true, true]);
+    let conj_plan = |value: BitString| {
+        let q = ConjunctiveQuery::new(pair.clone(), value).expect("widths match");
+        TermPlan::for_conjunctive(q)
+    };
+    let hot = conj_plan(BitString::from_bits(&[true, true]));
+    let dist = TermPlan::for_distribution(&pair);
     let start = Instant::now();
     for _ in 0..reps {
-        let _ = router
-            .conjunctive(pair.clone(), value.clone())
-            .expect("conjunctive");
+        let _ = router.execute_plan(&hot).expect("conjunctive");
     }
     let conj_qps = reps as f64 / start.elapsed().as_secs_f64();
     let start = Instant::now();
     for _ in 0..reps {
-        let _ = router.distribution(pair.clone()).expect("distribution");
+        let _ = router.execute_plan(&dist).expect("distribution");
     }
     let dist_qps = reps as f64 / start.elapsed().as_secs_f64();
 
     // --- Bit-identity against the single-node oracle. ---
     for v in 0..4u64 {
         let value = BitString::from_u64(v, 2);
-        let clustered = router
-            .conjunctive(pair.clone(), value.clone())
-            .expect("conjunctive");
+        let plan = conj_plan(value);
+        let clustered = router.execute_plan(&plan).expect("conjunctive");
         assert!(clustered.coverage.is_complete());
-        let q = psketch_core::ConjunctiveQuery::new(pair.clone(), value).expect("widths match");
-        let local = estimator.estimate(oracle.pool(), &q).expect("oracle");
+        let local = estimator
+            .estimate(oracle.pool(), &plan.terms()[0])
+            .expect("oracle");
         assert_eq!(
-            clustered.estimate.fraction.to_bits(),
+            clustered.term_estimates[0].fraction.to_bits(),
             local.fraction.to_bits(),
             "cluster at {shards} shards diverged from the single-node oracle"
         );
     }
-    let clustered = router.distribution(pair.clone()).expect("distribution");
+    let clustered = router.execute_plan(&dist).expect("distribution");
     let local = estimator
         .estimate_distribution(oracle.pool(), &pair)
         .expect("oracle distribution");
-    for (c, l) in clustered.estimates.iter().zip(&local) {
+    for (c, l) in clustered.term_estimates.iter().zip(&local) {
         assert_eq!(c.fraction.to_bits(), l.fraction.to_bits());
     }
 

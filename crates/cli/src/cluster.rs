@@ -52,10 +52,12 @@ use crate::service::{
     announced_width, build_announcement, parse_subset, parse_value, synthetic_submissions,
 };
 use psketch_cluster::{parallel_ingest, Coverage, Router, RouterConfig, ShardMap};
+use psketch_core::ConjunctiveQuery;
 use psketch_prf::Prg;
 use psketch_protocol::ShardIdentity;
+use psketch_queries::TermPlan;
 use psketch_server::wal::WalConfig;
-use psketch_server::{wire, Server, ServerConfig};
+use psketch_server::{wire, Server, ServerConfig, MAX_PLAN_TERMS};
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -404,10 +406,11 @@ pub fn is_query_family(kind: &str) -> bool {
 /// `cluster query` and `query`, which is the same command over a
 /// 1-shard map of its `--addr` node. `flags` are the command's own
 /// flags besides the family's; `map` reads the shard map once the
-/// query has parsed. Every kind compiles to a
-/// [`TermPlan`](psketch_queries::TermPlan) whose exact per-shard term
-/// counts the router merges; `--json` switches to machine-readable
-/// output including the coverage fields.
+/// query has parsed. Every kind compiles to a [`TermPlan`] whose exact
+/// per-shard term counts the router merges: `conj` and `dist` print
+/// the plan's per-term estimates, the other kinds its outputs.
+/// `--json` switches to machine-readable output including the coverage
+/// fields.
 pub fn run_query(
     kind: &str,
     args: &Args,
@@ -422,55 +425,77 @@ pub fn run_query(
     });
     args.reject_unknown(&known)?;
     let json: bool = args.get_or("json", false)?;
-    match kind {
+    let plan = match kind {
         "conj" => {
             let subset = parse_subset(&args.require::<String>("subset")?)?;
             let value = parse_value(&args.require::<String>("value")?, subset.len())?;
-            let answer = router(args, map(args)?)?
-                .conjunctive(subset, value)
-                .map_err(err)?;
-            if json {
-                println!(
-                    "{{\"query\":\"conj\",\"estimate\":{},\"coverage\":{}}}",
-                    crate::families::json_estimate(&answer.estimate),
-                    crate::families::json_coverage(&answer.coverage)
-                );
-                return Ok(());
-            }
-            println!(
-                "estimate: {:.6} (raw {:.6}, n = {}, 95% +/- {:.6})",
-                answer.estimate.fraction,
-                answer.estimate.raw,
-                answer.estimate.sample_size,
-                answer.estimate.half_width(0.05)
-            );
-            print_coverage(&answer.coverage);
+            TermPlan::for_conjunctive(ConjunctiveQuery::new(subset, value).map_err(err)?)
         }
         "dist" => {
             let subset = parse_subset(&args.require::<String>("subset")?)?;
-            let width = subset.len();
-            let answer = router(args, map(args)?)?
-                .distribution(subset)
-                .map_err(err)?;
-            if json {
-                let cells: Vec<String> = answer
-                    .estimates
-                    .iter()
-                    .enumerate()
-                    .map(|(v, est)| {
-                        format!(
-                            "{{\"value\":{v},\"estimate\":{}}}",
-                            crate::families::json_estimate(est)
-                        )
-                    })
-                    .collect();
-                println!(
-                    "{{\"query\":\"dist\",\"estimates\":[{}],\"coverage\":{}}}",
-                    cells.join(","),
-                    crate::families::json_coverage(&answer.coverage)
-                );
-                return Ok(());
+            // `2^k` terms past the nodes' plan cap could never run:
+            // refuse before compiling the plan or contacting a shard.
+            let max_bits = MAX_PLAN_TERMS.trailing_zeros();
+            if subset.len() > max_bits as usize {
+                return Err(CliError(format!(
+                    "distribution over a {}-bit subset exceeds the {max_bits}-bit cap \
+                     ({MAX_PLAN_TERMS} terms per plan)",
+                    subset.len()
+                )));
             }
+            TermPlan::for_distribution(&subset)
+        }
+        _ => crate::families::family_plan(kind, args)?,
+    };
+    // `conj` and `dist` reject the flag, so it reads false for them.
+    let explain: bool = args.get_or("explain", false)?;
+    if json && explain {
+        return Err(CliError(
+            "--explain prints a text waterfall; drop --json".into(),
+        ));
+    }
+    let mut router = router(args, map(args)?)?;
+    // The profiled path shares the merge code with the plain one, so the
+    // answers are float-bit-identical either way.
+    let (answer, traced) = if explain {
+        let explained = router.explain_plan(&plan).map_err(err)?;
+        (explained.answer, Some((explained.nonce, explained.trace)))
+    } else {
+        (router.execute_plan(&plan).map_err(err)?, None)
+    };
+    let estimates = &answer.term_estimates;
+    match kind {
+        "conj" if json => println!(
+            "{{\"query\":\"conj\",\"estimate\":{},\"coverage\":{}}}",
+            crate::families::json_estimate(&estimates[0]),
+            crate::families::json_coverage(&answer.coverage)
+        ),
+        "conj" => println!(
+            "estimate: {:.6} (raw {:.6}, n = {}, 95% +/- {:.6})",
+            estimates[0].fraction,
+            estimates[0].raw,
+            estimates[0].sample_size,
+            estimates[0].half_width(0.05)
+        ),
+        "dist" if json => {
+            let cells: Vec<String> = estimates
+                .iter()
+                .enumerate()
+                .map(|(v, est)| {
+                    format!(
+                        "{{\"value\":{v},\"estimate\":{}}}",
+                        crate::families::json_estimate(est)
+                    )
+                })
+                .collect();
+            println!(
+                "{{\"query\":\"dist\",\"estimates\":[{}],\"coverage\":{}}}",
+                cells.join(","),
+                crate::families::json_coverage(&answer.coverage)
+            );
+        }
+        "dist" => {
+            let width = plan.terms()[0].width();
             println!(
                 "{:>width$}  {:>10}  {:>8}",
                 "value",
@@ -478,7 +503,7 @@ pub fn run_query(
                 "n",
                 width = width.max(5)
             );
-            for (v, est) in answer.estimates.iter().enumerate() {
+            for (v, est) in estimates.iter().enumerate() {
                 let bits: String = (0..width)
                     .map(|b| if (v >> b) & 1 == 1 { '1' } else { '0' })
                     .collect();
@@ -489,53 +514,30 @@ pub fn run_query(
                     w = width.max(5)
                 );
             }
-            print_coverage(&answer.coverage);
         }
+        _ if json => println!(
+            "{}",
+            crate::families::json_plan_document(kind, &plan, &answer.outputs, &answer.coverage)
+        ),
         _ => {
-            let plan = crate::families::family_plan(kind, args)?;
-            let explain: bool = args.get_or("explain", false)?;
-            if json && explain {
-                return Err(CliError(
-                    "--explain prints a text waterfall; drop --json".into(),
-                ));
-            }
-            let mut router = router(args, map(args)?)?;
-            // The profiled path shares the merge code with the plain one,
-            // so the answers are float-bit-identical either way.
-            let (answer, traced) = if explain {
-                let explained = router.explain_plan(&plan).map_err(err)?;
-                (explained.answer, Some((explained.nonce, explained.trace)))
-            } else {
-                (router.execute_plan(&plan).map_err(err)?, None)
-            };
-            if json {
+            println!("{} ({} plan terms)", plan.description(), plan.cost());
+            for (output, ans) in plan.outputs().iter().zip(&answer.outputs) {
                 println!(
-                    "{}",
-                    crate::families::json_plan_document(
-                        kind,
-                        &plan,
-                        &answer.outputs,
-                        &answer.coverage
-                    )
+                    "  {}: {:.6} (terms {}, min n {})",
+                    output.label, ans.value, ans.queries_used, ans.min_sample_size
                 );
-            } else {
-                println!("{} ({} plan terms)", plan.description(), plan.cost());
-                for (output, ans) in plan.outputs().iter().zip(&answer.outputs) {
-                    println!(
-                        "  {}: {:.6} (terms {}, min n {})",
-                        output.label, ans.value, ans.queries_used, ans.min_sample_size
-                    );
-                }
-                print_coverage(&answer.coverage);
-            }
-            if let Some((nonce, tree)) = traced {
-                println!();
-                print!("{}", psketch_obs::render_waterfall(&tree));
-                // The nonce line lets scripts fetch the same trace again
-                // later (`cluster trace`).
-                println!("trace {}", psketch_obs::trace_hex(nonce));
             }
         }
+    }
+    if !json {
+        print_coverage(&answer.coverage);
+    }
+    if let Some((nonce, tree)) = traced {
+        println!();
+        print!("{}", psketch_obs::render_waterfall(&tree));
+        // The nonce line lets scripts fetch the same trace again later
+        // (`cluster trace`).
+        println!("trace {}", psketch_obs::trace_hex(nonce));
     }
     Ok(())
 }

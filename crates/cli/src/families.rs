@@ -15,8 +15,8 @@ use psketch_queries::{
 };
 
 /// The query kinds `query`/`cluster query` compile through
-/// [`family_plan`] (`conj` and `dist` go through the router's own
-/// one-term and `2^k`-term plan wrappers).
+/// [`family_plan`] (`conj` and `dist` compile in `run_query` to a
+/// one-term and a `2^k`-term plan, whose per-term estimates it prints).
 pub const PLAN_KINDS: &[&str] = &["mean", "interval", "dnf", "tree", "moment"];
 
 /// The flags one plan-backed kind may consume (for `reject_unknown`):

@@ -556,8 +556,8 @@ mod tests {
     #[test]
     fn overwide_dist_is_a_cli_error_not_a_panic() {
         // 17 positions = 2^17 terms, past every node's plan cap. The
-        // router refuses before compiling or connecting, so no server
-        // is needed.
+        // `dist` parser refuses before compiling or connecting, so no
+        // server is needed — for `query` and `cluster query` alike.
         let subset: Vec<String> = (0..17).map(|i| i.to_string()).collect();
         let subset = subset.join(",");
         let e = query(&parse(&[
@@ -565,6 +565,17 @@ mod tests {
             "dist",
             "--addr",
             "127.0.0.1:9",
+            "--subset",
+            &subset,
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("16-bit cap"), "{e}");
+        let e = crate::cluster::cluster(&parse(&[
+            "cluster",
+            "query",
+            "dist",
+            "--addrs",
+            "127.0.0.1:9,127.0.0.1:10",
             "--subset",
             &subset,
         ]))

@@ -40,9 +40,8 @@ pub mod router;
 pub mod shard;
 
 pub use router::{
-    backoff_delay, parallel_ingest, ClusterDistribution, ClusterError, ClusterEstimate,
-    ClusterLinear, ClusterPlanAnswer, ClusterStatus, ClusterSubmitReport, Coverage, IngestReport,
-    Router, RouterConfig, ShardIngest, ShardOutage, ShardStatus, MAX_BACKOFF,
-    MAX_DISTRIBUTION_BITS,
+    backoff_delay, parallel_ingest, ClusterError, ClusterPlanAnswer, ClusterStatus,
+    ClusterSubmitReport, Coverage, IngestReport, Router, RouterConfig, ShardIngest, ShardOutage,
+    ShardStatus, MAX_BACKOFF,
 };
 pub use shard::{splitmix64, ShardMap, ShardMapError, ShardNode};

@@ -64,23 +64,17 @@
 //! second charge** (wire protocol v4 charge-once semantics).
 
 use crate::shard::{ShardMap, ShardMapError};
-use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Estimate};
+use psketch_core::Estimate;
 use psketch_obs::{self as obs, RegistrySnapshot, SpanNode};
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
-use psketch_queries::{LinearAnswer, LinearQuery, PlanAccumulator, TermPlan};
-use psketch_server::{
-    next_nonce, Client, ClientError, Request, Response, ServerStats, MAX_PLAN_TERMS,
-};
+use psketch_queries::{LinearAnswer, PlanAccumulator, TermPlan};
+use psketch_server::{next_nonce, Client, ClientError, Request, Response, ServerStats, SubmitAck};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Backoff ceiling: however many retries are configured, no single
 /// sleep exceeds this.
 pub const MAX_BACKOFF: Duration = Duration::from_secs(30);
-
-/// Widest subset [`Router::distribution`] accepts: `2^16` terms is
-/// exactly the nodes' plan cap ([`MAX_PLAN_TERMS`]).
-pub const MAX_DISTRIBUTION_BITS: usize = MAX_PLAN_TERMS.trailing_zeros() as usize;
 
 /// The delay slept before retry `attempt` (1-based): `base · 2^(a−1)`,
 /// saturating, capped at [`MAX_BACKOFF`]. Safe for any `attempt` — the
@@ -164,35 +158,6 @@ pub struct ShardOutage {
 // module docs and the `float-determinism` lint check). Re-exported here
 // so `router::Coverage` stays a valid path.
 pub use crate::coverage::Coverage;
-
-/// A cluster conjunctive answer: the merged estimate plus coverage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterEstimate {
-    /// The merged estimate (bit-identical to a single node over the
-    /// responding shards' records).
-    pub estimate: Estimate,
-    /// Which shards the answer covers.
-    pub coverage: Coverage,
-}
-
-/// A cluster distribution answer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterDistribution {
-    /// Per-value merged estimates, indexed by the LSB-first integer
-    /// encoding of the value.
-    pub estimates: Vec<Estimate>,
-    /// Which shards the answer covers.
-    pub coverage: Coverage,
-}
-
-/// A cluster linear-query answer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterLinear {
-    /// The merged answer.
-    pub answer: LinearAnswer,
-    /// Which shards the answer covers.
-    pub coverage: Coverage,
-}
 
 /// A cluster plan answer: one output answer per plan output plus the
 /// merged per-term estimates (each bit-identical to a single node over
@@ -311,13 +276,6 @@ pub enum ClusterError {
     /// The merged counts could not be turned into an answer (e.g. no
     /// responding shard holds any records for the subset).
     Estimation(psketch_core::Error),
-    /// A distribution subset wider than [`MAX_DISTRIBUTION_BITS`]: its
-    /// `2^k` terms would exceed the nodes' plan cap, so the plan is
-    /// never compiled.
-    DistributionTooWide {
-        /// The subset's width in bits.
-        width: usize,
-    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -352,11 +310,6 @@ impl std::fmt::Display for ClusterError {
                  refusing to merge pools"
             ),
             Self::Estimation(e) => write!(f, "{e}"),
-            Self::DistributionTooWide { width } => write!(
-                f,
-                "distribution over a {width}-bit subset exceeds the \
-                 {MAX_DISTRIBUTION_BITS}-bit cap ({MAX_PLAN_TERMS} terms per plan)"
-            ),
         }
     }
 }
@@ -667,15 +620,8 @@ impl Router {
         let deadline = flight.sent + self.config.timeout;
         let mut sent = flight.sent;
         if flight.hello {
-            let expected = ShardIdentity {
-                shard_id: shard,
-                shard_count: self.map.len() as u32,
-            };
             match read_by(&mut client, deadline) {
-                // A standalone node is acceptable only as a 1-shard map.
-                Ok(Response::Hello { shard: found })
-                    if found.as_ref() == Some(&expected)
-                        || (found.is_none() && self.map.len() == 1) => {}
+                Ok(Response::Hello { shard: found }) if self.map.admits(shard, found.as_ref()) => {}
                 Ok(Response::Hello { shard: found }) => {
                     return (ShardAttempt::Misrouted(found), None);
                 }
@@ -1121,66 +1067,6 @@ impl Router {
         event.emit(if slow { "slow query" } else { "plan scatter" });
     }
 
-    /// Estimates one conjunctive frequency (a single-term plan).
-    ///
-    /// # Errors
-    ///
-    /// As [`Router::execute_plan`].
-    pub fn conjunctive(
-        &mut self,
-        subset: BitSubset,
-        value: BitString,
-    ) -> Result<ClusterEstimate, ClusterError> {
-        let query = ConjunctiveQuery::new(subset, value).map_err(ClusterError::Estimation)?;
-        let answer = self.execute_plan(&TermPlan::for_conjunctive(query))?;
-        Ok(ClusterEstimate {
-            estimate: answer.term_estimates[0],
-            coverage: answer.coverage,
-        })
-    }
-
-    /// Estimates a full `2^k` distribution (a `2^k`-term plan, indexed
-    /// by the LSB-first integer encoding of the value).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::DistributionTooWide`] above
-    /// [`MAX_DISTRIBUTION_BITS`], before any shard is contacted;
-    /// otherwise as [`Router::execute_plan`].
-    pub fn distribution(&mut self, subset: BitSubset) -> Result<ClusterDistribution, ClusterError> {
-        if subset.len() > MAX_DISTRIBUTION_BITS {
-            return Err(ClusterError::DistributionTooWide {
-                width: subset.len(),
-            });
-        }
-        let answer = self.execute_plan(&TermPlan::for_distribution(&subset))?;
-        Ok(ClusterDistribution {
-            estimates: answer.term_estimates,
-            coverage: answer.coverage,
-        })
-    }
-
-    /// Evaluates a linear query (a single-output plan): each shard
-    /// counts the query's distinct conjunctive terms in one round trip,
-    /// and the merged counts are combined exactly as the single-node
-    /// engine would (memoized duplicates, original term order).
-    ///
-    /// # Errors
-    ///
-    /// As [`Router::execute_plan`].
-    pub fn linear(&mut self, lq: &LinearQuery) -> Result<ClusterLinear, ClusterError> {
-        let plan = TermPlan::compile(lq);
-        let mut answer = self.execute_plan(&plan)?;
-        let output = answer.outputs.remove(0);
-        // The binding population for a linear answer is its smallest
-        // term's merged sample.
-        answer.coverage.population = u64::try_from(output.min_sample_size).unwrap_or(u64::MAX);
-        Ok(ClusterLinear {
-            answer: output,
-            coverage: answer.coverage,
-        })
-    }
-
     /// Sweeps every shard for coordinator + server stats (two scatter
     /// rounds), refreshing the per-shard population cache used for
     /// degraded-answer reporting.
@@ -1379,7 +1265,10 @@ impl IngestReport {
 /// scatter; this spins up fresh connections sized to the batch).
 ///
 /// Every submission is routed by the map's placement hash; chunking
-/// bounds frame sizes. Each shard's outcome is reported independently:
+/// bounds frame sizes. Each connection first checks, by `Hello`, that
+/// the node serves the shard the map says ([`ShardMap::admits`]): a
+/// node that does not is sent nothing, and its row carries the
+/// misrouted error. Each shard's outcome is reported independently:
 /// a shard that fails mid-batch costs only its own submissions, and the
 /// caller can see exactly which users need re-submission instead of
 /// mistaking a partial ingest for a total failure.
@@ -1399,19 +1288,7 @@ pub fn parallel_ingest(
             .iter()
             .enumerate()
             .map(|(shard, batch)| {
-                let addr = map.addr_of(shard as u32).to_string();
-                scope.spawn(move || {
-                    if batch.is_empty() {
-                        return (psketch_server::SubmitAck::default(), None);
-                    }
-                    match Client::connect(addr.as_str(), timeout) {
-                        Err(e) => (psketch_server::SubmitAck::default(), Some(e.to_string())),
-                        Ok(mut client) => {
-                            let (ack, err) = client.submit_chunked_partial(batch, chunk.max(1));
-                            (ack, err.map(|e| e.to_string()))
-                        }
-                    }
-                })
+                scope.spawn(move || ingest_shard(map, shard as u32, batch, timeout, chunk))
             })
             .collect();
         handles
@@ -1430,6 +1307,35 @@ pub fn parallel_ingest(
             .collect()
     });
     IngestReport { shards }
+}
+
+/// One [`parallel_ingest`] shard: connect, verify the node's identity,
+/// then submit in chunks. Returns what was acked and the error that
+/// stopped the shard, if any.
+fn ingest_shard(
+    map: &ShardMap,
+    shard: u32,
+    batch: &[Submission],
+    timeout: Duration,
+    chunk: usize,
+) -> (SubmitAck, Option<String>) {
+    if batch.is_empty() {
+        return (SubmitAck::default(), None);
+    }
+    let mut client = match Client::connect(map.addr_of(shard), timeout) {
+        Ok(client) => client,
+        Err(e) => return (SubmitAck::default(), Some(e.to_string())),
+    };
+    match client.hello(0) {
+        Ok(found) if map.admits(shard, found.as_ref()) => {}
+        Ok(found) => {
+            let error = ClusterError::Misrouted { shard, found };
+            return (SubmitAck::default(), Some(error.to_string()));
+        }
+        Err(e) => return (SubmitAck::default(), Some(e.to_string())),
+    }
+    let (ack, err) = client.submit_chunked_partial(batch, chunk.max(1));
+    (ack, err.map(|e| e.to_string()))
 }
 
 #[cfg(test)]
@@ -1478,19 +1384,5 @@ mod tests {
         for attempt in 1..=config.retries {
             assert!(backoff_delay(config.backoff, attempt) <= MAX_BACKOFF);
         }
-    }
-
-    #[test]
-    fn overwide_distributions_are_errors_before_any_scatter() {
-        // 2^17 terms could never run on a node; the router refuses the
-        // subset before compiling the plan (whose constructor panics
-        // past 16 bits) and before contacting the (absent) shard.
-        let map = ShardMap::new(0, ["127.0.0.1:9"]).unwrap();
-        let mut router = Router::new(map, RouterConfig::default()).unwrap();
-        match router.distribution(BitSubset::range(0, 17)) {
-            Err(ClusterError::DistributionTooWide { width: 17 }) => {}
-            other => panic!("expected DistributionTooWide, got {other:?}"),
-        }
-        assert_eq!(MAX_DISTRIBUTION_BITS, 16);
     }
 }

@@ -14,6 +14,7 @@
 //! never rests on placement).
 
 use psketch_core::UserId;
+use psketch_protocol::ShardIdentity;
 use serde::{Deserialize, Serialize};
 
 /// One node of the deployment: a shard index and the address serving it.
@@ -138,6 +139,21 @@ impl ShardMap {
         &self.shards[shard as usize].addr
     }
 
+    /// Whether a node whose `Hello` reported `found` may serve `shard`
+    /// of this map: it must report exactly `shard` of `len()` shards,
+    /// and a standalone node (no identity) is accepted only for a
+    /// 1-shard map. Reading counts from, or ingesting into, any other
+    /// node would put users on the wrong shard.
+    #[must_use]
+    pub fn admits(&self, shard: u32, found: Option<&ShardIdentity>) -> bool {
+        match found {
+            Some(identity) => {
+                identity.shard_id == shard && identity.shard_count as usize == self.len()
+            }
+            None => self.len() == 1,
+        }
+    }
+
     /// Serializes the map as JSON (the on-disk map-file format).
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -226,6 +242,22 @@ mod tests {
             }],
         };
         assert!(ShardMap::from_json(&bad.to_json()).is_err());
+    }
+
+    #[test]
+    fn admits_only_the_mapped_identity() {
+        let id = |shard_id, shard_count| ShardIdentity {
+            shard_id,
+            shard_count,
+        };
+        let m = map(3);
+        assert!(m.admits(1, Some(&id(1, 3))));
+        assert!(!m.admits(0, Some(&id(1, 3))), "wrong shard");
+        assert!(!m.admits(1, Some(&id(1, 4))), "wrong shard count");
+        assert!(!m.admits(0, None), "standalone node in a 3-shard map");
+        // A standalone node serves a 1-shard map; so does shard 0 of 1.
+        assert!(map(1).admits(0, None));
+        assert!(map(1).admits(0, Some(&id(0, 1))));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! recovery when it comes back.
 
 use proptest::prelude::*;
-use psketch_cluster::{ClusterError, Router, RouterConfig, ShardMap};
+use psketch_cluster::{parallel_ingest, ClusterError, Router, RouterConfig, ShardMap};
 use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Profile, UserId};
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{
     Announcement, AnnouncementBuilder, Coordinator, ShardIdentity, Submission, UserAgent,
 };
-use psketch_queries::{LinearQuery, QueryEngine};
+use psketch_queries::{LinearQuery, QueryEngine, TermPlan};
 use psketch_server::{Server, ServerConfig};
 use rand::SeedableRng;
 use std::time::Duration;
@@ -60,6 +60,11 @@ fn start_cluster(ann: &Announcement, shards: u32) -> (Vec<Server>, ShardMap) {
     (servers, map)
 }
 
+/// The single-term plan of one conjunction.
+fn conj_plan(subset: BitSubset, value: BitString) -> TermPlan {
+    TermPlan::for_conjunctive(ConjunctiveQuery::new(subset, value).unwrap())
+}
+
 fn fast_router(map: ShardMap) -> Router {
     Router::new(
         map,
@@ -99,26 +104,33 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
     let pair = BitSubset::range(0, 2);
     for value in 0..4u64 {
         let value = BitString::from_u64(value, 2);
-        let clustered = router.conjunctive(pair.clone(), value.clone()).unwrap();
+        let clustered = router
+            .execute_plan(&conj_plan(pair.clone(), value.clone()))
+            .unwrap();
         assert!(clustered.coverage.is_complete());
         let q = ConjunctiveQuery::new(pair.clone(), value).unwrap();
         let local = estimator.estimate(oracle.pool(), &q).unwrap();
         assert_eq!(
-            clustered.estimate.fraction.to_bits(),
+            clustered.term_estimates[0].fraction.to_bits(),
             local.fraction.to_bits(),
             "conjunctive diverged at {shards} shards"
         );
-        assert_eq!(clustered.estimate.raw.to_bits(), local.raw.to_bits());
-        assert_eq!(clustered.estimate.sample_size, local.sample_size);
+        assert_eq!(
+            clustered.term_estimates[0].raw.to_bits(),
+            local.raw.to_bits()
+        );
+        assert_eq!(clustered.term_estimates[0].sample_size, local.sample_size);
     }
 
     // Distribution over the pair subset.
-    let clustered = router.distribution(pair.clone()).unwrap();
+    let clustered = router
+        .execute_plan(&TermPlan::for_distribution(&pair))
+        .unwrap();
     let local = estimator
         .estimate_distribution(oracle.pool(), &pair)
         .unwrap();
-    assert_eq!(clustered.estimates.len(), local.len());
-    for (c, l) in clustered.estimates.iter().zip(&local) {
+    assert_eq!(clustered.term_estimates.len(), local.len());
+    for (c, l) in clustered.term_estimates.iter().zip(&local) {
         assert_eq!(
             c.fraction.to_bits(),
             l.fraction.to_bits(),
@@ -134,15 +146,15 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
     lq.push(1.5, q0.clone());
     lq.push(-2.0, q1);
     lq.push(0.5, q0);
-    let clustered = router.linear(&lq).unwrap();
+    let clustered = router.execute_plan(&TermPlan::compile(&lq)).unwrap();
     let local = engine.linear(oracle.pool(), &lq).unwrap();
     assert_eq!(
-        clustered.answer.value.to_bits(),
+        clustered.outputs[0].value.to_bits(),
         local.value.to_bits(),
         "linear diverged at {shards} shards"
     );
-    assert_eq!(clustered.answer.queries_used, local.queries_used);
-    assert_eq!(clustered.answer.min_sample_size, local.min_sample_size);
+    assert_eq!(clustered.outputs[0].queries_used, local.queries_used);
+    assert_eq!(clustered.outputs[0].min_sample_size, local.min_sample_size);
 
     // Merged status equals the oracle's counters.
     let status = router.status().unwrap();
@@ -421,14 +433,18 @@ fn killing_a_node_degrades_answers_and_recovery_restores_them() {
 
     let pair = BitSubset::range(0, 2);
     let value = BitString::from_bits(&[true, true]);
-    let full = router.conjunctive(pair.clone(), value.clone()).unwrap();
+    let full = router
+        .execute_plan(&conj_plan(pair.clone(), value.clone()))
+        .unwrap();
     assert!(full.coverage.is_complete());
-    assert_eq!(full.estimate.sample_size as u64, 900);
+    assert_eq!(full.term_estimates[0].sample_size as u64, 900);
 
     // Kill shard 1. Its records drop out of answers; the router reports
     // exactly which shard (and how many known users) went missing.
     servers.remove(1).shutdown();
-    let degraded = router.conjunctive(pair.clone(), value.clone()).unwrap();
+    let degraded = router
+        .execute_plan(&conj_plan(pair.clone(), value.clone()))
+        .unwrap();
     assert!(!degraded.coverage.is_complete());
     assert_eq!(
         degraded
@@ -448,7 +464,7 @@ fn killing_a_node_degrades_answers_and_recovery_restores_them() {
     );
     // The degraded estimate covers exactly the surviving population.
     assert_eq!(
-        degraded.estimate.sample_size as u64,
+        degraded.term_estimates[0].sample_size as u64,
         900 - per_shard_accepted[1]
     );
 
@@ -479,11 +495,11 @@ fn killing_a_node_degrades_answers_and_recovery_restores_them() {
     let report = router.submit_batch(&subs).unwrap();
     assert!(report.fully_ingested());
     assert_eq!(report.accepted, per_shard_accepted[1]);
-    let restored = router.conjunctive(pair, value).unwrap();
+    let restored = router.execute_plan(&conj_plan(pair, value)).unwrap();
     assert!(restored.coverage.is_complete());
     assert_eq!(
-        restored.estimate.fraction.to_bits(),
-        full.estimate.fraction.to_bits(),
+        restored.term_estimates[0].fraction.to_bits(),
+        full.term_estimates[0].fraction.to_bits(),
         "recovered cluster must answer bit-identically to the pre-kill cluster"
     );
     restarted.shutdown();
@@ -509,7 +525,10 @@ fn all_nodes_down_is_an_error_not_a_zero() {
         },
     )
     .unwrap();
-    match router.conjunctive(BitSubset::single(0), BitString::from_bits(&[true])) {
+    match router.execute_plan(&conj_plan(
+        BitSubset::single(0),
+        BitString::from_bits(&[true]),
+    )) {
         Err(ClusterError::AllShardsDown(outages)) => assert_eq!(outages.len(), 2),
         other => panic!("expected AllShardsDown, got {other:?}"),
     }
@@ -590,6 +609,37 @@ fn misrouted_nodes_are_rejected_not_merged() {
 }
 
 #[test]
+fn parallel_ingest_refuses_a_misordered_map() {
+    // Two shard nodes behind a map listing them in reverse order: every
+    // user would land on the wrong shard, and every row would still
+    // report success. Each ingest connection checks the node's identity
+    // first, so neither node is sent a single submission.
+    let ann = announcement(41);
+    let (servers, map) = start_cluster(&ann, 2);
+    let reversed = ShardMap::new(1, [map.addr_of(1), map.addr_of(0)]).unwrap();
+    let ids: Vec<u64> = (0..60).collect();
+    let subs = submissions(&ann, &ids, 41);
+    let report = parallel_ingest(&reversed, &subs, TIMEOUT, 25);
+    assert_eq!(report.shards.len(), 2);
+    for row in &report.shards {
+        assert!(row.submitted > 0, "{row:?}");
+        let error = row.error.as_deref().unwrap_or_else(|| {
+            panic!("shard {} ingested into the wrong node", row.shard);
+        });
+        assert!(error.contains("is actually serving shard"), "{error}");
+        assert_eq!(row.accepted, 0, "{row:?}");
+    }
+    assert_eq!(report.accepted(), 0);
+    assert_eq!(report.lost(), subs.len() as u64);
+    for server in &servers {
+        assert_eq!(server.coordinator().stats().accepted, 0);
+    }
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
 fn budget_refusals_propagate_and_are_not_retried() {
     use psketch_server::wire::codes;
     let ann = announcement(13);
@@ -627,8 +677,10 @@ fn budget_refusals_propagate_and_are_not_retried() {
     router.submit_batch(&subs).unwrap();
     let subset = BitSubset::single(0);
     let value = BitString::from_bits(&[true]);
-    router.conjunctive(subset.clone(), value.clone()).unwrap();
-    match router.conjunctive(subset, value) {
+    router
+        .execute_plan(&conj_plan(subset.clone(), value.clone()))
+        .unwrap();
+    match router.execute_plan(&conj_plan(subset, value)) {
         Err(ClusterError::Refused { code, .. }) => assert_eq!(code, codes::BUDGET),
         other => panic!("expected a budget refusal, got {other:?}"),
     }
@@ -907,8 +959,12 @@ fn wire_answers(
         .map(invert)
         .collect();
     let s_plan = client.execute_plan(plan).unwrap();
-    let c_conj = router.conjunctive(pair.clone(), value).unwrap();
-    let c_dist = router.distribution(pair).unwrap();
+    let c_conj = router
+        .execute_plan(&conj_plan(pair.clone(), value))
+        .unwrap();
+    let c_dist = router
+        .execute_plan(&TermPlan::for_distribution(&pair))
+        .unwrap();
     let c_plan = router.execute_plan(plan).unwrap();
     assert!(c_conj.coverage.is_complete());
     assert!(c_plan.coverage.is_complete());
@@ -927,12 +983,12 @@ fn wire_answers(
             .map(|a| (a.value.to_bits(), a.queries_used, a.min_sample_size))
             .collect(),
         cluster_conj: (
-            c_conj.estimate.fraction.to_bits(),
-            c_conj.estimate.raw.to_bits(),
-            c_conj.estimate.sample_size,
+            c_conj.term_estimates[0].fraction.to_bits(),
+            c_conj.term_estimates[0].raw.to_bits(),
+            c_conj.term_estimates[0].sample_size,
         ),
         cluster_dist: c_dist
-            .estimates
+            .term_estimates
             .iter()
             .map(|e| e.fraction.to_bits())
             .collect(),
@@ -1053,8 +1109,10 @@ fn fatal_outcomes_stop_dispatching_further_shards() {
     router.submit_batch(&subs).unwrap();
     let subset = BitSubset::single(0);
     let value = BitString::from_bits(&[true]);
-    router.conjunctive(subset.clone(), value.clone()).unwrap();
-    match router.conjunctive(subset, value) {
+    router
+        .execute_plan(&conj_plan(subset.clone(), value.clone()))
+        .unwrap();
+    match router.execute_plan(&conj_plan(subset, value)) {
         Err(ClusterError::Refused { shard: 0, .. }) => {}
         other => panic!("expected shard 0 refusal, got {other:?}"),
     }
@@ -1114,7 +1172,10 @@ fn fatal_outcomes_stop_dispatching_at_a_partial_fanout() {
         probe.server_stats().unwrap().budget
     };
     let before = budget_of_shard_2();
-    match router.conjunctive(BitSubset::single(0), BitString::from_bits(&[true])) {
+    match router.execute_plan(&conj_plan(
+        BitSubset::single(0),
+        BitString::from_bits(&[true]),
+    )) {
         Err(ClusterError::Refused { shard: 0, .. }) => {}
         other => panic!("expected shard 0 refusal, got {other:?}"),
     }
@@ -1177,7 +1238,10 @@ fn silent_shards_share_one_deadline() {
     router.announcement().unwrap();
     let started = std::time::Instant::now();
     let answer = router
-        .conjunctive(BitSubset::single(0), BitString::from_bits(&[true]))
+        .execute_plan(&conj_plan(
+            BitSubset::single(0),
+            BitString::from_bits(&[true]),
+        ))
         .unwrap();
     let elapsed = started.elapsed();
     assert_eq!(answer.coverage.responding, vec![0]);

@@ -202,24 +202,6 @@ impl ConjunctiveEstimator {
         Ok(self.finish(ones, snapshot.len()))
     }
 
-    /// Runs Algorithm 2 against an already-taken snapshot (lets callers
-    /// evaluate many queries against one consistent view of a shard).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EmptyDatabase`] if the snapshot holds no records.
-    pub fn estimate_snapshot(
-        &self,
-        snapshot: &SubsetSnapshot,
-        query: &ConjunctiveQuery,
-    ) -> Result<Estimate, Error> {
-        if snapshot.is_empty() {
-            return Err(Error::EmptyDatabase);
-        }
-        let ones = self.count_one(snapshot, query);
-        Ok(self.finish(ones, snapshot.len()))
-    }
-
     /// The raw satisfying count behind [`ConjunctiveEstimator::estimate`]:
     /// `(ones, population)` where `ones` is the number of records with
     /// `H(id, B, v, s) = 1` and `population` the shard's record count.
@@ -916,19 +898,6 @@ mod tests {
             assert_eq!(batched.raw.to_bits(), scalar.raw.to_bits());
             assert_eq!(batched.sample_size, scalar.sample_size);
         }
-    }
-
-    #[test]
-    fn snapshot_estimation_matches_db_estimation() {
-        let p = 0.25;
-        let (db, subset) = build_db(p, 3, 2_000, 0.5);
-        let est = ConjunctiveEstimator::new(params(p));
-        let snap = db.snapshot(&subset).unwrap();
-        let q = ConjunctiveQuery::new(subset, BitString::from_bits(&[true; 3])).unwrap();
-        assert_eq!(
-            est.estimate_snapshot(&snap, &q).unwrap(),
-            est.estimate(&db, &q).unwrap()
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the wire protocol already propagates end to end. A **span** is one
 //! timed stage: a name, a monotonic start offset and duration, and a
 //! handful of small numeric attributes (`shard`, `term_count`,
-//! `memo_hits`, `lanes`, `attempt`).
+//! `lanes`, `attempt`).
 //!
 //! Cost model, matching the rest of this crate:
 //!
@@ -90,7 +90,7 @@ pub struct SpanNode {
     pub start_ns: u64,
     /// Total time spent in this stage (children included), in ns.
     pub duration_ns: u64,
-    /// Small numeric attributes (`shard`, `term_count`, `memo_hits`…).
+    /// Small numeric attributes (`shard`, `term_count`, `lanes`…).
     pub attrs: Vec<(String, u64)>,
     /// Sub-stages, in recording order.
     pub children: Vec<SpanNode>,

@@ -8,7 +8,7 @@
 //! 8 and auto-probe, over random populations, biases and keys. The sweep
 //! drives the full analyst stack: direct conjunctive estimates, the
 //! one-pass distribution scan, and compiled term plans (means, intervals,
-//! DNF, moments) through [`QueryEngine::execute_plans`].
+//! DNF, moments) through [`QueryEngine::execute_plan`].
 
 use proptest::prelude::*;
 use psketch::prf::Prg;
@@ -86,12 +86,15 @@ proptest! {
         )
         .unwrap();
         let plans = plan_battery(threshold);
+        let run_plans = || -> Vec<_> {
+            plans.iter().map(|plan| engine.execute_plan(&db, plan).unwrap()).collect()
+        };
 
         // Scalar oracle at width 1.
         psketch::core::set_lane_width(1).unwrap();
         let conj = estimator.estimate(&db, &query).unwrap();
         let dist = estimator.estimate_distribution(&db, &pair).unwrap();
-        let answers = engine.execute_plans(&db, &plans).unwrap();
+        let answers = run_plans();
 
         for &width in &SWEEP[1..] {
             psketch::core::set_lane_width(width).unwrap();
@@ -113,7 +116,7 @@ proptest! {
                 prop_assert_eq!(w.raw.to_bits(), oracle.raw.to_bits());
             }
 
-            let w_answers = engine.execute_plans(&db, &plans).unwrap();
+            let w_answers = run_plans();
             prop_assert_eq!(w_answers.len(), answers.len());
             for (plan_idx, (w_plan, oracle_plan)) in
                 w_answers.iter().zip(&answers).enumerate()

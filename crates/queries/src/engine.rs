@@ -3,12 +3,13 @@
 //! [`QueryEngine`] is the analyst-facing façade: it owns an Algorithm 2
 //! estimator and evaluates both the linear-combination normal form and
 //! the [`TermPlan`] IR produced by the §4.1 compilers, including ratio
-//! queries (conditional means). It also keeps running memoization
-//! counters ([`EngineStatsSnapshot`]) so operators can see how much scan
-//! work term deduplication saves.
+//! queries (conditional means). It also keeps running plan counters
+//! ([`EngineStatsSnapshot`]) so operators can see how many terms plans
+//! scan and how many term references deduplication serves without a
+//! scan of their own.
 
 use crate::linear::LinearQuery;
-use crate::plan::TermPlan;
+use crate::plan::{PlanAccumulator, TermPlan};
 use psketch_core::{
     ConjunctiveEstimator, ConjunctiveQuery, Error, Estimate, SketchDb, SketchParams,
 };
@@ -18,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Shared memoization/plan counters behind a [`QueryEngine`] (clones of
-/// an engine share one set, so a server's workers aggregate naturally).
+/// Shared plan counters behind a [`QueryEngine`] (clones of an engine
+/// share one set, so a server's workers aggregate naturally).
 #[derive(Debug, Default)]
 struct EngineStats {
     terms_scanned: AtomicU64,
@@ -27,17 +28,18 @@ struct EngineStats {
     plans_executed: AtomicU64,
 }
 
-/// A point-in-time copy of an engine's memoization counters.
+/// A point-in-time copy of an engine's plan counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStatsSnapshot {
-    /// Conjunctive terms actually scanned (memo/dedup misses).
+    /// Distinct conjunctive terms counted: every term of every executed
+    /// plan, plus each term [`QueryEngine::linear`] had to estimate.
     pub terms_scanned: u64,
-    /// Term references served without a scan — engine memo hits plus
-    /// compile-time plan deduplication (each reuse is a full shard scan
-    /// saved).
+    /// Term references served without a count of their own: a plan's
+    /// references beyond its distinct terms (compile-time
+    /// deduplication), plus [`QueryEngine::linear`] memo hits.
     pub terms_reused: u64,
-    /// Plans executed through [`QueryEngine::execute_plan`] /
-    /// [`QueryEngine::execute_plans`].
+    /// Plans executed through [`QueryEngine::execute_plan`] (and, on a
+    /// shard, [`QueryEngine::count_terms_partial`]).
     pub plans_executed: u64,
 }
 
@@ -76,8 +78,8 @@ impl QueryEngine {
         &self.estimator
     }
 
-    /// A snapshot of the engine's memoization counters (shared across
-    /// clones of this engine).
+    /// A snapshot of the engine's plan counters (shared across clones of
+    /// this engine).
     #[must_use]
     pub fn stats(&self) -> EngineStatsSnapshot {
         EngineStatsSnapshot {
@@ -92,37 +94,52 @@ impl QueryEngine {
 
     /// Executes a compiled [`TermPlan`] against a database: the plan's
     /// distinct terms are counted in one batch
-    /// ([`ConjunctiveEstimator::count_terms`]), inverted once each, and
-    /// the post-combination runs through [`TermPlan::evaluate`] — the
-    /// same code path a server or cluster router uses, so the answers
-    /// are bit-identical wherever the plan executes.
+    /// ([`ConjunctiveEstimator::count_terms`]), inverted once each by
+    /// [`PlanAccumulator::finish`], and the post-combination runs
+    /// through [`TermPlan::evaluate`] — the same inversion and
+    /// combination code a cluster router runs on merged shard counts,
+    /// so the answers are bit-identical wherever the plan executes.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownSubset`] for unsketched subsets,
     /// [`Error::EmptyDatabase`] if a term's subset holds no records.
     pub fn execute_plan(&self, db: &SketchDb, plan: &TermPlan) -> Result<Vec<LinearAnswer>, Error> {
-        let mut memo = HashMap::new();
-        self.execute_plan_memo(db, plan, &mut memo)
-    }
-
-    /// Executes several plans against one database, sharing the term
-    /// memo across the whole batch: a term appearing in any two plans is
-    /// scanned once.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryEngine::execute_plan`]; answers are all-or-nothing.
-    pub fn execute_plans(
-        &self,
-        db: &SketchDb,
-        plans: &[TermPlan],
-    ) -> Result<Vec<Vec<LinearAnswer>>, Error> {
-        let mut memo = HashMap::new();
-        plans
+        let span = obs::span::enter("engine:plan_exec");
+        let started = obs::enabled().then(Instant::now);
+        let mut acc = PlanAccumulator::for_plan(plan);
+        acc.absorb(&self.estimator.count_terms(db, plan.terms())?)?;
+        let estimates = acc.finish(self.estimator.params().p())?;
+        // The plan's term list is deduplicated, so every term is scanned
+        // once and every further reference to it is a reuse.
+        let scanned = plan.terms().len() as u64;
+        let references: u64 = plan
+            .outputs()
             .iter()
-            .map(|plan| self.execute_plan_memo(db, plan, &mut memo))
-            .collect()
+            .map(|o| o.combination().len() as u64)
+            .sum();
+        let reused = references.saturating_sub(scanned);
+        self.stats
+            .terms_scanned
+            // ord: monotonic stat counter, eventual totals suffice
+            .fetch_add(scanned, Ordering::Relaxed);
+        self.stats
+            .terms_reused
+            // ord: monotonic stat counter, eventual totals suffice
+            .fetch_add(reused, Ordering::Relaxed);
+        // ord: monotonic stat counter, eventual totals suffice
+        self.stats.plans_executed.fetch_add(1, Ordering::Relaxed);
+        span.attr("term_count", scanned);
+        if let Some(started) = started {
+            // Mirror the engine's plan counters into the process registry
+            // so a /metrics scrape can report them without holding an
+            // engine handle.
+            obs::histogram("psketch_query_plan_exec_nanos", &[]).record_duration(started.elapsed());
+            obs::counter("psketch_query_plans_total", &[]).inc();
+            obs::counter("psketch_query_terms_scanned_total", &[]).add(scanned);
+            obs::counter("psketch_query_terms_reused_total", &[]).add(reused);
+        }
+        plan.evaluate(&estimates)
     }
 
     /// The shard-side scatter half: raw `(ones, population)` counts for
@@ -147,63 +164,6 @@ impl QueryEngine {
         // ord: monotonic stat counter, eventual totals suffice
         self.stats.plans_executed.fetch_add(1, Ordering::Relaxed);
         counts
-    }
-
-    fn execute_plan_memo(
-        &self,
-        db: &SketchDb,
-        plan: &TermPlan,
-        memo: &mut HashMap<ConjunctiveQuery, Estimate>,
-    ) -> Result<Vec<LinearAnswer>, Error> {
-        let span = obs::span::enter("engine:plan_exec");
-        let started = obs::enabled().then(Instant::now);
-        // Count only terms the memo does not already hold, in one batch.
-        let missing: Vec<ConjunctiveQuery> = plan
-            .terms()
-            .iter()
-            .filter(|q| !memo.contains_key(*q))
-            .cloned()
-            .collect();
-        if !missing.is_empty() {
-            let counts = self.estimator.count_terms(db, &missing)?;
-            if counts.iter().any(|&(_, n)| n == 0) {
-                return Err(Error::EmptyDatabase);
-            }
-            let p = self.estimator.params().p();
-            for (q, (ones, n)) in missing.iter().zip(counts) {
-                memo.insert(q.clone(), Estimate::from_counts(ones, n, p));
-            }
-        }
-        let scanned = missing.len() as u64;
-        let references: u64 = plan
-            .outputs()
-            .iter()
-            .map(|o| o.combination().len() as u64)
-            .sum();
-        self.stats
-            .terms_scanned
-            // ord: monotonic stat counter, eventual totals suffice
-            .fetch_add(scanned, Ordering::Relaxed);
-        self.stats
-            .terms_reused
-            // ord: monotonic stat counter, eventual totals suffice
-            .fetch_add(references.saturating_sub(scanned), Ordering::Relaxed);
-        // ord: monotonic stat counter, eventual totals suffice
-        self.stats.plans_executed.fetch_add(1, Ordering::Relaxed);
-        span.attr("term_count", plan.terms().len() as u64);
-        span.attr("memo_hits", references.saturating_sub(scanned));
-        if let Some(started) = started {
-            // Mirror the engine's memoization counters into the process
-            // registry so a /metrics scrape can report memo hit rates
-            // without holding an engine handle.
-            obs::histogram("psketch_query_plan_exec_nanos", &[]).record_duration(started.elapsed());
-            obs::counter("psketch_query_plans_total", &[]).inc();
-            obs::counter("psketch_query_terms_scanned_total", &[]).add(scanned);
-            obs::counter("psketch_query_terms_reused_total", &[])
-                .add(references.saturating_sub(scanned));
-        }
-        let estimates: Vec<Estimate> = plan.terms().iter().map(|q| memo[q]).collect();
-        plan.evaluate(&estimates)
     }
 
     /// Estimates a single conjunctive frequency (unclamped, unbiased).
@@ -321,12 +281,27 @@ mod tests {
     use super::*;
     use crate::interval::{interval_required_subsets, less_equal_query};
     use crate::mean::{mean_query, mean_required_subsets};
+    use crate::moment::{variance_plan, variance_queries};
     use psketch_core::{BitString, BitSubset, IntField, Sketcher, UserId};
     use psketch_data::{DemographicsModel, FieldDistribution, Population};
     use psketch_prf::{GlobalKey, Prg};
     use rand::SeedableRng;
 
     fn setup(p: f64, m: usize) -> (SketchParams, SketchDb, Population, IntField) {
+        // Publish single-bit subsets (means) and prefixes (intervals).
+        setup_publishing(p, m, |field| {
+            let mut subsets = mean_required_subsets(field);
+            subsets.extend(interval_required_subsets(field));
+            subsets
+        })
+    }
+
+    /// As [`setup`], publishing the subsets `subsets_for(field)` names.
+    fn setup_publishing(
+        p: f64,
+        m: usize,
+        subsets_for: impl Fn(&IntField) -> Vec<BitSubset>,
+    ) -> (SketchParams, SketchDb, Population, IntField) {
         let params = SketchParams::with_sip(p, 10, GlobalKey::from_seed(70)).unwrap();
         let mut model = DemographicsModel::new();
         let field = model.field("v", 6, FieldDistribution::Uniform { lo: 0, hi: 63 });
@@ -334,9 +309,7 @@ mod tests {
         let pop = model.generate(m, &mut rng);
         let sketcher = Sketcher::new(params);
         let db = SketchDb::new();
-        // Publish single-bit subsets (means) and prefixes (intervals).
-        let mut subsets = mean_required_subsets(&field);
-        subsets.extend(interval_required_subsets(&field));
+        let mut subsets = subsets_for(&field);
         subsets.sort();
         subsets.dedup();
         pop.publish_all(&sketcher, &subsets, &db, &mut rng).unwrap();
@@ -453,14 +426,39 @@ mod tests {
         assert_eq!(after.plans_executed, before.plans_executed + 1);
         assert_eq!(after.terms_scanned, before.terms_scanned + 6);
 
-        // A second execution in one batch reuses every term.
-        let batch = engine
-            .execute_plans(&db, &[plan.clone(), plan.clone()])
-            .unwrap();
-        assert_eq!(batch[1][0].value.to_bits(), legacy.value.to_bits());
-        let shared = engine.stats();
-        assert_eq!(shared.terms_scanned, after.terms_scanned + 6);
-        assert_eq!(shared.terms_reused, after.terms_reused + 6);
+        // A multi-output plan sharing terms: the variance plan's E[a]
+        // terms are the diagonal of its E[a²] terms, so the plan scans
+        // each distinct term once and reuses it for the other output.
+        let (params, db, _pop, field) =
+            setup_publishing(0.25, 3_000, |field| variance_plan(field).required_subsets());
+        let engine = QueryEngine::new(params);
+        let plan = variance_plan(&field);
+        let references: u64 = plan
+            .outputs()
+            .iter()
+            .map(|o| o.combination().len() as u64)
+            .sum();
+        let distinct = plan.cost() as u64;
+        assert!(references > distinct, "the outputs must share a term");
+        let before = engine.stats();
+        let answers = engine.execute_plan(&db, &plan).unwrap();
+        let after = engine.stats();
+        assert_eq!(after.terms_scanned, before.terms_scanned + distinct);
+        assert_eq!(
+            after.terms_reused,
+            before.terms_reused + references - distinct
+        );
+        let (m2, m1) = variance_queries(&field);
+        assert_eq!(answers.len(), 2);
+        for (answer, lq) in answers.iter().zip([&m2, &m1]) {
+            let legacy = engine.linear(&db, lq).unwrap();
+            assert_eq!(
+                answer.value.to_bits(),
+                legacy.value.to_bits(),
+                "{}",
+                lq.description
+            );
+        }
     }
 
     #[test]

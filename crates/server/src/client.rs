@@ -432,28 +432,6 @@ impl Client {
         }
     }
 
-    /// As [`Client::partial_term_counts_nonced`] with profiling
-    /// requested — the scatter half of a router's `EXPLAIN ANALYZE`.
-    /// The counts are bit-identical to the unprofiled path.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn partial_term_counts_traced(
-        &mut self,
-        nonce: u64,
-        terms: &[ConjunctiveQuery],
-    ) -> Result<(Vec<QueryCounts>, Option<SpanNode>), ClientError> {
-        match self.request(&Request::PartialTermCounts {
-            terms: terms.to_vec(),
-            nonce,
-            profile: true,
-        })? {
-            Response::PartialTermCounts(counts, trace) => Ok((counts, trace)),
-            other => Self::unexpected(&other),
-        }
-    }
-
     /// Fetches a recently completed span trace from the server's
     /// bounded trace ring by the nonce of the query that produced it.
     /// Returns `None` when the ring holds no trace for that nonce (it

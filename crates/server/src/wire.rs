@@ -166,16 +166,17 @@ pub fn request_kind_name(kind: u8) -> Option<&'static str> {
     })
 }
 
-/// The engine-side plan/memoization counters a server reports (the
+/// The engine-side plan counters a server reports (the
 /// wire shape of [`psketch_queries::EngineStatsSnapshot`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Plans executed through the engine (the `Plan` frame path).
+    /// Plans executed through the engine: `Plan` frames, and
+    /// `PartialTermCounts` batches on a shard.
     pub plans_executed: u64,
-    /// Conjunctive terms actually scanned (memo/dedup misses).
+    /// Distinct conjunctive terms counted by those plans.
     pub terms_scanned: u64,
-    /// Term references served without a scan (memo hits plus
-    /// compile-time plan deduplication).
+    /// Plan term references beyond the distinct terms, served without
+    /// a count of their own (compile-time plan deduplication).
     pub terms_reused: u64,
 }
 
@@ -207,7 +208,7 @@ pub struct ServerStats {
     pub frames: Vec<(u8, u64)>,
     /// Frames that could not be decoded (no kind attributable).
     pub malformed: u64,
-    /// Plan-execution and term-memoization counters.
+    /// Plan-execution and term counters.
     pub plans: PlanStats,
     /// ε-ledger charge/replay/denial counters.
     pub budget: BudgetStats,
@@ -299,7 +300,7 @@ pub enum Request {
         profile: bool,
     },
     /// Fetch server-level observability counters (uptime, per-frame-kind
-    /// request counts, plan/memoization counters, ε-ledger counters).
+    /// request counts, plan counters, ε-ledger counters).
     ServerStats,
     /// Fetch the node's full metrics-registry snapshot (counters,
     /// gauges, log₂ latency histograms) for cluster-wide merging.
