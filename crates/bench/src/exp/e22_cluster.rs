@@ -2,19 +2,25 @@
 //!
 //! The paper's Lemma 4.1 error improves with the population `M`; serving
 //! a large `M` means sharding the pool. This experiment measures the
-//! `psketch-cluster` stack — shard-map routing, parallel per-shard
+//! `psketch-cluster` stack — shard-map routing, streamed per-shard
 //! ingest, scatter-gather partial-count queries — at 1, 2 and 4 shards
 //! over loopback TCP, against the e21 single-node numbers as the
 //! baseline shape:
 //!
-//! * ingest submissions/second through one parallel connection per
-//!   shard (each shard appends to its own pool, so ingest scales with
-//!   shard count until the loopback stack saturates);
+//! * ingest submissions/second through `parallel_ingest`, streaming
+//!   each shard's chunks over its own connection (each shard appends
+//!   to its own pool, so ingest scales with shard count until the
+//!   loopback stack saturates);
 //! * conjunctive and distribution queries/second through the router
 //!   (each query is one partial-counts round trip per shard; per-shard
 //!   scan work shrinks as `1/N`);
 //! * **bit-identical** agreement between every cluster answer and the
 //!   single-node oracle over the same records, at every shard count.
+//!
+//! One timing per cell cannot rank shard counts on a shared machine, so
+//! every cell runs [`REPS`] times, the shard counts interleaved and
+//! their order rotated each repetition so no count always runs first;
+//! each cell reports its median and its min–max.
 //!
 //! Emits `BENCH_cluster.json` so the scaling trajectory accumulates
 //! across revisions.
@@ -57,15 +63,23 @@ fn make_submissions(cfg: &Config, ann: &Announcement, m: usize) -> Vec<Submissio
         .collect()
 }
 
-struct ShardRun {
-    shards: u32,
-    ingest_per_sec: f64,
-    conj_qps: f64,
-    dist_qps: f64,
-}
+/// Repetitions of every cell (odd, so each cell has a middle value).
+const REPS: usize = 5;
 
-/// Runs one shard-count configuration and verifies bit-identity against
-/// the oracle.
+/// The shard counts compared, in the first repetition's order.
+const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
+
+/// The rates each repetition of a shard count measures, as named in
+/// `BENCH_cluster.json`.
+const METRICS: [&str; 3] = [
+    "submissions_per_sec",
+    "conjunctive_queries_per_sec",
+    "distribution_queries_per_sec",
+];
+
+/// Runs one shard-count configuration on fresh servers, verifies
+/// bit-identity against the oracle, and returns the timings with the
+/// servers (shut down by the caller, off the timed path).
 fn run_shards(
     ann: &Announcement,
     subs: &[Submission],
@@ -73,7 +87,7 @@ fn run_shards(
     estimator: &ConjunctiveEstimator,
     shards: u32,
     reps: u64,
-) -> ShardRun {
+) -> ([f64; 3], Vec<Server>) {
     let servers: Vec<Server> = (0..shards)
         .map(|shard_id| {
             Server::start(
@@ -94,7 +108,7 @@ fn run_shards(
     let map = ShardMap::new(1, servers.iter().map(|s| s.local_addr().to_string()))
         .expect("non-empty map");
 
-    // --- Parallel ingest, one connection per shard. ---
+    // --- Streamed ingest, one connection per shard. ---
     let start = Instant::now();
     let report = parallel_ingest(&map, subs, TIMEOUT, 500);
     let ingest_per_sec = subs.len() as f64 / start.elapsed().as_secs_f64();
@@ -152,15 +166,7 @@ fn run_shards(
         assert_eq!(c.fraction.to_bits(), l.fraction.to_bits());
     }
 
-    for server in servers {
-        server.shutdown();
-    }
-    ShardRun {
-        shards,
-        ingest_per_sec,
-        conj_qps,
-        dist_qps,
-    }
+    ([ingest_per_sec, conj_qps, dist_qps], servers)
 }
 
 /// Runs E22.
@@ -182,15 +188,30 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     oracle.accept_batch(&subs);
     let estimator = ConjunctiveEstimator::new(ann.validate().expect("announcement validates"));
 
-    let runs: Vec<ShardRun> = [1u32, 2, 4]
-        .iter()
-        .map(|&shards| run_shards(&ann, &subs, &oracle, &estimator, shards, reps))
-        .collect();
+    // samples[i] holds SHARD_COUNTS[i]'s repetitions.
+    let mut samples: Vec<Vec<[f64; 3]>> = SHARD_COUNTS.iter().map(|_| Vec::new()).collect();
+    for rep in 0..REPS {
+        let mut retired = Vec::new();
+        for i in 0..SHARD_COUNTS.len() {
+            let cell = (rep + i) % SHARD_COUNTS.len();
+            let shards = SHARD_COUNTS[cell];
+            let (sample, servers) = run_shards(&ann, &subs, &oracle, &estimator, shards, reps);
+            samples[cell].push(sample);
+            retired.extend(servers);
+        }
+        // A server's shutdown waits out its workers' poll tick; shutting
+        // the repetition's servers down together pays that once.
+        std::thread::scope(|scope| {
+            for server in retired {
+                scope.spawn(move || server.shutdown());
+            }
+        });
+    }
 
     let mut t = Table::new(
         format!(
             "E22 — sharded cluster throughput ({m} users x 3 subsets = {records} records, \
-             scatter-gather router)"
+             scatter-gather router; median [min–max] of {REPS} interleaved repetitions)"
         ),
         &[
             "shards",
@@ -199,30 +220,28 @@ pub fn run(cfg: &Config) -> Vec<Table> {
             "distribution q/s",
         ],
     );
-    for run in &runs {
-        t.row(vec![
-            run.shards.to_string(),
-            f(run.ingest_per_sec, 0),
-            f(run.conj_qps, 1),
-            f(run.dist_qps, 1),
-        ]);
+    let mut entries = Vec::new();
+    for (&shards, cell) in SHARD_COUNTS.iter().zip(&samples) {
+        let mut row = vec![shards.to_string()];
+        let mut fields = vec![format!("\"shards\": {shards}")];
+        for (k, name) in METRICS.iter().enumerate() {
+            let mut values: Vec<f64> = cell.iter().map(|sample| sample[k]).collect();
+            values.sort_by(f64::total_cmp);
+            let (median, min, max) = (values[REPS / 2], values[0], values[REPS - 1]);
+            row.push(format!("{} [{}–{}]", f(median, 0), f(min, 0), f(max, 0)));
+            fields.push(format!(
+                "\"{name}\": {{\"median\": {median:.1}, \"min\": {min:.1}, \"max\": {max:.1}}}"
+            ));
+        }
+        t.row(row);
+        entries.push(format!("    {{{}}}", fields.join(", ")));
     }
     t.note("every answer at every shard count verified bit-identical to the single-node oracle");
-    t.note("ingest uses one parallel connection per shard; queries one scatter round per query");
+    t.note("ingest streams chunks over one connection per shard; one scatter round per query");
 
-    let entries: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"shards\": {}, \"submissions_per_sec\": {:.1}, \
-                 \"conjunctive_queries_per_sec\": {:.1}, \
-                 \"distribution_queries_per_sec\": {:.1}}}",
-                r.shards, r.ingest_per_sec, r.conj_qps, r.dist_qps
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"experiment\": \"e22_cluster\",\n  \"users\": {m},\n  \"records\": {records},\n  \
+         \"repetitions\": {REPS},\n  \
          \"baseline\": \"BENCH_service.json (e21 single node)\",\n  \"runs\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

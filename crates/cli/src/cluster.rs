@@ -11,10 +11,13 @@
 //!
 //! psketch cluster submit (--map FILE | --addrs a,b,c) [--users 1000]
 //!                        [--seed 1] [--id-base 0] [--batch 500]
+//!                        [--timeout 10] [--retries 2] [--fanout 0]
 //!     Simulate user agents against the cluster: every submission is
-//!     routed to its user's shard in parallel. Prints one outcome row
-//!     per shard (accepted/rejected, or the error and the submissions
-//!     it lost) and exits non-zero on a partial ingest.
+//!     routed to its user's shard, whose --batch-sized chunks stream
+//!     over one connection; a shard that drops resumes at its first
+//!     unacked chunk, up to --retries times. Prints one outcome row per
+//!     shard (accepted/rejected, or the error and the submissions it
+//!     lost) and exits non-zero on a partial ingest.
 //!
 //! psketch cluster query conj --subset 0,1 --value 10 (--map|--addrs)
 //! psketch cluster query dist --subset 0,1            (--map|--addrs)
@@ -51,7 +54,7 @@ use crate::args::{Args, CliError};
 use crate::service::{
     announced_width, build_announcement, parse_subset, parse_value, synthetic_submissions,
 };
-use psketch_cluster::{parallel_ingest, Coverage, Router, RouterConfig, ShardMap};
+use psketch_cluster::{Coverage, Router, RouterConfig, ShardMap};
 use psketch_core::ConjunctiveQuery;
 use psketch_prf::Prg;
 use psketch_protocol::ShardIdentity;
@@ -124,6 +127,8 @@ fn router(args: &Args, map: ShardMap) -> Result<Router, CliError> {
             timeout: Duration::from_secs_f64(timeout),
             retries,
             analyst,
+            // Only `cluster submit` accepts --batch.
+            submit_chunk: args.get_or("batch", 500)?,
             fanout,
             slow_query_ms,
             ..RouterConfig::default()
@@ -291,31 +296,24 @@ fn submit(args: &Args) -> Result<(), CliError> {
     if users == 0 || batch == 0 {
         return Err(CliError("--users and --batch must be positive".into()));
     }
-    let timeout: f64 = args.get_or("timeout", 10.0)?;
     let mut router = router(args, load_map(args)?)?;
     let ann = router.announcement().map_err(err)?;
     let width = announced_width(&ann);
 
-    // Generate and ingest one chunk at a time so memory stays flat
-    // whatever --users is; chunks are several batches per shard so the
-    // per-chunk reconnect amortizes.
+    // Generate and ingest 2^16 users at a time so memory stays flat
+    // whatever --users is; the shard connections persist across steps.
+    let step = 1 << 16;
     let shards = router.map().len();
-    let chunk = (batch * shards * 8).max(batch) as u64;
     let mut rng = Prg::seed_from_u64(seed);
     let start = std::time::Instant::now();
     // Accumulated per shard: accepted, rejected, lost-to-error, last error.
     let mut tallies: Vec<(u64, u64, u64, Option<String>)> = vec![(0, 0, 0, None); shards];
     let mut next = 0u64;
     while next < users {
-        let chunk_end = (next + chunk).min(users);
+        let step_end = (next + step).min(users);
         let submissions =
-            synthetic_submissions(&ann, width, &mut rng, id_base + next..id_base + chunk_end)?;
-        let report = parallel_ingest(
-            router.map(),
-            &submissions,
-            Duration::from_secs_f64(timeout),
-            batch,
-        );
+            synthetic_submissions(&ann, width, &mut rng, id_base + next..id_base + step_end)?;
+        let report = router.submit_batch(&submissions).map_err(err)?;
         for row in &report.shards {
             let tally = &mut tallies[row.shard as usize];
             tally.0 += row.accepted;
@@ -325,7 +323,7 @@ fn submit(args: &Args) -> Result<(), CliError> {
                 tally.3 = Some(e.clone());
             }
         }
-        next = chunk_end;
+        next = step_end;
     }
     let secs = start.elapsed().as_secs_f64();
     let accepted: u64 = tallies.iter().map(|t| t.0).sum();
@@ -694,41 +692,168 @@ fn print_merged_metrics(snapshot: &psketch_obs::RegistrySnapshot, missing: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_core::BitSubset;
+    use psketch_core::{BitSubset, UserId};
     use psketch_prf::GlobalKey;
-    use psketch_protocol::AnnouncementBuilder;
+    use psketch_protocol::{Announcement, AnnouncementBuilder};
+    use std::net::{Shutdown, TcpListener};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn parse(tokens: &[&str]) -> Args {
         Args::parse(&tokens.iter().map(ToString::to_string).collect::<Vec<_>>()).unwrap()
     }
 
-    fn start_test_cluster(shards: u32) -> (Vec<Server>, String) {
-        let ann = AnnouncementBuilder::new(9, 0.45, 5_000, 1e-6)
+    fn test_announcement() -> Announcement {
+        AnnouncementBuilder::new(9, 0.45, 5_000, 1e-6)
             .global_key(*GlobalKey::from_seed(2).as_bytes())
             .subset(BitSubset::single(0))
             .subset(BitSubset::single(1))
             .subset(BitSubset::range(0, 2))
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    fn start_shard(ann: &Announcement, shard_id: u32, shards: u32) -> Server {
+        Server::start(
+            "127.0.0.1:0",
+            ann.clone(),
+            ServerConfig {
+                workers: 2,
+                shard: Some(ShardIdentity {
+                    shard_id,
+                    shard_count: shards,
+                }),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
+    fn start_test_cluster(shards: u32) -> (Vec<Server>, String) {
+        let ann = test_announcement();
         let servers: Vec<Server> = (0..shards)
-            .map(|shard_id| {
-                Server::start(
-                    "127.0.0.1:0",
-                    ann.clone(),
-                    ServerConfig {
-                        workers: 2,
-                        shard: Some(ShardIdentity {
-                            shard_id,
-                            shard_count: shards,
-                        }),
-                        ..ServerConfig::default()
-                    },
-                )
-                .unwrap()
-            })
+            .map(|shard_id| start_shard(&ann, shard_id, shards))
             .collect();
         let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
         (servers, addrs.join(","))
+    }
+
+    /// A scripted shard node: answers `Hello` with `identity`,
+    /// `FetchAnnouncement` with `ann`, and acks every `SubmitBatch` in
+    /// full — except that the first connection to send `cut_after`
+    /// acks closes there. Returns its address and the number of
+    /// submissions it acked.
+    fn scripted_node(
+        ann: Announcement,
+        identity: ShardIdentity,
+        cut_after: usize,
+    ) -> (String, Arc<AtomicU64>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let acked = Arc::new(AtomicU64::new(0));
+        let cut = Arc::new(AtomicBool::new(false));
+        let total = Arc::clone(&acked);
+        std::thread::spawn(move || {
+            for mut stream in listener.incoming().map_while(Result::ok) {
+                let (ann, total, cut) = (ann.clone(), Arc::clone(&total), Arc::clone(&cut));
+                std::thread::spawn(move || {
+                    let mut acks = 0;
+                    while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
+                        let response = match wire::Request::decode(&frame).unwrap() {
+                            wire::Request::Hello { .. } => wire::Response::Hello {
+                                shard: Some(identity),
+                            },
+                            wire::Request::FetchAnnouncement => {
+                                wire::Response::Announcement(ann.clone())
+                            }
+                            wire::Request::SubmitBatch(batch) => {
+                                acks += 1;
+                                // ord: a test tally, read after the command returns.
+                                total.fetch_add(batch.len() as u64, Ordering::SeqCst);
+                                wire::Response::SubmitAck {
+                                    accepted: batch.len() as u64,
+                                    rejected: 0,
+                                }
+                            }
+                            other => panic!("scripted node got {other:?}"),
+                        };
+                        if wire::write_frame(&mut stream, &response.encode()).is_err() {
+                            return;
+                        }
+                        // ord: one flag, nothing published through it.
+                        if acks == cut_after && !cut.swap(true, Ordering::SeqCst) {
+                            // Read until the peer hangs up: closing with
+                            // unread bytes would reset the connection.
+                            let _ = stream.shutdown(Shutdown::Write);
+                            while let Ok(Some(_)) = wire::read_frame(&mut stream) {}
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        (addr, acked)
+    }
+
+    #[test]
+    fn cluster_submit_retries_a_shard_that_drops_mid_stream() {
+        // Shard 1 closes its first connection after two acks. With
+        // --retries 1 the stream resumes on a fresh connection and every
+        // user lands.
+        let ann = test_announcement();
+        let shard0 = start_shard(&ann, 0, 2);
+        let identity = ShardIdentity {
+            shard_id: 1,
+            shard_count: 2,
+        };
+        let (fake, acked) = scripted_node(ann, identity, 2);
+        let addrs = format!("{},{fake}", shard0.local_addr());
+        submit(&parse(&[
+            "cluster",
+            "submit",
+            "--addrs",
+            &addrs,
+            "--users",
+            "300",
+            "--batch",
+            "20",
+            "--retries",
+            "1",
+        ]))
+        .unwrap();
+        // ord: read after the command returned.
+        let acked = acked.load(Ordering::SeqCst);
+        assert!(acked > 40, "shard 1 acked only {acked}");
+        assert_eq!(shard0.coordinator().stats().accepted + acked, 300);
+        shard0.shutdown();
+    }
+
+    #[test]
+    fn cluster_submit_reports_a_shard_that_stays_down() {
+        let ann = test_announcement();
+        let shard0 = start_shard(&ann, 0, 2);
+        // Bound, then dropped: nothing listens there.
+        let dead = TcpListener::bind("127.0.0.1:0").unwrap().local_addr();
+        let dead = dead.unwrap().to_string();
+        let addrs = format!("{},{dead}", shard0.local_addr());
+        let error = submit(&parse(&[
+            "cluster",
+            "submit",
+            "--addrs",
+            &addrs,
+            "--users",
+            "300",
+            "--retries",
+            "1",
+            "--timeout",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(error.0.contains("partial ingest"), "{}", error.0);
+        let map = ShardMap::new(0, addrs.split(',')).unwrap();
+        let share = (0..300).filter(|&i| map.shard_of(UserId(i)) == 0).count();
+        assert_eq!(shard0.coordinator().stats().accepted, share as u64);
+        shard0.shutdown();
     }
 
     #[test]

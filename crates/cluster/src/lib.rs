@@ -41,7 +41,7 @@ pub mod shard;
 
 pub use router::{
     backoff_delay, parallel_ingest, ClusterError, ClusterPlanAnswer, ClusterStatus,
-    ClusterSubmitReport, Coverage, IngestReport, Router, RouterConfig, ShardIngest, ShardOutage,
-    ShardStatus, MAX_BACKOFF,
+    ClusterSubmitReport, Coverage, Router, RouterConfig, ShardIngest, ShardOutage, ShardStatus,
+    MAX_BACKOFF,
 };
 pub use shard::{splitmix64, ShardMap, ShardMapError, ShardNode};

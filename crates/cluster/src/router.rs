@@ -13,8 +13,8 @@
 //! The router serves the same analyst surface a single node does —
 //! **any compiled [`TermPlan`]**, which covers every query family
 //! (conjunctions, DNF, intervals, means, moments, trees, histograms,
-//! linear combinations) — plus ingest and status, by **merging exact
-//! partial counts** instead of estimates:
+//! linear combinations) — plus status, by **merging exact partial
+//! counts** instead of estimates:
 //!
 //! 1. every shard answers one generic `PartialTermCounts` frame with
 //!    integer `(ones, population)` counts for the plan's deduplicated
@@ -26,6 +26,9 @@
 //!    merged sums, via the same [`psketch_core::Estimate::from_counts`]
 //!    a single node uses, and [`TermPlan::evaluate`] replays the
 //!    compiler's combination order.
+//!
+//! Ingest ([`Router::submit_batch`]) streams each shard's chunks over
+//! the same connections; one failing shard never stops the others.
 //!
 //! Cluster answers are therefore bit-identical to a single node holding
 //! the union of the records — and bit-identical at every
@@ -68,7 +71,7 @@ use psketch_core::Estimate;
 use psketch_obs::{self as obs, RegistrySnapshot, SpanNode};
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
 use psketch_queries::{LinearAnswer, PlanAccumulator, TermPlan};
-use psketch_server::{next_nonce, Client, ClientError, Request, Response, ServerStats, SubmitAck};
+use psketch_server::{next_nonce, Client, ClientError, Request, Response, ServerStats};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -192,23 +195,90 @@ pub struct ClusterExplain {
     pub nonce: u64,
 }
 
-/// The outcome of a cluster batch submission.
+/// One shard's row of a cluster ingest. Acks are summed per durably
+/// committed chunk, so a shard that failed mid-batch still reports what
+/// it ingested before the failure — only [`ShardIngest::lost`]
+/// submissions need re-submitting.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardIngest {
+    /// The shard this row routed to.
+    pub shard: u32,
+    /// Submissions routed to it.
+    pub submitted: usize,
+    /// Submissions durably accepted (acked chunks survive a later
+    /// failure).
+    pub accepted: u64,
+    /// Submissions rejected as malformed or duplicate.
+    pub rejected: u64,
+    /// The error that stopped this shard's ingest mid-way, if any (a
+    /// transport failure that outlasted the retries, a refusal, or a
+    /// misrouted node); the unacked remainder was **not** ingested.
+    pub error: Option<String>,
+}
+
+impl ShardIngest {
+    /// Submissions neither acked nor rejected — lost to the failure
+    /// and in need of re-submission (zero when the shard succeeded).
+    #[must_use]
+    pub fn lost(&self) -> u64 {
+        (self.submitted as u64).saturating_sub(self.accepted + self.rejected)
+    }
+}
+
+/// The outcome of a cluster batch submission. Shards succeed and fail
+/// independently — a failed shard never erases what the others
+/// ingested.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterSubmitReport {
-    /// Submissions accepted across all shards.
+    /// Submissions durably accepted across all shards (including the
+    /// committed prefix of shards that later failed).
     pub accepted: u64,
     /// Submissions rejected (malformed or duplicate) across all shards.
     pub rejected: u64,
-    /// `(shard, submissions not ingested, error)` for shards that
-    /// stayed unreachable; their users were **not** durably submitted.
-    pub failed: Vec<(u32, usize, String)>,
+    /// One row per shard, ascending.
+    pub shards: Vec<ShardIngest>,
 }
 
 impl ClusterSubmitReport {
+    /// Sums the rows into a report.
+    fn from_rows(shards: Vec<ShardIngest>) -> Self {
+        Self {
+            accepted: shards.iter().map(|s| s.accepted).sum(),
+            rejected: shards.iter().map(|s| s.rejected).sum(),
+            shards,
+        }
+    }
+
     /// Whether every submission reached its shard.
     #[must_use]
     pub fn fully_ingested(&self) -> bool {
-        self.failed.is_empty()
+        self.shards.iter().all(|s| s.error.is_none())
+    }
+
+    /// The shards that failed, with how many submissions each lost.
+    pub fn failures(&self) -> impl Iterator<Item = &ShardIngest> {
+        self.shards.iter().filter(|s| s.error.is_some())
+    }
+
+    /// Submissions lost to shard failures (need re-submission).
+    #[must_use]
+    pub fn lost(&self) -> u64 {
+        self.shards.iter().map(ShardIngest::lost).sum()
+    }
+
+    /// Collapses the report into totals, erring if any shard failed —
+    /// the strict adapter for callers that need all-or-nothing
+    /// semantics.
+    ///
+    /// # Errors
+    ///
+    /// The first failed shard's error, prefixed with its id.
+    pub fn totals(&self) -> Result<(u64, u64), String> {
+        if let Some(failed) = self.failures().next() {
+            let err = failed.error.as_deref().expect("failure filtered");
+            return Err(format!("shard {}: {err}", failed.shard));
+        }
+        Ok((self.accepted, self.rejected))
     }
 }
 
@@ -386,8 +456,6 @@ type PlanCounts = (Vec<QueryCounts>, Option<SpanNode>);
 
 /// A shard whose frame is written and whose reply is unread.
 struct Flight {
-    /// Index into the scatter's targets.
-    target: usize,
     /// The shard's connection, back in its slot once the reply is read
     /// and the connection is still healthy.
     client: Client,
@@ -536,15 +604,18 @@ impl Router {
             // Fill the window in shard order, then read the oldest flight.
             let next = (flights.len() < fanout && !fatal).then(|| queue.next());
             let (target, outcome, exchange) = match next.flatten() {
-                Some(target) => match self.dispatch(target, targets) {
-                    Ok(flight) => {
-                        flights.push_back(flight);
-                        continue;
+                Some(target) => {
+                    let (shard, request) = targets[target];
+                    match self.dispatch(shard, request) {
+                        Ok(flight) => {
+                            flights.push_back((target, flight));
+                            continue;
+                        }
+                        Err(error) => (target, ShardAttempt::Down(error), None),
                     }
-                    Err(error) => (target, ShardAttempt::Down(error), None),
-                },
+                }
                 None => {
-                    let Some(flight) = flights.pop_front() else {
+                    let Some((target, flight)) = flights.pop_front() else {
                         break;
                     };
                     if fatal && flight.hello {
@@ -552,7 +623,6 @@ impl Router {
                         // will be; the unverified connection is dropped.
                         continue;
                     }
-                    let target = flight.target;
                     let (shard, request) = targets[target];
                     let (outcome, exchange) = self.complete(shard, request, flight, decode);
                     (target, outcome, exchange)
@@ -574,11 +644,9 @@ impl Router {
         (retry, fatal)
     }
 
-    /// Writes target `target`'s request — or, on a fresh connection,
-    /// the hello handshake that must precede it. A failure drops the
-    /// connection.
-    fn dispatch(&mut self, target: usize, targets: &[(u32, &Request)]) -> Result<Flight, String> {
-        let (shard, request) = targets[target];
+    /// Writes `shard`'s request — or, on a fresh connection, the hello
+    /// handshake that must precede it. A failure drops the connection.
+    fn dispatch(&mut self, shard: u32, request: &Request) -> Result<Flight, String> {
         let slot = &mut self.conns[shard as usize];
         let hello = slot.is_none();
         let mut client = match slot.take() {
@@ -598,7 +666,6 @@ impl Router {
         };
         written.map_err(|e| e.to_string())?;
         Ok(Flight {
-            target,
             client,
             hello,
             sent,
@@ -754,75 +821,128 @@ impl Router {
         Ok(params.p())
     }
 
-    /// Submits a batch, fanned out by each user's shard over the
-    /// persistent shard connections: one scatter round per chunk, every
-    /// shard with submissions left taking its next chunk at once.
-    /// Shards that stay unreachable are reported in the outcome with
-    /// the submissions they did not acknowledge (chunks acked before
-    /// the failure are durable and counted); reachable shards are
-    /// unaffected.
+    /// Submits a batch, routed by each user's shard, over the
+    /// persistent shard connections — the cluster's one ingest
+    /// fan-out. Every shard with submissions keeps one
+    /// [`RouterConfig::submit_chunk`]-sized chunk in flight (at most
+    /// [`RouterConfig::fanout`] shards at once) and gets its next chunk
+    /// as soon as its ack is read. A shard that fails in transport
+    /// parks at its first unacked chunk; parked shards resume together
+    /// after the stream drains, behind one backoff sleep, up to
+    /// [`RouterConfig::retries`] times. A transport failure that
+    /// outlasts the retries, a refusal or a misrouted node stops only
+    /// its own shard, whose row keeps the acked (durable) prefix next
+    /// to the error.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Refused`] if a shard rejects a batch frame
-    /// outright, [`ClusterError::Misrouted`] on map/node disagreement.
+    /// None at present: every failure is confined to its shard's row.
     pub fn submit_batch(
         &mut self,
         subs: &[Submission],
     ) -> Result<ClusterSubmitReport, ClusterError> {
-        let mut per_shard: Vec<Vec<&Submission>> =
-            (0..self.map.len()).map(|_| Vec::new()).collect();
+        let mut shares: Vec<Vec<&Submission>> = (0..self.map.len()).map(|_| Vec::new()).collect();
         for sub in subs {
-            per_shard[self.map.shard_of(sub.user) as usize].push(sub);
+            shares[self.map.shard_of(sub.user) as usize].push(sub);
         }
-        let chunk = self.config.submit_chunk.max(1);
-        let mut report = ClusterSubmitReport::default();
-        // A failed shard's first unacked offset and error; it takes no
-        // further chunks. Retrying a chunk whose ack was lost in flight
-        // can double-send it (its users dedup server-side).
-        let mut failed: Vec<Option<(usize, String)>> = vec![None; self.map.len()];
-        for offset in (0..).step_by(chunk) {
-            let requests: Vec<(u32, Request)> = per_shard
-                .iter()
-                .enumerate()
-                .filter(|&(shard, batch)| failed[shard].is_none() && batch.len() > offset)
-                .map(|(shard, batch)| {
-                    let end = batch.len().min(offset + chunk);
-                    (
-                        shard as u32,
-                        Request::SubmitBatch(
-                            batch[offset..end].iter().map(|&s| s.clone()).collect(),
-                        ),
-                    )
-                })
-                .collect();
-            if requests.is_empty() {
-                break;
-            }
-            let targets: Vec<(u32, &Request)> = requests.iter().map(|(s, r)| (*s, r)).collect();
-            let replies = self.scatter(&targets, |resp| match resp {
-                Response::SubmitAck { accepted, rejected } => Some((accepted, rejected)),
-                _ => None,
-            });
-            for (stamp, outcome) in replies {
-                match outcome.settle(stamp.shard)? {
-                    Ok((accepted, rejected)) => {
-                        report.accepted += accepted;
-                        report.rejected += rejected;
-                    }
-                    Err(outage) => failed[outage.shard as usize] = Some((offset, outage.error)),
-                }
-            }
-        }
-        report.failed = failed
-            .into_iter()
+        let mut rows: Vec<ShardIngest> = shares
+            .iter()
             .enumerate()
-            .filter_map(|(shard, failure)| {
-                failure
-                    .map(|(offset, error)| (shard as u32, per_shard[shard].len() - offset, error))
+            .map(|(shard, share)| ShardIngest {
+                shard: shard as u32,
+                submitted: share.len(),
+                ..ShardIngest::default()
             })
             .collect();
-        Ok(report)
+        // Each shard's acked prefix: where its next chunk starts.
+        let mut acked = vec![0; shares.len()];
+        let mut streaming: Vec<u32> = (0..shares.len() as u32)
+            .filter(|&shard| !shares[shard as usize].is_empty())
+            .collect();
+        let mut attempt = 1;
+        loop {
+            let parked = self.stream_chunks(&shares, &streaming, &mut acked, &mut rows);
+            if parked.is_empty() || attempt > self.config.retries {
+                break;
+            }
+            let delay = backoff_delay(self.config.backoff, attempt);
+            obs::counter("psketch_router_retries_total", &[]).add(parked.len() as u64);
+            obs::histogram("psketch_router_backoff_sleep_nanos", &[]).record_duration(delay);
+            std::thread::sleep(delay);
+            for &shard in &parked {
+                rows[shard as usize].error = None;
+            }
+            streaming = parked;
+            attempt += 1;
+        }
+        Ok(ClusterSubmitReport::from_rows(rows))
+    }
+
+    /// One pass of [`Router::submit_batch`]'s stream over `shards`
+    /// (ascending), each from its acked offset; outcomes land in
+    /// `rows`. Returns the shards that failed in transport. Resuming a
+    /// chunk whose ack was lost in flight sends it twice; its users
+    /// are then rejected server-side as duplicates.
+    fn stream_chunks(
+        &mut self,
+        shares: &[Vec<&Submission>],
+        shards: &[u32],
+        acked: &mut [usize],
+        rows: &mut [ShardIngest],
+    ) -> Vec<u32> {
+        let chunk = self.config.submit_chunk.max(1);
+        let fanout = self.effective_fanout().max(1);
+        let decode = |resp| match resp {
+            Response::SubmitAck { accepted, rejected } => Some((accepted, rejected)),
+            _ => None,
+        };
+        let mut queue = shards.iter().copied();
+        let mut flights: VecDeque<(u32, Request, Flight)> = VecDeque::with_capacity(fanout);
+        let mut parked = Vec::new();
+        // A shard whose ack was just read and whose share has chunks left.
+        let mut resume = None;
+        loop {
+            let next = resume
+                .take()
+                .or_else(|| (flights.len() < fanout).then(|| queue.next()).flatten());
+            if let Some(shard) = next {
+                let (share, from) = (&shares[shard as usize], acked[shard as usize]);
+                let end = share.len().min(from + chunk);
+                let request =
+                    Request::SubmitBatch(share[from..end].iter().map(|&s| s.clone()).collect());
+                match self.dispatch(shard, &request) {
+                    Ok(flight) => flights.push_back((shard, request, flight)),
+                    Err(error) => {
+                        rows[shard as usize].error = Some(error);
+                        parked.push(shard);
+                    }
+                }
+                continue;
+            }
+            let Some((shard, request, flight)) = flights.pop_front() else {
+                break;
+            };
+            let (outcome, _) = self.complete(shard, &request, flight, &decode);
+            let (row, share) = (&mut rows[shard as usize], &shares[shard as usize]);
+            match outcome.settle(shard) {
+                Ok(Ok((accepted, rejected))) => {
+                    row.accepted += accepted;
+                    row.rejected += rejected;
+                    let offset = &mut acked[shard as usize];
+                    *offset = share.len().min(*offset + chunk);
+                    if *offset < share.len() {
+                        resume = Some(shard);
+                    }
+                }
+                Ok(Err(outage)) => {
+                    row.error = Some(outage.error);
+                    parked.push(shard);
+                }
+                Err(fatal) => row.error = Some(fatal.to_string()),
+            }
+        }
+        parked.sort_unstable();
+        parked
     }
 
     /// Executes a compiled [`TermPlan`] across the cluster — the one
@@ -1174,168 +1294,45 @@ impl Router {
     }
 }
 
-/// One shard's slice of a [`parallel_ingest`] run. Acks are summed
-/// per durably committed chunk, so a shard that died mid-batch still
-/// reports what it ingested before the failure — only
-/// [`ShardIngest::lost`] submissions need re-submitting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardIngest {
-    /// The shard this slice routed to.
-    pub shard: u32,
-    /// Submissions routed to it.
-    pub submitted: usize,
-    /// Submissions durably accepted (acked chunks survive a later
-    /// failure).
-    pub accepted: u64,
-    /// Submissions rejected as malformed or duplicate.
-    pub rejected: u64,
-    /// The transport error that stopped this shard's ingest mid-way,
-    /// if any; the unacked remainder was **not** durably ingested.
-    pub error: Option<String>,
-}
-
-impl ShardIngest {
-    /// Submissions neither acked nor rejected — lost to the failure
-    /// and in need of re-submission (zero when the shard succeeded).
-    #[must_use]
-    pub fn lost(&self) -> u64 {
-        (self.submitted as u64).saturating_sub(self.accepted + self.rejected)
-    }
-}
-
-/// Per-shard outcomes of a [`parallel_ingest`] run. Shards succeed and
-/// fail independently — a failed shard never erases what the others
-/// ingested.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IngestReport {
-    /// One row per shard, ascending.
-    pub shards: Vec<ShardIngest>,
-}
-
-impl IngestReport {
-    /// Submissions durably accepted across all shards (including the
-    /// committed prefix of shards that later failed).
-    #[must_use]
-    pub fn accepted(&self) -> u64 {
-        self.shards.iter().map(|s| s.accepted).sum()
-    }
-
-    /// Submissions rejected (malformed or duplicate) across all shards.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.shards.iter().map(|s| s.rejected).sum()
-    }
-
-    /// Submissions lost to shard failures (need re-submission).
-    #[must_use]
-    pub fn lost(&self) -> u64 {
-        self.shards.iter().map(ShardIngest::lost).sum()
-    }
-
-    /// Whether every submission reached its shard.
-    #[must_use]
-    pub fn fully_ingested(&self) -> bool {
-        self.shards.iter().all(|s| s.error.is_none())
-    }
-
-    /// The shards that failed, with how many submissions each lost.
-    pub fn failures(&self) -> impl Iterator<Item = &ShardIngest> {
-        self.shards.iter().filter(|s| s.error.is_some())
-    }
-
-    /// Collapses the report into totals, erring if any shard failed —
-    /// the strict adapter for callers that need all-or-nothing
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// The first failed shard's error, prefixed with its id.
-    pub fn totals(&self) -> Result<(u64, u64), String> {
-        if let Some(failed) = self.failures().next() {
-            let err = failed.error.as_deref().expect("failure filtered");
-            return Err(format!("shard {}: {err}", failed.shard));
-        }
-        Ok((self.accepted(), self.rejected()))
-    }
-}
-
-/// Ingests a submission set through one independent connection per
-/// shard, in parallel — the scale-out ingest path (a [`Router`] reuses
-/// its persistent shard connections, which measures steady-state
-/// scatter; this spins up fresh connections sized to the batch).
-///
-/// Every submission is routed by the map's placement hash; chunking
-/// bounds frame sizes. Each connection first checks, by `Hello`, that
-/// the node serves the shard the map says ([`ShardMap::admits`]): a
-/// node that does not is sent nothing, and its row carries the
-/// misrouted error. Each shard's outcome is reported independently:
-/// a shard that fails mid-batch costs only its own submissions, and the
-/// caller can see exactly which users need re-submission instead of
-/// mistaking a partial ingest for a total failure.
+/// Ingests a submission set into the cluster `map` describes: a fresh
+/// [`Router`] over `map` with `timeout`, `chunk`-submission frames and
+/// no retries, streaming through [`Router::submit_batch`]. Each shard's
+/// outcome is reported independently, so a shard that fails mid-batch
+/// costs only its own submissions and the caller can see exactly which
+/// users need re-submission. Every connection first checks, by
+/// `Hello`, that the node serves the shard the map says
+/// ([`ShardMap::admits`]); a node that does not is sent nothing, and
+/// its row carries the misrouted error. A map the router refuses puts
+/// that error in every row.
 #[must_use]
 pub fn parallel_ingest(
     map: &ShardMap,
     subs: &[Submission],
     timeout: Duration,
     chunk: usize,
-) -> IngestReport {
-    let mut per_shard: Vec<Vec<Submission>> = (0..map.len()).map(|_| Vec::new()).collect();
-    for sub in subs {
-        per_shard[map.shard_of(sub.user) as usize].push(sub.clone());
-    }
-    let shards: Vec<ShardIngest> = std::thread::scope(|scope| {
-        let handles: Vec<_> = per_shard
-            .iter()
-            .enumerate()
-            .map(|(shard, batch)| {
-                scope.spawn(move || ingest_shard(map, shard as u32, batch, timeout, chunk))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(shard, h)| {
-                let (ack, error) = h.join().expect("ingest worker panicked");
-                ShardIngest {
-                    shard: shard as u32,
-                    submitted: per_shard[shard].len(),
-                    accepted: ack.accepted,
-                    rejected: ack.rejected,
-                    error,
-                }
-            })
-            .collect()
-    });
-    IngestReport { shards }
-}
-
-/// One [`parallel_ingest`] shard: connect, verify the node's identity,
-/// then submit in chunks. Returns what was acked and the error that
-/// stopped the shard, if any.
-fn ingest_shard(
-    map: &ShardMap,
-    shard: u32,
-    batch: &[Submission],
-    timeout: Duration,
-    chunk: usize,
-) -> (SubmitAck, Option<String>) {
-    if batch.is_empty() {
-        return (SubmitAck::default(), None);
-    }
-    let mut client = match Client::connect(map.addr_of(shard), timeout) {
-        Ok(client) => client,
-        Err(e) => return (SubmitAck::default(), Some(e.to_string())),
+) -> ClusterSubmitReport {
+    let config = RouterConfig {
+        timeout,
+        submit_chunk: chunk,
+        retries: 0,
+        ..RouterConfig::default()
     };
-    match client.hello(0) {
-        Ok(found) if map.admits(shard, found.as_ref()) => {}
-        Ok(found) => {
-            let error = ClusterError::Misrouted { shard, found };
-            return (SubmitAck::default(), Some(error.to_string()));
-        }
-        Err(e) => return (SubmitAck::default(), Some(e.to_string())),
-    }
-    let (ack, err) = client.submit_chunked_partial(batch, chunk.max(1));
-    (ack, err.map(|e| e.to_string()))
+    Router::new(map.clone(), config)
+        .and_then(|mut router| router.submit_batch(subs))
+        .unwrap_or_else(|e| {
+            let rows = (0..map.len() as u32)
+                .map(|shard| ShardIngest {
+                    shard,
+                    submitted: subs
+                        .iter()
+                        .filter(|s| map.shard_of(s.user) == shard)
+                        .count(),
+                    error: Some(e.to_string()),
+                    ..ShardIngest::default()
+                })
+                .collect();
+            ClusterSubmitReport::from_rows(rows)
+        })
 }
 
 #[cfg(test)]

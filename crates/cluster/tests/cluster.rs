@@ -10,8 +10,11 @@ use psketch_protocol::{
     Announcement, AnnouncementBuilder, Coordinator, ShardIdentity, Submission, UserAgent,
 };
 use psketch_queries::{LinearQuery, QueryEngine, TermPlan};
-use psketch_server::{Server, ServerConfig};
+use psketch_server::{wire, Request, Response, Server, ServerConfig};
 use rand::SeedableRng;
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -629,7 +632,7 @@ fn parallel_ingest_refuses_a_misordered_map() {
         assert!(error.contains("is actually serving shard"), "{error}");
         assert_eq!(row.accepted, 0, "{row:?}");
     }
-    assert_eq!(report.accepted(), 0);
+    assert_eq!(report.accepted, 0);
     assert_eq!(report.lost(), subs.len() as u64);
     for server in &servers {
         assert_eq!(server.coordinator().stats().accepted, 0);
@@ -637,6 +640,226 @@ fn parallel_ingest_refuses_a_misordered_map() {
     for server in servers {
         server.shutdown();
     }
+}
+
+/// A scripted shard node for ingest tests: answers `Hello` with
+/// `identity`, `FetchAnnouncement` with `ann`, and acks every
+/// `SubmitBatch` in full — except that the first connection to send
+/// `cut_after` acks closes there. It logs every batch it acks as
+/// `(connection index, user ids)`.
+struct ScriptedNode {
+    addr: String,
+    acked: Arc<BatchLog>,
+}
+
+/// Acked batches as `(connection index, user ids)`, in ack order.
+type BatchLog = Mutex<Vec<(usize, Vec<u64>)>>;
+
+impl ScriptedNode {
+    fn start(ann: Announcement, identity: ShardIdentity, cut_after: usize) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let acked = Arc::new(Mutex::new(Vec::new()));
+        let cut = Arc::new(AtomicBool::new(false));
+        let log = Arc::clone(&acked);
+        std::thread::spawn(move || {
+            for (conn, stream) in listener.incoming().map_while(Result::ok).enumerate() {
+                let (ann, log, cut) = (ann.clone(), Arc::clone(&log), Arc::clone(&cut));
+                std::thread::spawn(move || {
+                    Self::serve(stream, conn, &ann, identity, cut_after, &log, &cut);
+                });
+            }
+        });
+        Self { addr, acked }
+    }
+
+    fn serve(
+        mut stream: TcpStream,
+        conn: usize,
+        ann: &Announcement,
+        identity: ShardIdentity,
+        cut_after: usize,
+        log: &BatchLog,
+        cut: &AtomicBool,
+    ) {
+        let mut acks = 0;
+        while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
+            let response = match Request::decode(&frame).unwrap() {
+                Request::Hello { .. } => Response::Hello {
+                    shard: Some(identity),
+                },
+                Request::FetchAnnouncement => Response::Announcement(ann.clone()),
+                Request::SubmitBatch(batch) => {
+                    acks += 1;
+                    let users = batch.iter().map(|s| s.user.0).collect();
+                    log.lock().unwrap().push((conn, users));
+                    Response::SubmitAck {
+                        accepted: batch.len() as u64,
+                        rejected: 0,
+                    }
+                }
+                other => panic!("scripted node got {other:?}"),
+            };
+            if wire::write_frame(&mut stream, &response.encode()).is_err() {
+                return;
+            }
+            if acks == cut_after && !cut.swap(true, AtomicOrdering::SeqCst) {
+                // Send nothing more, but read until the peer hangs up:
+                // closing with unread bytes would reset the connection
+                // and could destroy acks the peer has not read yet.
+                let _ = stream.shutdown(Shutdown::Write);
+                while let Ok(Some(_)) = wire::read_frame(&mut stream) {}
+                return;
+            }
+        }
+    }
+
+    fn acked(&self) -> Vec<(usize, Vec<u64>)> {
+        self.acked.lock().unwrap().clone()
+    }
+}
+
+#[test]
+fn a_shard_that_dies_mid_stream_keeps_its_acked_prefix() {
+    // Shard 1 acks K chunks on its first connection, then closes. With
+    // no retries its row keeps that prefix and counts the rest lost;
+    // with one retry the stream resumes on a fresh connection at chunk
+    // K, so no acked chunk is sent twice. Shard 0 never notices.
+    const CHUNK: usize = 7;
+    const K: usize = 3;
+    let ann = announcement(43);
+    let ids: Vec<u64> = (0..300).collect();
+    let subs = submissions(&ann, &ids, 43);
+    for retries in [0, 1] {
+        let (mut servers, map) = start_cluster(&ann, 2);
+        servers.pop().unwrap().shutdown();
+        let identity = ShardIdentity {
+            shard_id: 1,
+            shard_count: 2,
+        };
+        let node = ScriptedNode::start(ann.clone(), identity, K);
+        let map = ShardMap::new(1, [map.addr_of(0), node.addr.as_str()]).unwrap();
+        let share: Vec<u64> = subs
+            .iter()
+            .filter(|s| map.shard_of(s.user) == 1)
+            .map(|s| s.user.0)
+            .collect();
+        assert!(share.len() > K * CHUNK && !share.len().is_multiple_of(CHUNK));
+        let mut router = Router::new(
+            map,
+            RouterConfig {
+                timeout: TIMEOUT,
+                retries,
+                backoff: Duration::from_millis(10),
+                submit_chunk: CHUNK,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let report = router.submit_batch(&subs).unwrap();
+
+        let row = &report.shards[0];
+        assert_eq!(row.error, None, "{report:?}");
+        assert_eq!(row.accepted, row.submitted as u64);
+        assert_eq!(servers[0].coordinator().stats().accepted, row.accepted);
+
+        let row = &report.shards[1];
+        assert_eq!(row.submitted, share.len());
+        let acked = node.acked();
+        if retries == 0 {
+            assert_eq!(row.accepted, (K * CHUNK) as u64, "{row:?}");
+            assert_eq!(row.lost(), (share.len() - K * CHUNK) as u64);
+            assert!(row.error.is_some(), "{row:?}");
+            assert!(!report.fully_ingested());
+            assert_eq!(report.failures().map(|r| r.shard).collect::<Vec<_>>(), [1]);
+            assert_eq!(report.lost(), row.lost());
+        } else {
+            assert!(report.fully_ingested(), "{report:?}");
+            assert_eq!(report.accepted, subs.len() as u64);
+            let resumed = acked.iter().find(|(conn, _)| *conn > 0).unwrap();
+            assert_eq!(resumed.1[0], share[K * CHUNK], "resumed off chunk {K}");
+        }
+        // Every acked user, in order, is a prefix of the share (all of
+        // it after a recovery): nothing acked was sent again.
+        let users: Vec<u64> = acked.into_iter().flat_map(|(_, batch)| batch).collect();
+        assert_eq!(users[..], share[..row.accepted as usize]);
+        for server in servers {
+            server.shutdown();
+        }
+    }
+}
+
+#[test]
+fn parallel_ingest_matches_router_submit_batch() {
+    // The same submissions through the two entry points, at several
+    // chunk sizes and fanouts, land identically and answer
+    // bit-identically.
+    let ann = announcement(47);
+    let ids: Vec<u64> = (0..300).collect();
+    let subs = submissions(&ann, &ids, 47);
+    let pair = BitSubset::range(0, 2);
+    let plans = [
+        conj_plan(pair.clone(), BitString::from_bits(&[true, false])),
+        TermPlan::for_distribution(&pair),
+    ];
+    for chunk in [1, 7, 1_000] {
+        let (reference, map) = start_cluster(&ann, 3);
+        let expected = parallel_ingest(&map, &subs, TIMEOUT, chunk);
+        assert!(expected.fully_ingested(), "{expected:?}");
+        assert!(expected.shards.iter().all(|row| row.submitted < 1_000));
+        let mut oracle = fast_router(map);
+        for fanout in [1, 0] {
+            let (servers, map) = start_cluster(&ann, 3);
+            let mut router = Router::new(
+                map,
+                RouterConfig {
+                    timeout: TIMEOUT,
+                    submit_chunk: chunk,
+                    fanout,
+                    ..RouterConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(router.submit_batch(&subs).unwrap(), expected);
+            for (a, b) in reference.iter().zip(&servers) {
+                let (a, b) = (a.coordinator().stats(), b.coordinator().stats());
+                assert_eq!(a.accepted, b.accepted, "chunk {chunk}, fanout {fanout}");
+            }
+            for plan in &plans {
+                let a = oracle.execute_plan(plan).unwrap();
+                let b = router.execute_plan(plan).unwrap();
+                for (x, y) in a.term_estimates.iter().zip(&b.term_estimates) {
+                    assert_eq!(x.fraction.to_bits(), y.fraction.to_bits());
+                    assert_eq!(x.raw.to_bits(), y.raw.to_bits());
+                }
+            }
+            for server in servers {
+                server.shutdown();
+            }
+        }
+        for server in reference {
+            server.shutdown();
+        }
+    }
+}
+
+#[test]
+fn parallel_ingest_reports_a_refused_map_in_every_row() {
+    // A map the router refuses (shard ids out of order) is no panic:
+    // every row carries the error and counts its share lost.
+    let ann = announcement(53);
+    let ids: Vec<u64> = (0..40).collect();
+    let subs = submissions(&ann, &ids, 53);
+    let mut map = ShardMap::new(1, ["127.0.0.1:1", "127.0.0.1:2"]).unwrap();
+    map.shards.swap(0, 1);
+    let report = parallel_ingest(&map, &subs, TIMEOUT, 10);
+    assert_eq!(report.shards.len(), 2);
+    assert_eq!(report.lost(), subs.len() as u64);
+    for row in &report.shards {
+        let error = row.error.as_deref().unwrap();
+        assert!(error.contains("0..N"), "{error}");
+    }
+    assert!(report.totals().is_err());
 }
 
 #[test]

@@ -3,15 +3,19 @@
 //! A [`Client`] owns one TCP connection and reuses it across requests —
 //! the frame protocol is strictly request/response, so connection reuse
 //! is just "write a frame, read a frame". User agents submit in batches
-//! ([`Client::submit_batch`] / [`Client::submit_chunked`]); analysts
-//! query with [`Client::execute_plan`] (the server evaluates the plan)
-//! or [`Client::partial_term_counts`] (the caller inverts and combines
-//! the raw counts, as the cluster router does).
+//! ([`Client::submit_batch`], or [`Client::submit_chunked`] to split a
+//! large set into frames on this one connection; a sharded deployment
+//! ingests through the cluster router instead); analysts query with
+//! [`Client::execute_plan`] (the server evaluates the plan) or
+//! [`Client::partial_term_counts`] (the caller inverts and combines the
+//! raw counts, as the cluster router does).
 //!
 //! A caller talking to several servers at once (the cluster router)
 //! splits a round trip into [`Client::send`] and [`Client::receive`]:
-//! it writes every server's request first, then reads the replies, so
-//! the servers work concurrently while one thread waits.
+//! it has a request written to every server before it blocks on the
+//! first reply (for ingest, each server's next chunk goes out as soon
+//! as its ack is read), so the servers work concurrently while one
+//! thread waits.
 //!
 //! # Request nonces
 //!
@@ -265,40 +269,19 @@ impl Client {
     /// # Errors
     ///
     /// Transport, protocol, or server errors; already-acked chunks stay
-    /// ingested (use [`Client::submit_chunked_partial`] to learn how
-    /// many).
+    /// ingested.
     pub fn submit_chunked(
         &mut self,
         subs: &[Submission],
         batch_size: usize,
     ) -> Result<SubmitAck, ClientError> {
-        match self.submit_chunked_partial(subs, batch_size) {
-            (total, None) => Ok(total),
-            (_, Some(e)) => Err(e),
-        }
-    }
-
-    /// As [`Client::submit_chunked`], but a mid-batch failure does not
-    /// erase what already committed: returns the summed acks of the
-    /// chunks the server durably acknowledged *before* the failure,
-    /// alongside the error (if any) that stopped the remainder — so
-    /// callers can report a partial ingest as exactly that.
-    pub fn submit_chunked_partial(
-        &mut self,
-        subs: &[Submission],
-        batch_size: usize,
-    ) -> (SubmitAck, Option<ClientError>) {
         let mut total = SubmitAck::default();
         for chunk in subs.chunks(batch_size.max(1)) {
-            match self.submit_batch(chunk) {
-                Ok(ack) => {
-                    total.accepted += ack.accepted;
-                    total.rejected += ack.rejected;
-                }
-                Err(e) => return (total, Some(e)),
-            }
+            let ack = self.submit_batch(chunk)?;
+            total.accepted += ack.accepted;
+            total.rejected += ack.rejected;
         }
-        (total, None)
+        Ok(total)
     }
 
     /// Executes a compiled [`TermPlan`] server-side and returns one
