@@ -78,8 +78,8 @@ const METRICS: [&str; 3] = [
 ];
 
 /// Runs one shard-count configuration on fresh servers, verifies
-/// bit-identity against the oracle, and returns the timings with the
-/// servers (shut down by the caller, off the timed path).
+/// bit-identity against the oracle, shuts the servers down and returns
+/// the timings.
 fn run_shards(
     ann: &Announcement,
     subs: &[Submission],
@@ -87,7 +87,7 @@ fn run_shards(
     estimator: &ConjunctiveEstimator,
     shards: u32,
     reps: u64,
-) -> ([f64; 3], Vec<Server>) {
+) -> [f64; 3] {
     let servers: Vec<Server> = (0..shards)
         .map(|shard_id| {
             Server::start(
@@ -166,7 +166,10 @@ fn run_shards(
         assert_eq!(c.fraction.to_bits(), l.fraction.to_bits());
     }
 
-    ([ingest_per_sec, conj_qps, dist_qps], servers)
+    for server in servers {
+        server.shutdown();
+    }
+    [ingest_per_sec, conj_qps, dist_qps]
 }
 
 /// Runs E22.
@@ -191,21 +194,11 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     // samples[i] holds SHARD_COUNTS[i]'s repetitions.
     let mut samples: Vec<Vec<[f64; 3]>> = SHARD_COUNTS.iter().map(|_| Vec::new()).collect();
     for rep in 0..REPS {
-        let mut retired = Vec::new();
         for i in 0..SHARD_COUNTS.len() {
             let cell = (rep + i) % SHARD_COUNTS.len();
             let shards = SHARD_COUNTS[cell];
-            let (sample, servers) = run_shards(&ann, &subs, &oracle, &estimator, shards, reps);
-            samples[cell].push(sample);
-            retired.extend(servers);
+            samples[cell].push(run_shards(&ann, &subs, &oracle, &estimator, shards, reps));
         }
-        // A server's shutdown waits out its workers' poll tick; shutting
-        // the repetition's servers down together pays that once.
-        std::thread::scope(|scope| {
-            for server in retired {
-                scope.spawn(move || server.shutdown());
-            }
-        });
     }
 
     let mut t = Table::new(

@@ -21,6 +21,14 @@
 //! estimator splits the scan across the scan pool. Its count must equal
 //! the scalar oracle.
 //!
+//! A fourth table is the count-table sweep that sets the pool's
+//! `K_MAX`: for subsets of width k = 1..8 it measures the upkeep a count
+//! table costs at ingest (one fused pass with all `2^k` values over each
+//! 500-record batch, ns per record, at every lane width) and a
+//! one-term `count_terms` answer against a `count` scan of the same
+//! records. Every k's `count_terms` counts, from a table or a scan, must
+//! equal one scalar-width scan per value.
+//!
 //! In quick mode this doubles as the CI throughput smoke: identity is
 //! asserted at every width; in the first two cells the best lane width
 //! must not be slower than the scalar loop, and in the pooled cell the
@@ -32,7 +40,7 @@ use crate::common::Config;
 use crate::report::{f, Table};
 use psketch_core::{
     set_lane_width, BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, HFunction,
-    Profile, SketchDb, Sketcher, UserId, SUPPORTED_LANE_WIDTHS,
+    Profile, SketchDb, SketchParams, Sketcher, UserId, SUPPORTED_LANE_WIDTHS,
 };
 use std::time::Instant;
 
@@ -44,6 +52,13 @@ const CORE_STEPS: [usize; 3] = [1, 2, 4];
 /// Records in the pooled cell: four times the estimator's parallel
 /// threshold, so the shipping path cuts the scan into chunks.
 const POOLED_RECORDS: usize = 1 << 16;
+
+/// Widest subset the count-table sweep measures.
+const SWEEP_MAX_WIDTH: usize = 8;
+
+/// Records per ingest batch in the upkeep measurement: the benchmark's
+/// `mixed_wal` batch size.
+const UPKEEP_BATCH: usize = 500;
 
 /// Best observed rate over `reps` runs of `scan` (which returns the
 /// satisfying counts, checked against `expected` every time).
@@ -354,6 +369,11 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         values_json.join(",\n    "),
         shipping_rate / one_thread_rate,
     );
+    let (tables_table, tables_json) = count_table_sweep(cfg, params, reps);
+    let json = json.replace(
+        "\n}\n",
+        &format!(",\n  \"count_tables\": {tables_json}\n}}\n"),
+    );
     if cfg.quick {
         t.note("quick mode: BENCH_lanes.json not written");
     } else {
@@ -361,5 +381,125 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         t.note("wrote BENCH_lanes.json");
     }
 
-    vec![t, values_table, pooled_table]
+    vec![t, values_table, pooled_table, tables_table]
+}
+
+/// Best wall time of `run` over `reps` runs, in nanoseconds.
+fn best_ns(reps: u64, mut run: impl FnMut()) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            run();
+            start.elapsed().as_secs_f64() * 1e9
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The count-table sweep: per width k, upkeep ns per record at every
+/// lane width, and a one-term answer from `count_terms` against a
+/// `count` scan, over synthetic columns (tables count any keys, so no
+/// sketching is needed). Returns the table and its JSON object.
+fn count_table_sweep(cfg: &Config, params: SketchParams, reps: u64) -> (Table, String) {
+    let n = if cfg.quick { 1 << 12 } else { 1 << 18 };
+    let ids: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+    let keys: Vec<u64> = (0..n as u64).map(|i| (i * 7919) % 1024).collect();
+    let db = SketchDb::new().with_count_tables(params);
+    let h = HFunction::new(&params);
+    let estimator = ConjunctiveEstimator::new(params);
+    let mut t = Table::new(
+        format!("E25 — count tables over {n} records: upkeep per record and one-term answers"),
+        &[
+            "k",
+            "values",
+            "upkeep ns/rec x1",
+            "x4",
+            "x8",
+            "count_terms us",
+            "count scan us",
+            "tabled",
+        ],
+    );
+    let mut rows = Vec::new();
+    for k in 1..=SWEEP_MAX_WIDTH {
+        let subset = BitSubset::range(0, k as u32);
+        db.insert_columns(subset.clone(), ids.clone(), keys.clone());
+        let values: Vec<BitString> = (0..1u64 << k).map(|v| BitString::from_u64(v, k)).collect();
+        let prepared = h.prepare(&subset, k);
+        let mut upkeep = Vec::new();
+        for &lanes in SUPPORTED_LANE_WIDTHS {
+            set_lane_width(lanes).expect("supported width");
+            let ns = best_ns(reps, || {
+                for (ids, keys) in ids.chunks(UPKEEP_BATCH).zip(keys.chunks(UPKEEP_BATCH)) {
+                    std::hint::black_box(prepared.count_values(ids, keys, &values));
+                }
+            });
+            upkeep.push((lanes, ns / n as f64));
+        }
+        // Oracle: one scalar-width scan per value.
+        set_lane_width(1).expect("1 is a supported width");
+        let oracle: Vec<(u64, u64)> = values
+            .iter()
+            .map(|v| {
+                (
+                    h.prepare_query(&subset, v).count_ones(&ids, &keys) as u64,
+                    n as u64,
+                )
+            })
+            .collect();
+        set_lane_width(0).expect("0 restores auto-probing");
+        let terms: Vec<ConjunctiveQuery> = values
+            .iter()
+            .map(|v| ConjunctiveQuery::new(subset.clone(), v.clone()).expect("widths match"))
+            .collect();
+        assert_eq!(
+            estimator.count_terms(&db, &terms).expect("populated"),
+            oracle,
+            "k = {k}: count_terms diverged from the scalar scan"
+        );
+        let tabled = db.count_table(&subset, &params).is_some();
+        let term = std::slice::from_ref(&terms[terms.len() - 1]);
+        let answer_ns = best_ns(reps, || {
+            std::hint::black_box(estimator.count_terms(&db, term).expect("populated"));
+        });
+        let scan_ns = best_ns(reps, || {
+            std::hint::black_box(estimator.count(&db, &term[0]).expect("populated"));
+        });
+        let cell = |lanes: usize| {
+            upkeep
+                .iter()
+                .find(|&&(l, _)| l == lanes)
+                .map_or(f64::NAN, |&(_, ns)| ns)
+        };
+        t.row(vec![
+            format!("{k}"),
+            format!("{}", values.len()),
+            f(cell(1), 1),
+            f(cell(4), 1),
+            f(cell(8), 1),
+            f(answer_ns / 1e3, 2),
+            f(scan_ns / 1e3, 2),
+            if tabled { "yes" } else { "no (scan)" }.into(),
+        ]);
+        let upkeep_json: Vec<String> = upkeep
+            .iter()
+            .map(|&(lanes, ns)| format!("\"{lanes}\": {ns:.2}"))
+            .collect();
+        rows.push(format!(
+            "{{\"k\": {k}, \"values\": {}, \"upkeep_ns_per_record\": {{{}}}, \
+             \"count_terms_us\": {:.3}, \"count_scan_us\": {:.3}, \"tabled\": {tabled}}}",
+            values.len(),
+            upkeep_json.join(", "),
+            answer_ns / 1e3,
+            scan_ns / 1e3,
+        ));
+    }
+    t.note(format!(
+        "upkeep: one fused pass with all 2^k values over each {UPKEEP_BATCH}-record batch; \
+         every k's count_terms counts verified equal to one scalar scan per value"
+    ));
+    let json = format!(
+        "{{\"records\": {n}, \"upkeep_batch\": {UPKEEP_BATCH}, \"rows\": [\n    {}\n  ]}}",
+        rows.join(",\n    ")
+    );
+    (t, json)
 }

@@ -19,12 +19,35 @@ use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Ten bits: wider than any subset that gets a count table, so terms on
+/// the wide subset are answered by a scan wherever they run.
+const WIDE_BITS: u32 = 10;
+
+/// The wide subset of [`announcement`].
+fn wide() -> BitSubset {
+    BitSubset::range(0, WIDE_BITS)
+}
+
+/// A conjunction on the wide subset, for the family sweeps.
+fn wide_clause() -> ConjunctiveQuery {
+    ConjunctiveQuery::new(wide(), BitString::from_u64(0x2A5, WIDE_BITS as usize)).unwrap()
+}
+
+/// The family sweeps' profiles: the two 2-bit fields at bits 0–3, then
+/// bits filling out the wide subset.
+fn family_profile(i: u64) -> Profile {
+    let mut bits = vec![i.is_multiple_of(3), i.is_multiple_of(2), i % 5 < 2, i % 7 < 3];
+    bits.extend((4..WIDE_BITS).map(|b| i.rotate_right(b) & 1 == 1));
+    Profile::from_bits(&bits)
+}
+
 fn announcement(seed: u64) -> Announcement {
     AnnouncementBuilder::new(4242, 0.45, 10_000, 1e-6)
         .global_key(*GlobalKey::from_seed(seed).as_bytes())
         .subset(BitSubset::range(0, 2))
         .subset(BitSubset::single(0))
         .subset(BitSubset::single(1))
+        .subset(wide())
         .build()
         .unwrap()
 }
@@ -33,7 +56,11 @@ fn submissions(ann: &Announcement, ids: &[u64], seed: u64) -> Vec<Submission> {
     let mut rng = Prg::seed_from_u64(seed);
     ids.iter()
         .map(|&i| {
-            let profile = Profile::from_bits(&[i % 3 == 0, i % 2 == 0]);
+            // Bits 0 and 1 feed the narrow subsets; the rest fill out
+            // the wide one.
+            let mut bits = vec![i % 3 == 0, i % 2 == 0];
+            bits.extend((2..WIDE_BITS).map(|b| i.rotate_right(b) & 1 == 1));
+            let profile = Profile::from_bits(&bits);
             let mut agent = UserAgent::new(UserId(i), profile, ann.p, 1e9);
             agent.participate(ann, &mut rng).unwrap()
         })
@@ -121,6 +148,23 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
         assert_eq!(
             clustered.term_estimates[0].raw.to_bits(),
             local.raw.to_bits()
+        );
+        assert_eq!(clustered.term_estimates[0].sample_size, local.sample_size);
+    }
+
+    // Conjunctive on the wide subset: scanned on every shard and on the
+    // oracle.
+    for value in [0u64, 0x2A5, (1 << WIDE_BITS) - 1] {
+        let value = BitString::from_u64(value, WIDE_BITS as usize);
+        let clustered = router
+            .execute_plan(&conj_plan(wide(), value.clone()))
+            .unwrap();
+        let q = ConjunctiveQuery::new(wide(), value).unwrap();
+        let local = estimator.estimate(oracle.pool(), &q).unwrap();
+        assert_eq!(
+            clustered.term_estimates[0].fraction.to_bits(),
+            local.fraction.to_bits(),
+            "wide conjunctive diverged at {shards} shards"
         );
         assert_eq!(clustered.term_estimates[0].sample_size, local.sample_size);
     }
@@ -244,6 +288,8 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
         (BitSubset::single(0), BitString::from_bits(&[true])),
         (BitSubset::single(3), BitString::from_bits(&[false])),
     ];
+    let mut wide_query = q::LinearQuery::new("wide conjunction");
+    wide_query.push(1.0, wide_clause());
 
     let families: Vec<(&str, q::TermPlan, Option<q::LinearQuery>)> = vec![
         (
@@ -280,6 +326,12 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
         ),
         ("tree", tree.to_plan(), Some(tree.to_linear_query())),
         ("sumlt", q::sum_lt_plan(&a, &b, 2), None),
+        // Wider than any count table: scanned on every path.
+        (
+            "wide conjunction",
+            q::TermPlan::for_conjunctive(wide_clause()),
+            Some(wide_query),
+        ),
         ("categorical", q::histogram_plan(&attr), None),
         (
             "bits",
@@ -314,13 +366,13 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     let mut ids = ids;
     ids.sort_unstable();
     ids.dedup();
-    // 4-bit profiles covering both fields (the shared helper's profiles
-    // are only 2 bits wide).
+    // Profiles covering both fields (the shared helper's profiles set
+    // only bits 0 and 1 of the narrow subsets).
     let mut rng = Prg::seed_from_u64(seed ^ 0xFA91);
     let subs: Vec<Submission> = ids
         .iter()
         .map(|&i| {
-            let profile = Profile::from_bits(&[i % 3 == 0, i % 2 == 0, i % 5 < 2, i % 7 < 3]);
+            let profile = family_profile(i);
             let mut agent = UserAgent::new(UserId(i), profile, ann.p, 1e12);
             agent.participate(&ann, &mut rng).unwrap()
         })
@@ -959,6 +1011,11 @@ fn family_plans() -> Vec<(&'static str, psketch_queries::TermPlan)> {
         ("combined", q::eq_and_less_than_plan(&a, 2, &b, 3)),
         ("tree", tree.to_plan()),
         ("sumlt", q::sum_lt_plan(&a, &b, 2)),
+        // Wider than any count table: scanned on every shard.
+        (
+            "wide conjunction",
+            q::TermPlan::for_conjunctive(wide_clause()),
+        ),
         ("categorical", q::histogram_plan(&attr)),
         ("variance", q::variance_plan(&a)),
         ("conditional-mean", q::conditional_mean_plan(&a, 2, &b)),
@@ -1054,7 +1111,7 @@ fn assert_parallel_matches_sequential(m: u64, shards: u32, seed: u64) {
     let subs: Vec<Submission> = ids
         .iter()
         .map(|&i| {
-            let profile = Profile::from_bits(&[i % 3 == 0, i % 2 == 0, i % 5 < 2, i % 7 < 3]);
+            let profile = family_profile(i);
             let mut agent = UserAgent::new(UserId(i), profile, ann.p, 1e12);
             agent.participate(&ann, &mut rng).unwrap()
         })
@@ -1149,16 +1206,19 @@ fn intermediate_fanouts_answer_identically() {
 #[derive(Debug, PartialEq)]
 struct WireAnswers {
     server_conj: (u64, u64, usize),
+    server_wide: (u64, u64, usize),
     server_dist: Vec<(u64, u64)>,
     server_plan: Vec<(u64, usize, usize)>,
     cluster_conj: (u64, u64, usize),
+    cluster_wide: (u64, u64, usize),
     cluster_dist: Vec<u64>,
     cluster_plan: Vec<(u64, usize, usize)>,
 }
 
 /// Queries one standalone server (server path) and one router (cluster
-/// path) with a conjunctive, a distribution and a compiled mean plan,
-/// capturing every answer's bit pattern. The server path fetches the
+/// path) with a conjunctive, a conjunction on the wide (scanned) subset,
+/// a distribution and a compiled mean plan, capturing every answer's bit
+/// pattern. The server path fetches the
 /// conjunction's and the distribution's term counts and inverts them at
 /// the announcement's quantized bias `p`.
 fn wire_answers(
@@ -1174,6 +1234,9 @@ fn wire_answers(
     };
     let conj_term = ConjunctiveQuery::new(pair.clone(), value.clone()).unwrap();
     let s_conj = invert(&client.partial_term_counts(&[conj_term]).unwrap()[0]);
+    let wide_value = BitString::from_u64(0x2A5, WIDE_BITS as usize);
+    let wide_term = ConjunctiveQuery::new(wide(), wide_value.clone()).unwrap();
+    let s_wide = invert(&client.partial_term_counts(&[wide_term]).unwrap()[0]);
     let dist_plan = psketch_queries::TermPlan::for_distribution(&pair);
     let s_dist: Vec<_> = client
         .partial_term_counts(dist_plan.terms())
@@ -1185,18 +1248,21 @@ fn wire_answers(
     let c_conj = router
         .execute_plan(&conj_plan(pair.clone(), value))
         .unwrap();
+    let c_wide = router.execute_plan(&conj_plan(wide(), wide_value)).unwrap();
     let c_dist = router
         .execute_plan(&TermPlan::for_distribution(&pair))
         .unwrap();
     let c_plan = router.execute_plan(plan).unwrap();
     assert!(c_conj.coverage.is_complete());
     assert!(c_plan.coverage.is_complete());
+    let bits = |e: &psketch_core::Estimate| (e.fraction.to_bits(), e.raw.to_bits(), e.sample_size);
     WireAnswers {
         server_conj: (
             s_conj.fraction.to_bits(),
             s_conj.raw.to_bits(),
             s_conj.sample_size,
         ),
+        server_wide: bits(&s_wide),
         server_dist: s_dist
             .iter()
             .map(|e| (e.fraction.to_bits(), e.raw.to_bits()))
@@ -1210,6 +1276,7 @@ fn wire_answers(
             c_conj.term_estimates[0].raw.to_bits(),
             c_conj.term_estimates[0].sample_size,
         ),
+        cluster_wide: bits(&c_wide.term_estimates[0]),
         cluster_dist: c_dist
             .term_estimates
             .iter()
@@ -1227,8 +1294,10 @@ fn wire_answers(
 /// standalone `Server` behind `Client` and a sharded cluster behind
 /// `Router` answer float-bit-identically at every supported lane width
 /// (and at auto-probe) to the width-1 scalar oracle. The lane knob is
-/// process-global, so the in-process server scan threads see each
-/// width as the sweep sets it.
+/// process-global, so the in-process server threads see each width as
+/// the sweep sets it: the submissions are ingested in chunks at
+/// rotating widths (count-table upkeep runs the kernel at each), and
+/// every query set runs at each width (the wide subset's scans do).
 fn assert_lane_widths_identical_over_the_wire(m: u64, shards: u32, seed: u64) {
     let ann = announcement(seed);
     let mut ids: Vec<u64> = (0..m).map(|i| i.wrapping_mul(0x9E37) ^ seed).collect();
@@ -1239,16 +1308,43 @@ fn assert_lane_widths_identical_over_the_wire(m: u64, shards: u32, seed: u64) {
 
     let standalone = Server::start("127.0.0.1:0", ann.clone(), ServerConfig::default()).unwrap();
     let mut client = psketch_server::Client::connect(standalone.local_addr(), TIMEOUT).unwrap();
-    client.submit_batch(&subs).unwrap();
-
     let (servers, map) = start_cluster(&ann, shards);
     let mut router = fast_router(map);
-    let report = router.submit_batch(&subs).unwrap();
-    assert!(report.fully_ingested());
+    let widths = psketch_core::SUPPORTED_LANE_WIDTHS;
+    for (chunk, width) in subs.chunks(17).zip(widths.iter().cycle()) {
+        psketch_core::set_lane_width(*width).unwrap();
+        client.submit_batch(chunk).unwrap();
+        let report = router.submit_batch(chunk).unwrap();
+        assert!(report.fully_ingested());
+    }
 
     let p = ann.validate().unwrap().p();
     psketch_core::set_lane_width(1).unwrap();
     let oracle = wire_answers(&mut client, &mut router, &plan, p);
+
+    // The width-1 answers are themselves checked against the scalar
+    // path (`estimate_scalar`) over an in-process pool of the same
+    // submissions, so table answers are never only compared with table
+    // answers.
+    let local = Coordinator::new(ann.clone());
+    local.accept_batch(&subs);
+    let estimator = ConjunctiveEstimator::new(ann.validate().unwrap());
+    let scalar = |subset: BitSubset, value: u64| {
+        let k = subset.len();
+        let q = ConjunctiveQuery::new(subset, BitString::from_u64(value, k)).unwrap();
+        let e = estimator.estimate_scalar(local.pool(), &q).unwrap();
+        (e.fraction.to_bits(), e.raw.to_bits(), e.sample_size)
+    };
+    // `[true, false]` is value 1, LSB first.
+    assert_eq!(oracle.server_conj, scalar(BitSubset::range(0, 2), 1));
+    assert_eq!(oracle.server_wide, scalar(wide(), 0x2A5));
+    let dist: Vec<(u64, u64)> = (0..4)
+        .map(|v| {
+            let (fraction, raw, _) = scalar(BitSubset::range(0, 2), v);
+            (fraction, raw)
+        })
+        .collect();
+    assert_eq!(oracle.server_dist, dist);
 
     let sweep = psketch_core::SUPPORTED_LANE_WIDTHS
         .iter()

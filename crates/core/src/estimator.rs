@@ -255,9 +255,13 @@ impl ConjunctiveEstimator {
     /// population)` pair per query, in input order.
     ///
     /// This is the batch entry point plan executors drive. Terms are
-    /// grouped by subset, and each distinct subset costs one snapshot and
+    /// grouped by subset. A subset with a count table built with this
+    /// estimator's parameters ([`SketchDb::count_table`]) answers each
+    /// term as `(table[v], population)`: no snapshot, no scan, one
+    /// `estimator:table` span. Any other subset costs one snapshot and
     /// one scan that counts every value its terms ask for: one
-    /// `estimator:scan` per subset, however many terms sit on it.
+    /// `estimator:scan` per subset, however many terms sit on it. Both
+    /// yield the same integers.
     ///
     /// # Errors
     ///
@@ -303,6 +307,19 @@ impl ConjunctiveEstimator {
             }
         }
         for (subset, idxs) in groups {
+            if let Some((table, n)) = db.count_table(subset, &self.params) {
+                let span = obs::span::enter("estimator:table");
+                span.attr("records", n);
+                span.attr("values", idxs.len() as u64);
+                if n > 0 {
+                    for &i in &idxs {
+                        // A tabled subset is at most K_MAX bits wide.
+                        counts[i] = (table[queries[i].value().to_u64() as usize], n);
+                    }
+                    table_hits().add(idxs.len() as u64);
+                }
+                continue; // an empty shard stays (0, 0), as a scan leaves it
+            }
             let snapshot = match db.snapshot(subset) {
                 Ok(s) => s,
                 Err(e @ Error::UnknownSubset { .. }) => {
@@ -479,6 +496,13 @@ fn record_scan(records: usize, threads: usize, elapsed: std::time::Duration) {
     obs::histogram("psketch_scan_nanos", &labels).record_duration(elapsed);
     obs::counter("psketch_scan_records_total", &labels).add(records as u64);
     obs::counter("psketch_scans_total", &labels).inc();
+}
+
+/// Terms answered from a count table (`psketch_count_table_hits_total`),
+/// registered once: a table answer is too cheap to pay a registry lookup.
+fn table_hits() -> &'static obs::Counter {
+    static HITS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    HITS.get_or_init(|| obs::counter("psketch_count_table_hits_total", &[]))
 }
 
 /// Every value of `subset`, in LSB-first integer order (the index order
@@ -1014,6 +1038,61 @@ mod tests {
             Err(Error::UnknownSubset { .. })
         ));
         assert_eq!(est.count_terms_partial(&db, &[unknown]), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn tabled_subsets_answer_without_a_scan() {
+        // Count tables reach K_MAX bits: terms on such a subset come from
+        // its table (an `estimator:table` span and no `estimator:scan`),
+        // terms on a wider one from a scan, and both equal the scalar
+        // oracle bit for bit.
+        let params = params(0.3);
+        let sketcher = Sketcher::new(params);
+        let db = SketchDb::new().with_count_tables(params);
+        let k_max = crate::database::K_MAX;
+        let narrow = BitSubset::range(0, k_max as u32);
+        let wide = BitSubset::range(0, k_max as u32 + 1);
+        let mut rng = Prg::seed_from_u64(5);
+        for i in 0..400u64 {
+            let bits: Vec<bool> = (0..=k_max).map(|b| (i >> b) & 1 == 1).collect();
+            let profile = Profile::from_bits(&bits);
+            for s in [&narrow, &wide] {
+                let sketch = sketcher.sketch(UserId(i), &profile, s, &mut rng).unwrap();
+                db.insert(s.clone(), UserId(i), sketch);
+            }
+        }
+        let traced = |est: &ConjunctiveEstimator, terms: &[ConjunctiveQuery]| {
+            let trace = obs::Trace::begin(0x7AB1E, "test");
+            let counts = est.count_terms(&db, terms).unwrap();
+            assert_eq!(est.count_terms_partial(&db, terms), counts);
+            (counts, trace.finish())
+        };
+        let est = ConjunctiveEstimator::new(params);
+        for (subset, scans) in [(&narrow, false), (&wide, true)] {
+            let k = subset.len();
+            let terms: Vec<ConjunctiveQuery> = [0, 5, (1 << k) - 1, 5]
+                .iter()
+                .map(|&v| ConjunctiveQuery::new(subset.clone(), BitString::from_u64(v, k)).unwrap())
+                .collect();
+            let (counts, tree) = traced(&est, &terms);
+            assert_eq!(tree.find("estimator:scan").is_some(), scans, "{k} bits");
+            assert_eq!(tree.find("estimator:table").is_some(), !scans, "{k} bits");
+            for (q, &(ones, n)) in terms.iter().zip(&counts) {
+                let scalar = est.estimate_scalar(&db, q).unwrap();
+                let tabled = Estimate::from_counts(ones, n, est.params().p());
+                assert_eq!(tabled.fraction.to_bits(), scalar.fraction.to_bits());
+                assert_eq!(tabled.raw.to_bits(), scalar.raw.to_bits());
+                assert_eq!(tabled.sample_size, scalar.sample_size);
+            }
+        }
+        // An estimator with other parameters must not read the tables.
+        let other = ConjunctiveEstimator::new(
+            SketchParams::with_sip(0.3, 10, GlobalKey::from_seed(22)).unwrap(),
+        );
+        let term = ConjunctiveQuery::new(narrow.clone(), BitString::from_u64(1, k_max)).unwrap();
+        let (counts, tree) = traced(&other, std::slice::from_ref(&term));
+        assert!(tree.find("estimator:scan").is_some());
+        assert_eq!(counts[0], other.count(&db, &term).unwrap());
     }
 
     #[test]

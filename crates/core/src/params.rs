@@ -18,7 +18,7 @@ pub const MAX_SKETCH_BITS: u8 = 30;
 /// * `sketch_bits` — the key length `ℓ` (so the key space has `2^ℓ` keys);
 /// * `key` — the global 256-bit generator key for `H`;
 /// * `prf` — which PRF family instantiates `H`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchParams {
     p: Bias,
     sketch_bits: u8,

@@ -184,7 +184,7 @@ fn chacha_output(key: &ChaChaKey, digest: u128) -> u64 {
 /// An enum (rather than `dyn Prf`) keeps evaluation monomorphic and
 /// allocation-free on the hot path while still letting experiments switch
 /// instantiations at run time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrfKind {
     /// SipHash-2-4 instantiation (default; fastest).
     Sip,

@@ -9,8 +9,8 @@
 use crate::messages::{Announcement, Submission};
 use parking_lot::Mutex;
 use psketch_core::theory::min_sketch_bits;
-use psketch_core::{BitSubset, Error, SketchDb, SketchRecord, UserId};
-use std::collections::{HashMap, HashSet};
+use psketch_core::{BitSubset, Error, SketchDb, UserId};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Builder for announcements.
@@ -178,6 +178,16 @@ impl Counters {
     }
 }
 
+/// Gives `db` count tables built with the announcement's `H`, so narrow
+/// plan terms are answered without a scan. An announcement that fails
+/// validation gets none: its pool answers by scanning.
+fn with_count_tables(announcement: &Announcement, db: SketchDb) -> SketchDb {
+    match announcement.validate() {
+        Ok(params) => db.with_count_tables(params),
+        Err(_) => db,
+    }
+}
+
 /// The coordinator: holds the announcement and the public pool.
 #[derive(Debug)]
 pub struct Coordinator {
@@ -192,8 +202,8 @@ impl Coordinator {
     #[must_use]
     pub fn new(announcement: Announcement) -> Self {
         Self {
+            db: with_count_tables(&announcement, SketchDb::new()),
             announcement,
-            db: SketchDb::new(),
             seen: Mutex::new(HashSet::new()),
             counters: Counters::default(),
         }
@@ -201,7 +211,8 @@ impl Coordinator {
 
     /// Rebuilds a coordinator from previously persisted state (a snapshot
     /// file): the announcement, the set of users already accepted, the
-    /// restored pool, and the counter values at snapshot time.
+    /// restored pool, and the counter values at snapshot time. The
+    /// pool's count tables are rebuilt with one fused pass per subset.
     ///
     /// The restored coordinator keeps rejecting duplicates of every user
     /// in `seen`, exactly as the original would have.
@@ -213,8 +224,8 @@ impl Coordinator {
         stats: CoordinatorStats,
     ) -> Self {
         Self {
+            db: with_count_tables(&announcement, db),
             announcement,
-            db,
             seen: Mutex::new(seen.into_iter().collect()),
             counters: Counters::restore(stats),
         }
@@ -235,7 +246,7 @@ impl Coordinator {
     ///   estimate);
     /// * alignment errors from [`Submission::decode`].
     pub fn accept(&self, submission: &Submission) -> Result<(), Error> {
-        let records = match submission.decode(&self.announcement) {
+        let records = match submission.decode_indexed(&self.announcement) {
             Ok(r) => r,
             Err(e) => {
                 // ord: monotonic stat counter, eventual totals suffice
@@ -274,9 +285,9 @@ impl Coordinator {
         let mut outcome = BatchOutcome::default();
         // Decode outside any lock: bundle parsing is the expensive part
         // and must not serialize concurrent ingestion.
-        let mut decoded: Vec<(UserId, Vec<(BitSubset, psketch_core::Sketch)>)> = Vec::new();
+        let mut decoded: Vec<(UserId, Vec<(usize, psketch_core::Sketch)>)> = Vec::new();
         for submission in submissions {
-            match submission.decode(&self.announcement) {
+            match submission.decode_indexed(&self.announcement) {
                 Ok(records) => decoded.push((submission.user, records)),
                 Err(_) => {
                     // ord: monotonic stat counter, eventual totals suffice
@@ -308,27 +319,31 @@ impl Coordinator {
         outcome
     }
 
-    /// Groups decoded records by subset and lands them in the pool's
-    /// columnar shards via `SketchDb::insert_batch`.
+    /// Groups decoded records by announced subset (records name theirs
+    /// by index) into id and key columns and lands them in the pool's
+    /// shards via `SketchDb::insert_columns`, which also brings each
+    /// subset's count table up to date.
     fn ingest<I>(&self, decoded: I)
     where
-        I: IntoIterator<Item = (UserId, Vec<(BitSubset, psketch_core::Sketch)>)>,
+        I: IntoIterator<Item = (UserId, Vec<(usize, psketch_core::Sketch)>)>,
     {
-        let mut grouped: HashMap<BitSubset, Vec<SketchRecord>> = HashMap::new();
+        let subsets = &self.announcement.subsets;
+        let mut grouped: Vec<(Vec<u64>, Vec<u64>)> = vec![Default::default(); subsets.len()];
         let mut total = 0u64;
         for (user, records) in decoded {
-            for (subset, sketch) in records {
+            for (i, sketch) in records {
                 total += 1;
-                grouped
-                    .entry(subset)
-                    .or_default()
-                    .push(SketchRecord { id: user, sketch });
+                let (ids, keys) = &mut grouped[i];
+                ids.push(user.0);
+                keys.push(sketch.key);
             }
         }
         // ord: monotonic stat counter, eventual totals suffice
         self.counters.records.fetch_add(total, Ordering::Relaxed);
-        for (subset, records) in grouped {
-            self.db.insert_batch(subset, records);
+        for (subset, (ids, keys)) in subsets.iter().zip(grouped) {
+            if !ids.is_empty() {
+                self.db.insert_columns(subset.clone(), ids, keys);
+            }
         }
     }
 

@@ -113,6 +113,24 @@ impl Submission {
     ///
     /// [`Error::Codec`] on malformed bundles or misaligned counts.
     pub fn decode(&self, announcement: &Announcement) -> Result<Vec<(BitSubset, Sketch)>, Error> {
+        Ok(self
+            .decode_indexed(announcement)?
+            .into_iter()
+            .map(|(i, sketch)| (announcement.subsets[i].clone(), sketch))
+            .collect())
+    }
+
+    /// As [`Submission::decode`], naming each sketch's subset by its
+    /// index in `announcement.subsets`: the ingest path, which groups by
+    /// index instead of cloning and hashing a subset per record.
+    ///
+    /// # Errors
+    ///
+    /// As [`Submission::decode`].
+    pub fn decode_indexed(
+        &self,
+        announcement: &Announcement,
+    ) -> Result<Vec<(usize, Sketch)>, Error> {
         if self.database_id != announcement.database_id {
             return Err(Error::Codec {
                 reason: format!(
@@ -150,16 +168,8 @@ impl Submission {
                 reason: "skipped indices malformed".to_string(),
             });
         }
-        let mut out = Vec::with_capacity(expected);
-        let mut iter = sketches.into_iter();
-        for (i, subset) in announcement.subsets.iter().enumerate() {
-            if skipped.contains(&(i as u32)) {
-                continue;
-            }
-            let sketch = iter.next().expect("count checked above");
-            out.push((subset.clone(), sketch));
-        }
-        Ok(out)
+        let sketched = (0..announcement.subsets.len()).filter(|&i| !skipped.contains(&(i as u32)));
+        Ok(sketched.zip(sketches).collect())
     }
 }
 

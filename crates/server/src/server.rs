@@ -8,9 +8,10 @@
 //! [`psketch_core::SketchDb`] `Arc` snapshots — readers never block
 //! writers and a long analyst scan never stalls ingestion.
 //!
-//! Shutdown is graceful: in-flight requests complete, idle workers exit
-//! at their next poll tick, and the accept thread is woken with a
-//! loopback connection so nothing blocks forever.
+//! Shutdown is graceful: in-flight requests complete, the read half of
+//! every served socket is shut so workers parked on an idle connection
+//! wake at once, and the accept thread is woken with a loopback
+//! connection so nothing blocks forever.
 
 use crate::wal::{Wal, WalConfig, WalError};
 use crate::wire::{self, codes, Request, Response, PROTOCOL_VERSION};
@@ -21,13 +22,14 @@ use psketch_protocol::{Announcement, Coordinator, QueryCounts, ShardIdentity};
 use psketch_queries::QueryEngine;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often an idle worker wakes up to check for shutdown.
+/// How often an idle worker wakes up to check for shutdown (a fallback:
+/// shutdown also ends the blocking reads of every served socket).
 const POLL_TICK: Duration = Duration::from_millis(200);
 
 /// Server configuration.
@@ -554,6 +556,46 @@ struct ServiceState {
     obs_queue_wait_nanos: Arc<Histogram>,
     /// Slow-request WARN threshold ([`ServerConfig::slow_query_ms`]).
     slow_query_ms: Option<u64>,
+    /// The sockets workers are serving, for shutdown to wake.
+    sockets: OpenSockets,
+}
+
+/// Clones of the sockets workers are serving, keyed by a per-connection
+/// id, so shutdown can end a worker's blocking read instead of waiting
+/// for its next [`POLL_TICK`].
+#[derive(Default)]
+struct OpenSockets {
+    /// The next connection id, and the registered sockets.
+    open: Mutex<(u64, HashMap<u64, TcpStream>)>,
+}
+
+impl OpenSockets {
+    /// Registers a socket about to be served and returns its id; `None`
+    /// if the socket cannot be cloned (its worker then notices shutdown
+    /// on the poll tick). A socket registered after `close_reads` ran
+    /// needs no waking: the shutdown flag was set before that sweep took
+    /// the lock, so its worker sees the flag before its first read.
+    fn register(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let mut open = self.open.lock();
+        let id = open.0;
+        open.0 += 1;
+        open.1.insert(id, clone);
+        Some(id)
+    }
+
+    fn deregister(&self, id: u64) {
+        self.open.lock().1.remove(&id);
+    }
+
+    /// Shuts the read half of every registered socket: a worker parked in
+    /// a read sees end-of-stream at once, while a response being written
+    /// still goes out.
+    fn close_reads(&self) {
+        for stream in self.open.lock().1.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
 }
 
 /// Per-connection protocol state, established by the hello handshake.
@@ -660,6 +702,7 @@ impl Server {
             }),
             obs_queue_wait_nanos: obs::histogram("psketch_server_queue_wait_nanos", &[]),
             slow_query_ms: config.slow_query_ms,
+            sockets: OpenSockets::default(),
         });
 
         let exposer = match &config.metrics_addr {
@@ -746,6 +789,7 @@ impl Server {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
+        self.state.sockets.close_reads();
         if let Some(exposer) = self.exposer.take() {
             exposer.shutdown();
         }
@@ -795,7 +839,11 @@ fn worker_loop(
                 state
                     .obs_queue_wait_nanos
                     .record_duration(enqueued.elapsed());
+                let registered = state.sockets.register(&stream);
                 let _ = serve_connection(stream, state, shutdown);
+                if let Some(id) = registered {
+                    state.sockets.deregister(id);
+                }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // ord: pairs with the AcqRel swap in `shutdown_impl`

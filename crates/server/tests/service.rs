@@ -592,6 +592,41 @@ fn shutdown_is_prompt_with_idle_connections() {
 }
 
 #[test]
+fn shutdown_wakes_idle_sockets_and_answers_in_flight_requests() {
+    // Idle connections parked in a read: shutdown wakes them at once
+    // instead of at the workers' 200 ms poll tick.
+    let ann = announcement();
+    let server = Server::start("127.0.0.1:0", ann.clone(), ServerConfig::default()).unwrap();
+    let mut idle: Vec<Client> = (0..3)
+        .map(|_| Client::connect(server.local_addr(), TIMEOUT).unwrap())
+        .collect();
+    for client in &mut idle {
+        client.ping().unwrap();
+    }
+    let start = std::time::Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    assert!(idle[0].ping().is_err());
+
+    // A request the server is already handling still gets its answer.
+    let server = Server::start("127.0.0.1:0", ann.clone(), ServerConfig::default()).unwrap();
+    let subs = submissions(&ann, 0..3000, 8);
+    let mut watcher = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let mut submitter = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    let ack = std::thread::scope(|scope| {
+        let ack = scope.spawn(move || submitter.submit_batch(&subs));
+        // The batch frame is counted once decoded, before it is applied.
+        while watcher.server_stats().unwrap().count_for(0x02) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown();
+        ack.join().unwrap()
+    });
+    assert_eq!(ack.unwrap().accepted, 3000);
+}
+
+#[test]
 fn hello_handshake_reports_shard_identity_and_partials_match_counts() {
     use psketch_protocol::ShardIdentity;
     let ann = announcement();
@@ -922,6 +957,26 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
         // Drop without reading: the socket dies mid-response.
     }
 
+    // The retry must come after the killed frame's charge: a retry
+    // charged first would leave that frame `Pending`, and its
+    // RETRY_PENDING reply would die on the closed socket unseen. The
+    // frame counter moves before the charge, so wait for the charge.
+    let charged = {
+        let mut observed = ingest.server_stats().unwrap();
+        for _ in 0..500 {
+            if observed.budget.charged_terms >= 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            observed = ingest.server_stats().unwrap();
+        }
+        observed
+    };
+    assert_eq!(
+        charged.budget.charged_terms, 1,
+        "the killed frame was never charged: {charged:?}"
+    );
+
     // --- The retry, same nonce, fresh connection. ---
     // A RETRY_PENDING answer means the killed socket's frame is still
     // being evaluated; the cached answer is ready shortly after.
@@ -1091,4 +1146,107 @@ fn replays_serve_the_cached_response_not_a_recomputation() {
     assert_eq!(stats.budget.charged_terms, 2, "{stats:?}");
     assert_eq!(stats.budget.replays, 1, "{stats:?}");
     server.shutdown();
+}
+
+/// Ten bits: wider than any subset that gets a count table, so its
+/// terms are always answered by a scan.
+const WIDE_BITS: u32 = 10;
+
+/// Narrow subsets (count-table answers) beside one wide subset (scan
+/// answers), with 10-bit profiles to cover it.
+fn tabled_announcement() -> Announcement {
+    AnnouncementBuilder::new(79, 0.45, 10_000, 1e-6)
+        .global_key(*GlobalKey::from_seed(6).as_bytes())
+        .subset(BitSubset::range(0, 2))
+        .subset(BitSubset::single(2))
+        .subset(BitSubset::range(0, WIDE_BITS))
+        .build()
+        .unwrap()
+}
+
+fn wide_submissions(ann: &Announcement, ids: std::ops::Range<u64>, seed: u64) -> Vec<Submission> {
+    let mut rng = Prg::seed_from_u64(seed);
+    ids.map(|i| {
+        let bits: Vec<bool> = (0..WIDE_BITS).map(|b| (i * 7 + 3) >> b & 1 == 1).collect();
+        let mut agent = UserAgent::new(UserId(i), Profile::from_bits(&bits), 0.45, 1e6);
+        agent.participate(ann, &mut rng).unwrap()
+    })
+    .collect()
+}
+
+/// Every value of each narrow subset and three of the wide one, counted
+/// over the wire and inverted, must equal the scalar oracle
+/// (`estimate_scalar` over the same submissions) bit for bit.
+fn assert_served_counts_match_scalar(client: &mut Client, ann: &Announcement, subs: &[Submission]) {
+    let wide = BitSubset::range(0, WIDE_BITS);
+    let mut terms: Vec<ConjunctiveQuery> = Vec::new();
+    for subset in [BitSubset::range(0, 2), BitSubset::single(2)] {
+        terms.extend(TermPlan::for_distribution(&subset).terms().iter().cloned());
+    }
+    for v in [0, 77, (1 << WIDE_BITS) - 1] {
+        let value = BitString::from_u64(v, WIDE_BITS as usize);
+        terms.push(ConjunctiveQuery::new(wide.clone(), value).unwrap());
+    }
+    let counts = client.partial_term_counts(&terms).unwrap();
+    let oracle = oracle(ann, subs);
+    let estimator = ConjunctiveEstimator::new(ann.validate().unwrap());
+    for (term, counts) in terms.iter().zip(&counts) {
+        assert_eq!(counts.population, subs.len() as u64, "{term:?}");
+        if subs.is_empty() {
+            continue;
+        }
+        let served = Estimate::from_counts(counts.ones, counts.population, estimator.params().p());
+        let scalar = estimator.estimate_scalar(oracle.pool(), term).unwrap();
+        assert_eq!(
+            served.fraction.to_bits(),
+            scalar.fraction.to_bits(),
+            "{term:?}"
+        );
+        assert_eq!(served.raw.to_bits(), scalar.raw.to_bits(), "{term:?}");
+        assert_eq!(served.sample_size, scalar.sample_size, "{term:?}");
+    }
+}
+
+proptest::proptest! {
+    /// Count tables stay exact through any interleaving of appends,
+    /// queries, WAL compactions and restarts (from the log alone or
+    /// from a compaction snapshot plus the log).
+    #[test]
+    fn count_tables_survive_appends_compaction_and_restarts(
+        ops in proptest::collection::vec((0u8..4, 1u64..40), 3..9),
+        seed in proptest::prelude::any::<u64>(),
+    ) {
+        let dir = temp_dir("tables");
+        let ann = tabled_announcement();
+        // Op 2 restarts compacting after every append, op 3 restarts
+        // with a threshold no test log reaches.
+        let config = |compact_threshold_bytes: u64| ServerConfig {
+            workers: 2,
+            wal: Some(WalConfig { dir: dir.clone(), compact_threshold_bytes }),
+            ..ServerConfig::default()
+        };
+        let mut server = Server::start("127.0.0.1:0", ann.clone(), config(64 << 20)).unwrap();
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        let mut subs: Vec<Submission> = Vec::new();
+        for (op, n) in ops {
+            match op {
+                0 => {
+                    let next = subs.len() as u64;
+                    let batch = wide_submissions(&ann, next..next + n, seed ^ next);
+                    assert_eq!(client.submit_batch(&batch).unwrap().accepted, n);
+                    subs.extend(batch);
+                }
+                1 => assert_served_counts_match_scalar(&mut client, &ann, &subs),
+                _ => {
+                    server.shutdown();
+                    let threshold = if op == 2 { 1 } else { 64 << 20 };
+                    server = Server::start("127.0.0.1:0", ann.clone(), config(threshold)).unwrap();
+                    client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+                }
+            }
+        }
+        assert_served_counts_match_scalar(&mut client, &ann, &subs);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
