@@ -10,7 +10,7 @@ use crate::report::{f, Table};
 use psketch_core::{IntField, Profile, UserId};
 use psketch_prf::GlobalKey;
 use psketch_protocol::{AnnouncementBuilder, Coordinator, UserAgent};
-use psketch_queries::{CategoricalAttribute, CategoricalMiner};
+use psketch_queries::{histogram_plan, CategoricalAttribute, Histogram, QueryEngine};
 use rand::RngExt;
 
 const EXP: u64 = 18;
@@ -89,10 +89,11 @@ pub fn run(cfg: &Config) -> Vec<Table> {
 
     // The analyst mines the categorical histogram from the pool.
     let params = announcement.validate().expect("validated at build");
-    let miner = CategoricalMiner::new(params);
-    let hist = miner
-        .histogram(coordinator.pool(), &attr)
+    let engine = QueryEngine::new(params);
+    let answers = engine
+        .execute_plan(coordinator.pool(), &histogram_plan(&attr))
         .expect("pool populated");
+    let hist = Histogram::from_answers(&answers);
     let n_participants: u64 = truth.iter().sum();
     let mut t2 = Table::new(
         "E18b — categorical histogram mined from the public pool (6 levels)",

@@ -4,19 +4,18 @@
 //! plus linear post-combinations) and executes anywhere. This
 //! experiment measures what that buys:
 //!
-//! * **local**: the legacy per-term evaluation (`QueryEngine::linear`
-//!   with memoization — one estimator scan per distinct term, one
-//!   snapshot take per scan) against the plan path
-//!   (`QueryEngine::execute_plan` over the batched
-//!   `count_terms` entry point: one snapshot and one fused scan per
-//!   distinct *subset*, counting every value its terms ask for in one
-//!   pass — so `plan_ms` grows with `scans`, and each extra term on an
-//!   already-scanned subset costs one more finalization per record);
+//! * **local**: the per-term evaluation (one
+//!   `ConjunctiveEstimator::estimate` scan per term reference, each
+//!   output combined in `LinearQuery` order, duplicates scanned again)
+//!   against the plan path (`QueryEngine::execute_plan` over the
+//!   batched `count_terms` entry point: a count-table read for each
+//!   subset of at most 6 bits, else one snapshot and one fused scan per
+//!   distinct *subset* counting every value its terms ask for);
 //! * **cluster**: plan throughput through the scatter-gather router at
 //!   1, 2 and 4 loopback shards — one generic `PartialTermCounts`
 //!   round trip per shard per plan, whatever the family;
 //! * **bit-identity**: every family's plan answer must equal the
-//!   legacy answer exactly, locally and at every shard count.
+//!   per-term answer exactly, locally and at every shard count.
 //!
 //! Emits `BENCH_plans.json`.
 
@@ -88,8 +87,8 @@ fn families() -> Vec<(&'static str, TermPlan)> {
     ]
 }
 
-/// The pre-refactor evaluation of a plan: one [`LinearQuery`] per
-/// output, evaluated through the engine's per-term memoized path.
+/// A plan as one [`LinearQuery`] per output, for the per-term
+/// reference evaluation.
 fn legacy_queries(plan: &TermPlan) -> Vec<LinearQuery> {
     plan.outputs()
         .iter()
@@ -135,7 +134,8 @@ fn make_submissions(cfg: &Config, ann: &Announcement, m: usize) -> Vec<Submissio
 struct FamilyRun {
     name: &'static str,
     terms: usize,
-    /// Scan passes per plan: its distinct subsets.
+    /// Scan passes per plan on a pool without count tables: its
+    /// distinct subsets.
     scans: usize,
     legacy_ms: f64,
     plan_ms: f64,
@@ -146,7 +146,7 @@ struct FamilyRun {
 ///
 /// # Panics
 ///
-/// Panics if any plan answer diverges from the legacy path, a loopback
+/// Panics if any plan answer diverges from the per-term path, a loopback
 /// cluster misbehaves, or the output file cannot be written.
 #[must_use]
 #[allow(clippy::too_many_lines)]
@@ -162,7 +162,8 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let params = ann.validate().expect("announcement validates");
     let engine = QueryEngine::new(params);
 
-    // --- Local: legacy per-term path vs batched plan path. ---
+    // --- Local: per-term estimates vs batched plan path. ---
+    let estimator = engine.estimator();
     let mut runs: Vec<FamilyRun> = plans
         .iter()
         .map(|(name, plan)| {
@@ -170,7 +171,13 @@ pub fn run(cfg: &Config) -> Vec<Table> {
             let start = Instant::now();
             let mut legacy = Vec::new();
             for _ in 0..reps {
-                legacy = engine.linear_batch(oracle.pool(), &lqs).expect("legacy");
+                legacy = lqs
+                    .iter()
+                    .map(|lq| {
+                        lq.evaluate_with(|q| Ok(estimator.estimate(oracle.pool(), q)?.fraction))
+                    })
+                    .collect::<Result<Vec<f64>, _>>()
+                    .expect("legacy");
             }
             let legacy_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
             let start = Instant::now();
@@ -179,11 +186,12 @@ pub fn run(cfg: &Config) -> Vec<Table> {
                 answers = engine.execute_plan(oracle.pool(), plan).expect("plan");
             }
             let plan_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
+            assert_eq!(answers.len(), legacy.len(), "{name}");
             for (a, l) in answers.iter().zip(&legacy) {
                 assert_eq!(
                     a.value.to_bits(),
-                    l.value.to_bits(),
-                    "{name}: plan diverged from the legacy path"
+                    l.to_bits(),
+                    "{name}: plan diverged from the per-term path"
                 );
             }
             FamilyRun {
@@ -284,6 +292,9 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         }
         t.row(row);
     }
+    t.note("legacy: one estimate scan per term reference (duplicates scanned again)");
+    t.note("plan: every subset here has a count table, so no term is scanned");
+    t.note("scans: distinct subsets, the passes a pool without count tables makes");
     t.note("every plan answer verified bit-identical to the legacy per-term path");
     t.note("cluster: one generic PartialTermCounts round trip per shard per plan");
 

@@ -4,12 +4,14 @@
 
 use proptest::prelude::*;
 use psketch_cluster::{parallel_ingest, ClusterError, Router, RouterConfig, ShardMap};
-use psketch_core::{BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Profile, UserId};
+use psketch_core::{
+    BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, Profile, SketchDb, UserId,
+};
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{
     Announcement, AnnouncementBuilder, Coordinator, ShardIdentity, Submission, UserAgent,
 };
-use psketch_queries::{LinearQuery, QueryEngine, TermPlan};
+use psketch_queries::{LinearAnswer, LinearQuery, QueryEngine, TermPlan};
 use psketch_server::{wire, Request, Response, Server, ServerConfig};
 use rand::SeedableRng;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -36,7 +38,12 @@ fn wide_clause() -> ConjunctiveQuery {
 /// The family sweeps' profiles: the two 2-bit fields at bits 0–3, then
 /// bits filling out the wide subset.
 fn family_profile(i: u64) -> Profile {
-    let mut bits = vec![i.is_multiple_of(3), i.is_multiple_of(2), i % 5 < 2, i % 7 < 3];
+    let mut bits = vec![
+        i.is_multiple_of(3),
+        i.is_multiple_of(2),
+        i % 5 < 2,
+        i % 7 < 3,
+    ];
     bits.extend((4..WIDE_BITS).map(|b| i.rotate_right(b) & 1 == 1));
     Profile::from_bits(&bits)
 }
@@ -95,6 +102,34 @@ fn conj_plan(subset: BitSubset, value: BitString) -> TermPlan {
     TermPlan::for_conjunctive(ConjunctiveQuery::new(subset, value).unwrap())
 }
 
+/// The independent reference for linear answers: one
+/// [`ConjunctiveEstimator::estimate`] scan per term reference, combined
+/// in `LinearQuery` order by [`LinearQuery::evaluate_with`].
+/// `queries_used` and `min_sample_size` come from the distinct terms.
+fn per_term_oracle(
+    estimator: &ConjunctiveEstimator,
+    pool: &SketchDb,
+    lq: &LinearQuery,
+) -> LinearAnswer {
+    let mut distinct: Vec<ConjunctiveQuery> = Vec::new();
+    let mut min_sample = usize::MAX;
+    let value = lq
+        .evaluate_with(|q| {
+            let e = estimator.estimate(pool, q)?;
+            if !distinct.contains(q) {
+                distinct.push(q.clone());
+            }
+            min_sample = min_sample.min(e.sample_size);
+            Ok(e.fraction)
+        })
+        .unwrap();
+    LinearAnswer {
+        value,
+        queries_used: distinct.len(),
+        min_sample_size: if distinct.is_empty() { 0 } else { min_sample },
+    }
+}
+
 fn fast_router(map: ShardMap) -> Router {
     Router::new(
         map,
@@ -120,7 +155,6 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
     oracle.accept_batch(&subs);
     let params = ann.validate().unwrap();
     let estimator = ConjunctiveEstimator::new(params);
-    let engine = QueryEngine::new(params);
 
     // Cluster over the same records.
     let (servers, map) = start_cluster(&ann, shards);
@@ -194,7 +228,7 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
     lq.push(-2.0, q1);
     lq.push(0.5, q0);
     let clustered = router.execute_plan(&TermPlan::compile(&lq)).unwrap();
-    let local = engine.linear(oracle.pool(), &lq).unwrap();
+    let local = per_term_oracle(&estimator, oracle.pool(), &lq);
     assert_eq!(
         clustered.outputs[0].value.to_bits(),
         local.value.to_bits(),
@@ -245,8 +279,8 @@ proptest! {
 
 /// Compiles one plan per query family over two 2-bit fields
 /// (`a` at bits 0–1, `b` at bits 2–3), executes each three ways —
-/// legacy direct path, local plan path, clustered plan path — and
-/// asserts float-bit identity throughout.
+/// the per-term `estimate` oracle, the local plan path and the
+/// clustered plan path — and asserts float-bit identity throughout.
 #[allow(clippy::too_many_lines)]
 fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     use psketch_core::IntField;
@@ -256,8 +290,8 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     let b = IntField::new(2, 2);
     let attr = q::CategoricalAttribute::new(a, 3);
 
-    // One plan per family (descriptive label, plan, the LinearQuery
-    // oracle when the direct path is an engine evaluation).
+    // One plan per family (descriptive label, plan, and the LinearQuery
+    // the per-term oracle evaluates, for single-output families).
     let clause0 =
         psketch_core::ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true]))
             .unwrap();
@@ -382,6 +416,7 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     let oracle = Coordinator::new(ann.clone());
     oracle.accept_batch(&subs);
     let params = ann.validate().unwrap();
+    let estimator = ConjunctiveEstimator::new(params);
     let engine = QueryEngine::new(params);
 
     // Cluster over the same records.
@@ -391,14 +426,14 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     assert!(report.fully_ingested());
 
     for (family, plan, direct) in &families {
-        // Local plan path vs legacy direct path.
+        // Local plan path vs the per-term oracle.
         let local = engine.execute_plan(oracle.pool(), plan).unwrap();
         if let Some(lq) = direct {
-            let legacy = engine.linear(oracle.pool(), lq).unwrap();
+            let legacy = per_term_oracle(&estimator, oracle.pool(), lq);
             assert_eq!(
                 local[0].value.to_bits(),
                 legacy.value.to_bits(),
-                "{family}: plan diverged from the direct engine path"
+                "{family}: plan diverged from the per-term oracle"
             );
             assert_eq!(local[0].queries_used, legacy.queries_used, "{family}");
             assert_eq!(local[0].min_sample_size, legacy.min_sample_size, "{family}");
@@ -418,24 +453,36 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
         }
     }
 
-    // The categorical direct path goes through the miner, not the
-    // engine: check it against the histogram plan explicitly.
-    let miner = q::CategoricalMiner::new(params);
-    let hist = miner.histogram(oracle.pool(), &attr).unwrap();
+    // The histogram has one output per level: check each against a
+    // per-level estimate.
     let plan = q::histogram_plan(&attr);
     let clustered = router.execute_plan(&plan).unwrap();
-    for (level, direct) in hist.frequencies.iter().enumerate() {
+    let hist = q::Histogram::from_answers(&clustered.outputs);
+    for (level, clustered) in (0..attr.levels()).zip(&hist.frequencies) {
+        let query = ConjunctiveQuery::new(a.subset(), a.full_value(level)).unwrap();
+        let direct = estimator.estimate(oracle.pool(), &query).unwrap();
         assert_eq!(
-            clustered.outputs[level].value.to_bits(),
-            direct.to_bits(),
+            clustered.to_bits(),
+            direct.fraction.to_bits(),
             "histogram level {level} diverged"
         );
     }
 
-    // The conditional-mean ratio matches the engine's ratio path.
+    // The conditional-mean plan matches the per-term ratio, and so does
+    // the engine's ratio.
     let num = q::conditional_sum_query_inclusive(&a, 2, &b);
     let den = q::less_equal_query(&a, 2);
-    let direct_ratio = engine.ratio(oracle.pool(), &num, &den).unwrap();
+    let (num_o, den_o) = (
+        per_term_oracle(&estimator, oracle.pool(), &num),
+        per_term_oracle(&estimator, oracle.pool(), &den),
+    );
+    let direct_ratio = (den_o.value > 0.0).then_some(num_o.value / den_o.value);
+    let engine_ratio = engine.ratio(oracle.pool(), &num, &den).unwrap();
+    assert_eq!(
+        engine_ratio.map(f64::to_bits),
+        direct_ratio.map(f64::to_bits),
+        "engine ratio diverged"
+    );
     let cm = router
         .execute_plan(&q::conditional_mean_plan(&a, 2, &b))
         .unwrap();

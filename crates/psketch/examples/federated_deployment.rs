@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example federated_deployment`
 
 use psketch::protocol::{AnnouncementBuilder, Coordinator, UserAgent};
-use psketch::queries::{CategoricalAttribute, CategoricalMiner};
+use psketch::queries::{histogram_plan, CategoricalAttribute, Histogram, QueryEngine};
 use psketch::{GlobalKey, IntField, Prg, Profile, UserId};
 use rand::{RngExt, SeedableRng};
 
@@ -84,8 +84,11 @@ fn main() {
 
     // --- Analyst: mine the public pool ------------------------------------
     let params = announcement.validate().unwrap();
-    let miner = CategoricalMiner::new(params);
-    let hist = miner.histogram(coordinator.pool(), &sector).unwrap();
+    let engine = QueryEngine::new(params);
+    let answers = engine
+        .execute_plan(coordinator.pool(), &histogram_plan(&sector))
+        .unwrap();
+    let hist = Histogram::from_answers(&answers);
     let n: u64 = truth.iter().sum();
     println!("\nsector histogram (truth vs estimate):");
     for (level, &count) in truth.iter().enumerate() {

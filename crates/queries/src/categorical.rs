@@ -8,9 +8,8 @@
 //! value query on its subset), from which histograms, modes, rare-level
 //! counts and pairwise contingency tables follow.
 
-use psketch_core::{
-    ConjunctiveEstimator, ConjunctiveQuery, Error, IntField, SketchDb, SketchParams,
-};
+use crate::engine::LinearAnswer;
+use psketch_core::{ConjunctiveQuery, IntField};
 
 /// A categorical attribute: a bit field plus its number of live levels.
 #[derive(Debug, Clone, Copy)]
@@ -68,6 +67,16 @@ pub struct Histogram {
 }
 
 impl Histogram {
+    /// Reads a histogram off the answers to a [`histogram_plan`], one per
+    /// level in level order.
+    #[must_use]
+    pub fn from_answers(answers: &[LinearAnswer]) -> Self {
+        Self {
+            frequencies: answers.iter().map(|a| a.value).collect(),
+            sample_size: answers.iter().map(|a| a.min_sample_size).min().unwrap_or(0),
+        }
+    }
+
     /// The most frequent level (ties broken towards the smaller level).
     #[must_use]
     pub fn mode(&self) -> u64 {
@@ -113,8 +122,9 @@ impl Histogram {
 /// Compiles a full histogram over a categorical attribute into a
 /// [`TermPlan`](crate::plan::TermPlan): one unit-weight output per
 /// level, each a point query on the attribute's field subset. Output
-/// `i` is level `i`'s estimated frequency — the plan-IR form of
-/// [`CategoricalMiner::histogram`], executable against a cluster.
+/// `i` is level `i`'s estimated frequency; all levels share one subset,
+/// so an executor answers them with one pass (or one count-table read)
+/// and [`Histogram::from_answers`] collects them.
 #[must_use]
 pub fn histogram_plan(attr: &CategoricalAttribute) -> crate::plan::TermPlan {
     let mut plan = crate::plan::TermPlan::new(format!(
@@ -133,11 +143,13 @@ pub fn histogram_plan(attr: &CategoricalAttribute) -> crate::plan::TermPlan {
 
 /// Compiles a two-attribute contingency cell
 /// `freq(a = level_a ∧ b = level_b)` into a
-/// [`TermPlan`](crate::plan::TermPlan) over the union subset.
+/// [`TermPlan`](crate::plan::TermPlan) over the *union* subset (the §3
+/// "few subsets per attribute" pattern: sketch each attribute and each
+/// needed pair).
 ///
 /// # Panics
 ///
-/// As [`CategoricalMiner::contingency_cell`].
+/// Panics on out-of-range levels or overlapping fields.
 #[must_use]
 pub fn contingency_plan(
     a: &CategoricalAttribute,
@@ -160,102 +172,11 @@ pub fn contingency_plan(
     crate::plan::TermPlan::for_conjunctive(merged)
 }
 
-/// Analyst-side categorical miner.
-#[derive(Debug, Clone)]
-pub struct CategoricalMiner {
-    estimator: ConjunctiveEstimator,
-}
-
-impl CategoricalMiner {
-    /// Builds a miner with the database parameters.
-    #[must_use]
-    pub fn new(params: SketchParams) -> Self {
-        Self {
-            estimator: ConjunctiveEstimator::new(params),
-        }
-    }
-
-    /// Estimates the frequency of one level.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConjunctiveEstimator::estimate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level ≥ levels`.
-    pub fn level_frequency(
-        &self,
-        db: &SketchDb,
-        attr: &CategoricalAttribute,
-        level: u64,
-    ) -> Result<f64, Error> {
-        assert!(level < attr.levels, "level out of range");
-        let q = ConjunctiveQuery::new(attr.field.subset(), attr.field.full_value(level))?;
-        Ok(self.estimator.estimate(db, &q)?.fraction)
-    }
-
-    /// Estimates the full histogram (one pass over the sketches per level).
-    ///
-    /// # Errors
-    ///
-    /// As [`CategoricalMiner::level_frequency`].
-    pub fn histogram(
-        &self,
-        db: &SketchDb,
-        attr: &CategoricalAttribute,
-    ) -> Result<Histogram, Error> {
-        let mut frequencies = Vec::with_capacity(attr.levels as usize);
-        let mut sample_size = 0;
-        for level in 0..attr.levels {
-            let q = ConjunctiveQuery::new(attr.field.subset(), attr.field.full_value(level))?;
-            let est = self.estimator.estimate(db, &q)?;
-            sample_size = est.sample_size;
-            frequencies.push(est.fraction);
-        }
-        Ok(Histogram {
-            frequencies,
-            sample_size,
-        })
-    }
-
-    /// Estimates a two-attribute contingency cell
-    /// `freq(a = level_a ∧ b = level_b)` from a sketch of the *union*
-    /// subset (the §3 "few subsets per attribute" pattern: sketch each
-    /// attribute and each needed pair).
-    ///
-    /// # Errors
-    ///
-    /// As [`ConjunctiveEstimator::estimate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range levels or overlapping fields.
-    pub fn contingency_cell(
-        &self,
-        db: &SketchDb,
-        a: &CategoricalAttribute,
-        level_a: u64,
-        b: &CategoricalAttribute,
-        level_b: u64,
-    ) -> Result<f64, Error> {
-        assert!(
-            level_a < a.levels && level_b < b.levels,
-            "level out of range"
-        );
-        let merged = crate::conjunction::merge_constraints(&[
-            crate::conjunction::Constraint::new(a.field.subset(), a.field.full_value(level_a))?,
-            crate::conjunction::Constraint::new(b.field.subset(), b.field.full_value(level_b))?,
-        ])?
-        .expect("disjoint fields cannot contradict");
-        Ok(self.estimator.estimate(db, &merged)?.fraction)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_core::{Profile, Sketcher, UserId};
+    use crate::engine::QueryEngine;
+    use psketch_core::{Profile, SketchDb, SketchParams, Sketcher, UserId};
     use psketch_prf::{GlobalKey, Prg};
     use rand::{RngExt, SeedableRng};
 
@@ -298,9 +219,11 @@ mod tests {
     #[test]
     fn histogram_recovers_planted_distribution() {
         let (params, db, attr, truth) = setup(5, &[0.4, 0.25, 0.2, 0.1, 0.05]);
-        let miner = CategoricalMiner::new(params);
-        let hist = miner.histogram(&db, &attr).unwrap();
+        let engine = QueryEngine::new(params);
+        let answers = engine.execute_plan(&db, &histogram_plan(&attr)).unwrap();
+        let hist = Histogram::from_answers(&answers);
         assert_eq!(hist.frequencies.len(), 5);
+        assert_eq!(hist.sample_size, 30_000);
         let tv = hist.total_variation(&truth);
         assert!(tv < 0.05, "total variation {tv}");
         assert_eq!(hist.mode(), 0);
@@ -309,11 +232,16 @@ mod tests {
     #[test]
     fn level_frequency_matches_histogram_entry() {
         let (params, db, attr, _) = setup(4, &[0.1, 0.2, 0.3, 0.4]);
-        let miner = CategoricalMiner::new(params);
-        let hist = miner.histogram(&db, &attr).unwrap();
+        let engine = QueryEngine::new(params);
+        let answers = engine.execute_plan(&db, &histogram_plan(&attr)).unwrap();
+        let hist = Histogram::from_answers(&answers);
+        // One fused pass over the field answers every level exactly as
+        // a per-level scan does.
         for level in 0..4u64 {
-            let f = miner.level_frequency(&db, &attr, level).unwrap();
-            assert!((f - hist.frequencies[level as usize]).abs() < 1e-12);
+            let q = ConjunctiveQuery::new(attr.field().subset(), attr.field().full_value(level))
+                .unwrap();
+            let f = engine.estimator().estimate(&db, &q).unwrap().fraction;
+            assert_eq!(f.to_bits(), hist.frequencies[level as usize].to_bits());
         }
     }
 
@@ -343,8 +271,10 @@ mod tests {
                 .unwrap();
             db.insert(union.clone(), UserId(i), s);
         }
-        let miner = CategoricalMiner::new(params);
-        let cell = miner.contingency_cell(&db, &a, 1, &b, 2).unwrap();
+        let engine = QueryEngine::new(params);
+        let plan = contingency_plan(&a, 1, &b, 2);
+        assert_eq!(plan.required_subsets(), [union]);
+        let cell = engine.execute_plan(&db, &plan).unwrap()[0].value;
         let truth = hits as f64 / m as f64;
         assert!((cell - truth).abs() < 0.02, "cell {cell} vs {truth}");
     }

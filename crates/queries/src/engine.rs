@@ -1,20 +1,18 @@
 //! Executing compiled queries against a sketch database.
 //!
 //! [`QueryEngine`] is the analyst-facing façade: it owns an Algorithm 2
-//! estimator and evaluates both the linear-combination normal form and
-//! the [`TermPlan`] IR produced by the §4.1 compilers, including ratio
-//! queries (conditional means). It also keeps running plan counters
-//! ([`EngineStatsSnapshot`]) so operators can see how many terms plans
-//! scan and how many term references deduplication serves without a
-//! scan of their own.
+//! estimator and answers every query through one path,
+//! [`QueryEngine::execute_plan`] over the [`TermPlan`] IR the §4.1
+//! compilers produce. A linear query runs as a one-output plan and a
+//! ratio (conditional mean) as a two-output plan. The engine also keeps
+//! running plan counters ([`EngineStatsSnapshot`]) so operators can see
+//! how many terms plans count and how many term references
+//! deduplication serves without a count of their own.
 
 use crate::linear::LinearQuery;
 use crate::plan::{PlanAccumulator, TermPlan};
-use psketch_core::{
-    ConjunctiveEstimator, ConjunctiveQuery, Error, Estimate, SketchDb, SketchParams,
-};
+use psketch_core::{ConjunctiveEstimator, ConjunctiveQuery, Error, SketchDb, SketchParams};
 use psketch_obs as obs;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,11 +30,11 @@ struct EngineStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStatsSnapshot {
     /// Distinct conjunctive terms counted: every term of every executed
-    /// plan, plus each term [`QueryEngine::linear`] had to estimate.
+    /// plan.
     pub terms_scanned: u64,
     /// Term references served without a count of their own: a plan's
     /// references beyond its distinct terms (compile-time
-    /// deduplication), plus [`QueryEngine::linear`] memo hits.
+    /// deduplication).
     pub terms_reused: u64,
     /// Plans executed through [`QueryEngine::execute_plan`] (and, on a
     /// shard, [`QueryEngine::count_terms_partial`]).
@@ -166,92 +164,21 @@ impl QueryEngine {
         counts
     }
 
-    /// Estimates a single conjunctive frequency (unclamped, unbiased).
-    ///
-    /// # Errors
-    ///
-    /// As [`ConjunctiveEstimator::estimate`].
-    pub fn fraction(&self, db: &SketchDb, query: &ConjunctiveQuery) -> Result<f64, Error> {
-        Ok(self.estimator.estimate(db, query)?.fraction)
-    }
-
     /// Evaluates a linear query: the weighted sum of unbiased conjunctive
-    /// estimates plus the constant.
-    ///
-    /// Duplicate conjunctive terms within the query are estimated once
-    /// and memoized — compiled queries (intervals, DNF expansions,
-    /// conditional means) routinely repeat terms, and each saved term is
-    /// a full shard scan.
+    /// estimates plus the constant, run as the one-output plan
+    /// [`TermPlan::compile`] makes of it (duplicate terms counted once).
     ///
     /// # Errors
     ///
-    /// Propagates estimation errors (unknown subsets, empty database).
+    /// As [`QueryEngine::execute_plan`].
     pub fn linear(&self, db: &SketchDb, lq: &LinearQuery) -> Result<LinearAnswer, Error> {
-        let mut memo = HashMap::new();
-        self.linear_memo(db, lq, &mut memo)
-    }
-
-    /// Evaluates several linear queries against one database, sharing the
-    /// term memo across the whole batch: a conjunctive term appearing in
-    /// any two of the queries is scanned once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates estimation errors; answers are all-or-nothing.
-    pub fn linear_batch(
-        &self,
-        db: &SketchDb,
-        queries: &[LinearQuery],
-    ) -> Result<Vec<LinearAnswer>, Error> {
-        let mut memo = HashMap::new();
-        queries
-            .iter()
-            .map(|lq| self.linear_memo(db, lq, &mut memo))
-            .collect()
-    }
-
-    /// One linear evaluation against a shared memo. `queries_used` counts
-    /// the estimates actually performed by *this* evaluation (memo hits,
-    /// including those seeded by earlier queries in a batch, are free).
-    fn linear_memo(
-        &self,
-        db: &SketchDb,
-        lq: &LinearQuery,
-        memo: &mut HashMap<ConjunctiveQuery, Estimate>,
-    ) -> Result<LinearAnswer, Error> {
-        let mut queries_used = 0;
-        let mut min_sample = usize::MAX;
-        let mut saw_term = false;
-        let value = lq.evaluate_with(|q| {
-            let e = match memo.get(q) {
-                Some(e) => {
-                    // ord: monotonic stat counter, eventual totals suffice
-                    self.stats.terms_reused.fetch_add(1, Ordering::Relaxed);
-                    *e
-                }
-                None => {
-                    let e = self.estimator.estimate(db, q)?;
-                    memo.insert(q.clone(), e);
-                    queries_used += 1;
-                    // ord: monotonic stat counter, eventual totals suffice
-                    self.stats.terms_scanned.fetch_add(1, Ordering::Relaxed);
-                    e
-                }
-            };
-            saw_term = true;
-            min_sample = min_sample.min(e.sample_size);
-            Ok(e.fraction)
-        })?;
-        Ok(LinearAnswer {
-            value,
-            queries_used,
-            min_sample_size: if saw_term { min_sample } else { 0 },
-        })
+        let mut answers = self.execute_plan(db, &TermPlan::compile(lq))?;
+        Ok(answers.swap_remove(0))
     }
 
     /// Evaluates a ratio of two linear queries (e.g. a conditional mean:
-    /// `E[b·1{a≤c}] / freq(a≤c)`), sharing the term memo between
-    /// numerator and denominator.
+    /// `E[b·1{a≤c}] / freq(a≤c)`) as one two-output plan, so numerator
+    /// and denominator share their terms.
     ///
     /// Returns `None` when the denominator estimate is not positive — the
     /// conditioning event looks empty at this noise level, so no
@@ -259,21 +186,45 @@ impl QueryEngine {
     ///
     /// # Errors
     ///
-    /// Propagates estimation errors.
+    /// As [`QueryEngine::execute_plan`].
     pub fn ratio(
         &self,
         db: &SketchDb,
         numerator: &LinearQuery,
         denominator: &LinearQuery,
     ) -> Result<Option<f64>, Error> {
-        let mut memo = HashMap::new();
-        let num = self.linear_memo(db, numerator, &mut memo)?;
-        let den = self.linear_memo(db, denominator, &mut memo)?;
-        if den.value <= 0.0 {
-            return Ok(None);
-        }
-        Ok(Some(num.value / den.value))
+        let plan = TermPlan::from_queries("ratio", [numerator, denominator]);
+        let answers = self.execute_plan(db, &plan)?;
+        let (num, den) = (answers[0].value, answers[1].value);
+        Ok((den > 0.0).then_some(num / den))
     }
+}
+
+/// The independent reference the plan path is checked against: one
+/// [`ConjunctiveEstimator::estimate`] scan per term reference, combined
+/// in `LinearQuery` order by [`LinearQuery::evaluate_with`].
+/// `queries_used` and `min_sample_size` come from the distinct terms.
+#[cfg(test)]
+pub(crate) fn per_term_oracle(
+    estimator: &ConjunctiveEstimator,
+    db: &SketchDb,
+    lq: &LinearQuery,
+) -> Result<LinearAnswer, Error> {
+    let mut distinct: Vec<ConjunctiveQuery> = Vec::new();
+    let mut min_sample = usize::MAX;
+    let value = lq.evaluate_with(|q| {
+        let e = estimator.estimate(db, q)?;
+        if !distinct.contains(q) {
+            distinct.push(q.clone());
+        }
+        min_sample = min_sample.min(e.sample_size);
+        Ok(e.fraction)
+    })?;
+    Ok(LinearAnswer {
+        value,
+        queries_used: distinct.len(),
+        min_sample_size: if distinct.is_empty() { 0 } else { min_sample },
+    })
 }
 
 #[cfg(test)]
@@ -282,7 +233,7 @@ mod tests {
     use crate::interval::{interval_required_subsets, less_equal_query};
     use crate::mean::{mean_query, mean_required_subsets};
     use crate::moment::{variance_plan, variance_queries};
-    use psketch_core::{BitString, BitSubset, IntField, Sketcher, UserId};
+    use psketch_core::{BitString, BitSubset, IntField, Profile, Sketcher, UserId};
     use psketch_data::{DemographicsModel, FieldDistribution, Population};
     use psketch_prf::{GlobalKey, Prg};
     use rand::SeedableRng;
@@ -347,16 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_passthrough() {
-        let (params, db, pop, field) = setup(0.3, 10_000);
-        let engine = QueryEngine::new(params);
-        let q = ConjunctiveQuery::new(field.bit_subset(1), BitString::from_bits(&[true])).unwrap();
-        let est = engine.fraction(&db, &q).unwrap();
-        let truth = pop.true_fraction(&field.bit_subset(1), &BitString::from_bits(&[true]));
-        assert!((est - truth).abs() < 0.05);
-    }
-
-    #[test]
     fn ratio_none_on_empty_event() {
         let (params, db, _pop, field) = setup(0.3, 5_000);
         let engine = QueryEngine::new(params);
@@ -377,39 +318,21 @@ mod tests {
         lq.push(2.0, q.clone());
         lq.push(-0.5, q);
         let ans = engine.linear(&db, &lq).unwrap();
-        // Three terms, one estimator invocation.
+        // Three references, one distinct term.
         assert_eq!(ans.queries_used, 1);
         assert_eq!(ans.min_sample_size, 2_000);
 
-        // Memoization must not change the answer: 1 + 2 − 0.5 = 2.5× the
-        // single-term value.
+        // Counting the term once must not change the answer:
+        // 1 + 2 − 0.5 = 2.5× the single-term value.
         let single = engine
-            .fraction(
+            .estimator()
+            .estimate(
                 &db,
                 &ConjunctiveQuery::new(field.bit_subset(1), BitString::from_bits(&[true])).unwrap(),
             )
-            .unwrap();
+            .unwrap()
+            .fraction;
         assert!((ans.value - 2.5 * single).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_batch_shares_memo_and_matches_single_evaluations() {
-        let (params, db, _pop, field) = setup(0.25, 4_000);
-        let engine = QueryEngine::new(params);
-        let mq = mean_query(&field);
-        let iq = less_equal_query(&field, 31);
-        let singles: Vec<f64> = [&mq, &iq]
-            .iter()
-            .map(|lq| engine.linear(&db, lq).unwrap().value)
-            .collect();
-        let batch = engine.linear_batch(&db, &[mq.clone(), iq, mq]).unwrap();
-        assert_eq!(batch.len(), 3);
-        assert!((batch[0].value - singles[0]).abs() < 1e-12);
-        assert!((batch[1].value - singles[1]).abs() < 1e-12);
-        // The repeated mean query is answered entirely from the memo.
-        assert_eq!(batch[2].queries_used, 0);
-        assert!((batch[2].value - singles[0]).abs() < 1e-12);
-        assert_eq!(batch[2].min_sample_size, 4_000);
     }
 
     #[test]
@@ -417,11 +340,13 @@ mod tests {
         let (params, db, _pop, field) = setup(0.25, 3_000);
         let engine = QueryEngine::new(params);
         let mq = mean_query(&field);
-        let legacy = engine.linear(&db, &mq).unwrap();
+        let legacy = per_term_oracle(engine.estimator(), &db, &mq).unwrap();
         let before = engine.stats();
         let plan = crate::plan::TermPlan::compile(&mq);
         let answers = engine.execute_plan(&db, &plan).unwrap();
         assert_eq!(answers[0].value.to_bits(), legacy.value.to_bits());
+        assert_eq!(answers[0].queries_used, legacy.queries_used);
+        assert_eq!(answers[0].min_sample_size, legacy.min_sample_size);
         let after = engine.stats();
         assert_eq!(after.plans_executed, before.plans_executed + 1);
         assert_eq!(after.terms_scanned, before.terms_scanned + 6);
@@ -451,7 +376,7 @@ mod tests {
         let (m2, m1) = variance_queries(&field);
         assert_eq!(answers.len(), 2);
         for (answer, lq) in answers.iter().zip([&m2, &m1]) {
-            let legacy = engine.linear(&db, lq).unwrap();
+            let legacy = per_term_oracle(engine.estimator(), &db, lq).unwrap();
             assert_eq!(
                 answer.value.to_bits(),
                 legacy.value.to_bits(),
@@ -486,10 +411,87 @@ mod tests {
             BitString::from_bits(&[true]),
         )
         .unwrap();
+        let mut lq = LinearQuery::new("unknown subset");
+        lq.push(1.0, q);
         assert!(matches!(
-            engine.fraction(&db, &q),
+            engine.linear(&db, &lq),
             Err(Error::UnknownSubset { .. })
         ));
-        let _ = UserId(0); // silence unused import lint paths in some cfgs
+    }
+
+    #[test]
+    fn linear_and_ratio_run_as_one_plan_over_tables_and_scans() {
+        let params = SketchParams::with_sip(0.3, 10, GlobalKey::from_seed(72)).unwrap();
+        // A tabled subset (at most 6 bits) beside a wider, scanned one.
+        let narrow = BitSubset::range(0, 2);
+        let wide = BitSubset::range(0, 8);
+        let db = SketchDb::new().with_count_tables(params);
+        let sketcher = Sketcher::new(params);
+        let mut rng = Prg::seed_from_u64(73);
+        for i in 0..2_000u64 {
+            let mixed = i.wrapping_mul(0x9E37_79B9);
+            let bits: Vec<bool> = (0..8).map(|b| (mixed >> (b + 7)) & 1 == 1).collect();
+            let profile = Profile::from_bits(&bits);
+            for subset in [&narrow, &wide] {
+                let s = sketcher
+                    .sketch(UserId(i), &profile, subset, &mut rng)
+                    .unwrap();
+                db.insert(subset.clone(), UserId(i), s);
+            }
+        }
+        assert!(db.count_table(&narrow, &params).is_some());
+        assert!(db.count_table(&wide, &params).is_none());
+        let term = |subset: &BitSubset, value: u64| {
+            ConjunctiveQuery::new(subset.clone(), BitString::from_u64(value, subset.len())).unwrap()
+        };
+
+        let engine = QueryEngine::new(params);
+        let mut num = LinearQuery::new("tabled + scanned");
+        num.constant = 0.125;
+        num.push(1.5, term(&narrow, 1));
+        num.push(-0.75, term(&wide, 0xA5));
+        num.push(2.0, term(&narrow, 1));
+        num.push_zero(3.0);
+        num.push(0.5, term(&narrow, 3));
+        let oracle = per_term_oracle(engine.estimator(), &db, &num).unwrap();
+        let answer = engine.linear(&db, &num).unwrap();
+        assert_eq!(answer.value.to_bits(), oracle.value.to_bits());
+        assert_eq!(answer.queries_used, 3);
+        assert_eq!(answer.queries_used, oracle.queries_used);
+        assert_eq!(answer.min_sample_size, oracle.min_sample_size);
+
+        // The denominator shares the wide term and adds one of its own:
+        // four distinct terms over six references, counted in one plan.
+        let mut den = LinearQuery::new("denominator");
+        den.constant = 0.5;
+        den.push(1.0, term(&narrow, 0));
+        den.push(1.0, term(&wide, 0xA5));
+        let before = engine.stats();
+        let ratio = engine.ratio(&db, &num, &den).unwrap();
+        let after = engine.stats();
+        assert_eq!(after.plans_executed, before.plans_executed + 1);
+        assert_eq!(after.terms_scanned, before.terms_scanned + 4);
+        assert_eq!(after.terms_reused, before.terms_reused + 2);
+        let den_oracle = per_term_oracle(engine.estimator(), &db, &den).unwrap();
+        let expected = (den_oracle.value > 0.0).then_some(oracle.value / den_oracle.value);
+        assert_eq!(ratio.map(f64::to_bits), expected.map(f64::to_bits));
+        assert!(ratio.is_some(), "the denominator is at least 0.5 in truth");
+
+        // An empty subset ahead of an unknown one: the per-term path
+        // stops at the empty subset, the plan path groups the terms and
+        // reports the unknown subset first.
+        let empty = BitSubset::range(8, 2);
+        db.insert_columns(empty.clone(), Vec::new(), Vec::new());
+        let mut mixed = LinearQuery::new("empty then unknown");
+        mixed.push(1.0, term(&empty, 0));
+        mixed.push(1.0, term(&BitSubset::single(77), 1));
+        assert!(matches!(
+            per_term_oracle(engine.estimator(), &db, &mixed),
+            Err(Error::EmptyDatabase)
+        ));
+        assert!(matches!(
+            engine.linear(&db, &mixed),
+            Err(Error::UnknownSubset { .. })
+        ));
     }
 }

@@ -49,9 +49,7 @@ pub mod sumlt;
 pub mod tree;
 
 pub use bits::{perturbed_conjunction_plan, PerturbedBitTable};
-pub use categorical::{
-    contingency_plan, histogram_plan, CategoricalAttribute, CategoricalMiner, Histogram,
-};
+pub use categorical::{contingency_plan, histogram_plan, CategoricalAttribute, Histogram};
 pub use combined::{
     conditional_mean_plan, conditional_sum_query, conditional_sum_query_inclusive,
     eq_and_less_than, eq_and_less_than_plan,

@@ -117,8 +117,8 @@ impl TermPlan {
 
     /// Appends a weighted conjunctive term to the current output,
     /// interning the query into the shared term list (a term already
-    /// present — from this or any earlier output — is reused, which is
-    /// exactly the engine's memoization moved to compile time).
+    /// present — from this or any earlier output — is reused, so each
+    /// distinct term is counted once however often it is referenced).
     ///
     /// # Panics
     ///
@@ -143,18 +143,21 @@ impl TermPlan {
 
     /// Compiles a linear query into a single-output plan. Duplicate
     /// conjunctive terms share one slot; provably-zero terms
-    /// ([`LinearQuery::push_zero`]) are dropped, exactly as the engine's
-    /// memoized evaluation drops them.
+    /// ([`LinearQuery::push_zero`]) are dropped, exactly as
+    /// [`LinearQuery::evaluate_with`] skips them.
     #[must_use]
     pub fn compile(lq: &LinearQuery) -> Self {
-        Self::from_queries(lq.description.clone(), std::slice::from_ref(lq))
+        Self::from_queries(lq.description.clone(), [lq])
     }
 
     /// Compiles several linear queries into one multi-output plan with a
     /// shared term list: a conjunctive term appearing in any two of the
     /// queries is counted once.
     #[must_use]
-    pub fn from_queries(description: impl Into<String>, lqs: &[LinearQuery]) -> Self {
+    pub fn from_queries<'a>(
+        description: impl Into<String>,
+        lqs: impl IntoIterator<Item = &'a LinearQuery>,
+    ) -> Self {
         let started = psketch_obs::enabled().then(std::time::Instant::now);
         let mut plan = Self::new(description);
         for lq in lqs {
@@ -292,7 +295,7 @@ impl TermPlan {
     /// everywhere.
     ///
     /// Per output, `queries_used` is the number of distinct terms the
-    /// output references (the engine's memoized estimate count) and
+    /// output references (one estimate each) and
     /// `min_sample_size` the smallest sample among them (0 for a
     /// constant-only output).
     ///
@@ -426,7 +429,7 @@ impl PlanAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::QueryEngine;
+    use crate::engine::{per_term_oracle, QueryEngine};
     use psketch_core::{Profile, SketchDb, SketchParams, Sketcher, UserId};
     use psketch_prf::{GlobalKey, Prg};
     use rand::SeedableRng;
@@ -531,6 +534,7 @@ mod tests {
         let p = 0.3;
         let (db, _, subset) = whole_and_shards(p, 1_500);
         let engine = QueryEngine::new(params(p));
+        let est = psketch_core::ConjunctiveEstimator::new(params(p));
         let q1 = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(5, 3)).unwrap();
         let q2 = ConjunctiveQuery::new(subset, BitString::from_u64(2, 3)).unwrap();
         let mut lq = LinearQuery::new("plan vs engine");
@@ -538,7 +542,7 @@ mod tests {
         lq.push(2.0, q1.clone());
         lq.push(-0.5, q2);
         lq.push(3.0, q1);
-        let legacy = engine.linear(&db, &lq).unwrap();
+        let legacy = per_term_oracle(&est, &db, &lq).unwrap();
         let plan = TermPlan::compile(&lq);
         let answers = engine.execute_plan(&db, &plan).unwrap();
         assert_eq!(answers.len(), 1);
@@ -552,7 +556,6 @@ mod tests {
         let p = 0.3;
         let (whole, shards, subset) = whole_and_shards(p, 1_800);
         let est = psketch_core::ConjunctiveEstimator::new(params(p));
-        let engine = QueryEngine::new(params(p));
         let q1 = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(5, 3)).unwrap();
         let q2 = ConjunctiveQuery::new(subset, BitString::from_u64(2, 3)).unwrap();
         let mut lq = LinearQuery::new("merged plan");
@@ -569,7 +572,7 @@ mod tests {
         }
         let estimates = acc.finish(p).unwrap();
         let merged = plan.evaluate(&estimates).unwrap();
-        let single = engine.linear(&whole, &lq).unwrap();
+        let single = per_term_oracle(&est, &whole, &lq).unwrap();
         assert_eq!(merged[0].value.to_bits(), single.value.to_bits());
         assert_eq!(merged[0].queries_used, single.queries_used);
         assert_eq!(merged[0].min_sample_size, single.min_sample_size);

@@ -45,7 +45,7 @@ use std::io::{self, Read, Write};
 ///   `PartialTermCounts` frame scatters a plan's deduplicated term list
 ///   and replaces the v2 `PartialCounts`/`PartialDistribution` pair —
 ///   every query family shards through this one frame. Server stats
-///   gained the engine's plan/memoization counters.
+///   gained the engine's plan counters.
 /// * 4 — the retry-correctness revision: every charging request
 ///   (`Conjunctive`, `Distribution`, `Plan`, `PartialTermCounts`)
 ///   carries a **request nonce** identifying the logical query, so a
