@@ -2,13 +2,14 @@
 //!
 //! The paper's deployment story is a live service; this experiment
 //! measures the `psketch-server` stack — framed wire protocol, threaded
-//! worker pool, `Coordinator::accept_batch` ingest, snapshot-backed
-//! query serving — over loopback TCP with ≥100k sketch records:
+//! worker pool, columnar `SubmitBatch` ingest, snapshot-backed query
+//! serving — over loopback TCP with ≥100k sketch records:
 //!
 //! * submissions/second with concurrent submitting clients (WAL off and
 //!   WAL on, the latter paying an fsync per batch before each ack);
 //! * conjunctive and distribution queries/second from a warm analyst
-//!   connection (a one-term and a `2^k`-term `Plan` frame);
+//!   connection (a one-term and a `2^k`-term `Plan` frame, both read
+//!   from the 2-bit subset's count table, with no scan);
 //! * bit-for-bit agreement between served answers and the in-process
 //!   estimator, and between pre-restart and post-WAL-replay answers.
 //!
@@ -180,11 +181,11 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         f(wal_subs_per_sec, 0),
     ]);
     t.row(vec![
-        "conjunctive queries/s (1 shard scan each)".into(),
+        "conjunctive queries/s (one-term plan, count table)".into(),
         f(conj_qps, 1),
     ]);
     t.row(vec![
-        "distribution queries/s (4 values, one pass)".into(),
+        "distribution queries/s (4-term plan, count table)".into(),
         f(dist_qps, 1),
     ]);
     t.note("served answers verified bit-identical to the in-process estimator");

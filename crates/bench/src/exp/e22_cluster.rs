@@ -18,7 +18,7 @@
 //!   single-node oracle over the same records, at every shard count.
 //!
 //! One timing per cell cannot rank shard counts on a shared machine, so
-//! every cell runs [`REPS`] times, the shard counts interleaved and
+//! every cell runs `REPS` (5) times, the shard counts interleaved and
 //! their order rotated each repetition so no count always runs first;
 //! each cell reports its median and its min–max.
 //!

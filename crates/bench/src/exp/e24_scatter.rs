@@ -384,7 +384,7 @@ fn conj_at(runs: &[FamilyAtShards], shards: u32) -> &FamilyAtShards {
 ///
 /// Panics if the loopback cluster misbehaves, a parallel answer
 /// diverges from the single-node oracle, the modeled-LAN 4-shard
-/// conjunctive gain misses [`TARGET_SPEEDUP`], or the output file
+/// conjunctive gain misses `TARGET_SPEEDUP` (2.5×), or the output file
 /// cannot be written.
 #[must_use]
 #[allow(clippy::too_many_lines)]

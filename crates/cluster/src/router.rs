@@ -71,7 +71,7 @@ use psketch_core::Estimate;
 use psketch_obs::{self as obs, RegistrySnapshot, SpanNode};
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
 use psketch_queries::{LinearAnswer, PlanAccumulator, TermPlan};
-use psketch_server::{next_nonce, Client, ClientError, Request, Response, ServerStats};
+use psketch_server::{next_nonce, wire, Client, ClientError, Request, Response, ServerStats};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
@@ -552,7 +552,7 @@ impl Router {
     /// in flight are still read.
     fn scatter<T>(
         &mut self,
-        targets: &[(u32, &Request)],
+        targets: &[(u32, &[u8])],
         decode: impl Fn(Response) -> Option<T>,
     ) -> Vec<Reply<T>> {
         let started = Instant::now();
@@ -589,7 +589,7 @@ impl Router {
     /// retry and whether a fatal outcome stopped dispatch.
     fn round<T>(
         &mut self,
-        targets: &[(u32, &Request)],
+        targets: &[(u32, &[u8])],
         pending: &[usize],
         decode: &impl Fn(Response) -> Option<T>,
         attempts: u32,
@@ -605,8 +605,8 @@ impl Router {
             let next = (flights.len() < fanout && !fatal).then(|| queue.next());
             let (target, outcome, exchange) = match next.flatten() {
                 Some(target) => {
-                    let (shard, request) = targets[target];
-                    match self.dispatch(shard, request) {
+                    let (shard, payload) = targets[target];
+                    match self.dispatch(shard, payload) {
                         Ok(flight) => {
                             flights.push_back((target, flight));
                             continue;
@@ -623,8 +623,8 @@ impl Router {
                         // will be; the unverified connection is dropped.
                         continue;
                     }
-                    let (shard, request) = targets[target];
-                    let (outcome, exchange) = self.complete(shard, request, flight, decode);
+                    let (shard, payload) = targets[target];
+                    let (outcome, exchange) = self.complete(shard, payload, flight, decode);
                     (target, outcome, exchange)
                 }
             };
@@ -644,9 +644,10 @@ impl Router {
         (retry, fatal)
     }
 
-    /// Writes `shard`'s request — or, on a fresh connection, the hello
-    /// handshake that must precede it. A failure drops the connection.
-    fn dispatch(&mut self, shard: u32, request: &Request) -> Result<Flight, String> {
+    /// Writes `shard`'s request payload — or, on a fresh connection, the
+    /// hello handshake that must precede it. A failure drops the
+    /// connection.
+    fn dispatch(&mut self, shard: u32, payload: &[u8]) -> Result<Flight, String> {
         let slot = &mut self.conns[shard as usize];
         let hello = slot.is_none();
         let mut client = match slot.take() {
@@ -662,7 +663,7 @@ impl Router {
                 analyst: self.config.analyst,
             })
         } else {
-            client.send(request)
+            client.send_payload(payload)
         };
         written.map_err(|e| e.to_string())?;
         Ok(Flight {
@@ -679,7 +680,7 @@ impl Router {
     fn complete<T>(
         &mut self,
         shard: u32,
-        request: &Request,
+        payload: &[u8],
         flight: Flight,
         decode: &impl Fn(Response) -> Option<T>,
     ) -> (ShardAttempt<T>, Option<(Instant, Duration)>) {
@@ -702,7 +703,7 @@ impl Router {
                 Err(e) => return (ShardAttempt::Down(e.to_string()), None),
             }
             sent = Instant::now();
-            if let Err(e) = client.send(request) {
+            if let Err(e) = client.send_payload(payload) {
                 return (ShardAttempt::Down(e.to_string()), None);
             }
         }
@@ -736,14 +737,15 @@ impl Router {
         (outcome, exchange)
     }
 
-    /// Sends every shard the same request.
+    /// Sends every shard the same request, encoded once.
     fn broadcast<T>(
         &mut self,
         request: &Request,
         decode: impl Fn(Response) -> Option<T>,
     ) -> Vec<Reply<T>> {
-        let targets: Vec<(u32, &Request)> = (0..self.map.len() as u32)
-            .map(|shard| (shard, request))
+        let payload = request.encode();
+        let targets: Vec<(u32, &[u8])> = (0..self.map.len() as u32)
+            .map(|shard| (shard, payload.as_slice()))
             .collect();
         self.scatter(&targets, decode)
     }
@@ -897,7 +899,7 @@ impl Router {
             _ => None,
         };
         let mut queue = shards.iter().copied();
-        let mut flights: VecDeque<(u32, Request, Flight)> = VecDeque::with_capacity(fanout);
+        let mut flights: VecDeque<(u32, Vec<u8>, Flight)> = VecDeque::with_capacity(fanout);
         let mut parked = Vec::new();
         // A shard whose ack was just read and whose share has chunks left.
         let mut resume = None;
@@ -908,10 +910,9 @@ impl Router {
             if let Some(shard) = next {
                 let (share, from) = (&shares[shard as usize], acked[shard as usize]);
                 let end = share.len().min(from + chunk);
-                let request =
-                    Request::SubmitBatch(share[from..end].iter().map(|&s| s.clone()).collect());
-                match self.dispatch(shard, &request) {
-                    Ok(flight) => flights.push_back((shard, request, flight)),
+                let payload = wire::submit_payload(share[from..end].iter().copied());
+                match self.dispatch(shard, &payload) {
+                    Ok(flight) => flights.push_back((shard, payload, flight)),
                     Err(error) => {
                         rows[shard as usize].error = Some(error);
                         parked.push(shard);
@@ -919,10 +920,10 @@ impl Router {
                 }
                 continue;
             }
-            let Some((shard, request, flight)) = flights.pop_front() else {
+            let Some((shard, payload, flight)) = flights.pop_front() else {
                 break;
             };
-            let (outcome, _) = self.complete(shard, &request, flight, &decode);
+            let (outcome, _) = self.complete(shard, &payload, flight, &decode);
             let (row, share) = (&mut rows[shard as usize], &shares[shard as usize]);
             match outcome.settle(shard) {
                 Ok(Ok((accepted, rejected))) => {
@@ -1203,10 +1204,10 @@ impl Router {
             _ => None,
         });
         let (coordinators, mut outages) = Self::gather(replies)?;
-        let request = Request::ServerStats;
-        let targets: Vec<(u32, &Request)> = coordinators
+        let payload = Request::ServerStats.encode();
+        let targets: Vec<(u32, &[u8])> = coordinators
             .iter()
-            .map(|&(shard, _)| (shard, &request))
+            .map(|&(shard, _)| (shard, payload.as_slice()))
             .collect();
         let replies = self.scatter(&targets, |resp| match resp {
             Response::ServerStats(stats) => Some(stats),

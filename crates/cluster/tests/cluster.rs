@@ -219,14 +219,15 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
         );
     }
 
-    // Linear with a duplicate term and a constant.
+    // Linear with a duplicate term and a constant. Non-dyadic
+    // coefficients: a reordered float sum changes the bits.
     let q0 = ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap();
     let q1 = ConjunctiveQuery::new(BitSubset::single(1), BitString::from_bits(&[true])).unwrap();
     let mut lq = LinearQuery::new("cluster test");
-    lq.constant = -0.25;
-    lq.push(1.5, q0.clone());
-    lq.push(-2.0, q1);
-    lq.push(0.5, q0);
+    lq.constant = 0.1;
+    lq.push(1.7, q0.clone());
+    lq.push(-0.3, q1);
+    lq.push(0.7, q0);
     let clustered = router.execute_plan(&TermPlan::compile(&lq)).unwrap();
     let local = per_term_oracle(&estimator, oracle.pool(), &lq);
     assert_eq!(

@@ -9,7 +9,7 @@
 
 use crate::params::Error;
 use crate::sketcher::Sketch;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// Magic byte identifying a sketch bundle.
 const MAGIC: u8 = 0xB5;
@@ -58,51 +58,113 @@ pub fn encode_bundle(sketch_bits: u8, sketches: &[Sketch]) -> Bytes {
     out.freeze()
 }
 
-/// Decodes a bundle produced by [`encode_bundle`].
+/// A bundle whose header and payload length checked out, its packed
+/// keys borrowed from the encoded bytes. Opening one allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct BundleView<'a> {
+    /// The length of every sketch in the bundle, in bits.
+    pub sketch_bits: u8,
+    /// The number of sketches the bundle holds.
+    pub count: usize,
+    payload: &'a [u8],
+}
+
+impl<'a> BundleView<'a> {
+    /// The packed keys in bundle order, unpacked on the fly.
+    #[must_use]
+    pub fn keys(&self) -> BundleKeys<'a> {
+        BundleKeys {
+            bytes: self.payload.iter(),
+            acc: 0,
+            acc_bits: 0,
+            bits: u32::from(self.sketch_bits),
+            mask: (1u64 << self.sketch_bits) - 1,
+            left: self.count,
+        }
+    }
+}
+
+/// The keys of a [`BundleView`], LSB-first, `sketch_bits` bits each.
+#[derive(Debug, Clone)]
+pub struct BundleKeys<'a> {
+    bytes: std::slice::Iter<'a, u8>,
+    acc: u64,
+    acc_bits: u32,
+    bits: u32,
+    mask: u64,
+    left: usize,
+}
+
+impl Iterator for BundleKeys<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        while self.acc_bits < self.bits {
+            // `open_bundle` checked the payload holds every key, so the
+            // bytes never run out before `left` does.
+            self.acc |= u64::from(*self.bytes.next()?) << self.acc_bits;
+            self.acc_bits += 8;
+        }
+        let key = self.acc & self.mask;
+        self.acc >>= self.bits;
+        self.acc_bits -= self.bits;
+        self.left -= 1;
+        Some(key)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+/// Checks a bundle's header and payload length and borrows its keys:
+/// the one bundle reader, which [`decode_bundle`] and ingest share.
 ///
 /// # Errors
 ///
 /// [`Error::Codec`] on truncated input, bad magic/version, or an invalid
 /// sketch length.
-pub fn decode_bundle(mut data: &[u8]) -> Result<(u8, Vec<Sketch>), Error> {
+pub fn open_bundle(data: &[u8]) -> Result<BundleView<'_>, Error> {
     let fail = |reason: &str| Error::Codec {
         reason: reason.to_string(),
     };
-    if data.remaining() < 7 {
+    let Some((header, payload)) = data.split_first_chunk::<7>() else {
         return Err(fail("truncated header"));
-    }
-    let magic = data.get_u8();
+    };
+    let [magic, version, sketch_bits, c0, c1, c2, c3] = *header;
     if magic != MAGIC {
         return Err(fail("bad magic byte"));
     }
-    let version = data.get_u8();
     if version != VERSION {
         return Err(fail("unsupported version"));
     }
-    let sketch_bits = data.get_u8();
     if !(1..=30).contains(&sketch_bits) {
         return Err(fail("invalid sketch length"));
     }
-    let count = data.get_u32_le() as usize;
-    let need_bits = count * usize::from(sketch_bits);
-    if data.remaining() * 8 < need_bits {
+    let count = u32::from_le_bytes([c0, c1, c2, c3]) as usize;
+    let need_bits = count.saturating_mul(usize::from(sketch_bits));
+    if payload.len().saturating_mul(8) < need_bits {
         return Err(fail("truncated payload"));
     }
+    Ok(BundleView {
+        sketch_bits,
+        count,
+        payload,
+    })
+}
 
-    let mut sketches = Vec::with_capacity(count);
-    let mut acc: u64 = 0;
-    let mut acc_bits: u32 = 0;
-    let mask = (1u64 << sketch_bits) - 1;
-    for _ in 0..count {
-        while acc_bits < u32::from(sketch_bits) {
-            acc |= u64::from(data.get_u8()) << acc_bits;
-            acc_bits += 8;
-        }
-        sketches.push(Sketch { key: acc & mask });
-        acc >>= sketch_bits;
-        acc_bits -= u32::from(sketch_bits);
-    }
-    Ok((sketch_bits, sketches))
+/// Decodes a bundle produced by [`encode_bundle`].
+///
+/// # Errors
+///
+/// As [`open_bundle`].
+pub fn decode_bundle(data: &[u8]) -> Result<(u8, Vec<Sketch>), Error> {
+    let bundle = open_bundle(data)?;
+    let sketches = bundle.keys().map(|key| Sketch { key }).collect();
+    Ok((bundle.sketch_bits, sketches))
 }
 
 /// The exact payload size in bytes for `count` sketches of `sketch_bits`

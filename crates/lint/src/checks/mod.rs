@@ -1,5 +1,5 @@
 //! The six project-specific checks. Each module exposes
-//! `run(...)` pushing [`Diagnostic`](crate::Diagnostic)s; shared
+//! `run(...)` pushing [`Diagnostic`]s; shared
 //! token-navigation helpers live here.
 
 pub mod atomics;

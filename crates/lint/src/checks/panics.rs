@@ -35,6 +35,9 @@ const SCOPES: &[Scope] = &[
             "open_payload",
             "frame_version",
             "read_frame",
+            "submit_body",
+            // RawSubmission's view of a frame's skipped indices.
+            "skipped",
             // Dec, the bounds-checked cursor every decoder runs on.
             "take",
             "array",
@@ -52,6 +55,16 @@ const SCOPES: &[Scope] = &[
     Scope {
         file_suffix: "crates/server/src/server.rs",
         fns: None,
+    },
+    // The submission validator every ingest path runs.
+    Scope {
+        file_suffix: "crates/protocol/src/ingest.rs",
+        fns: None,
+    },
+    // The bundle reader: `encode_bundle` asserts its caller contract.
+    Scope {
+        file_suffix: "crates/core/src/codec.rs",
+        fns: Some(&["open_bundle", "decode_bundle", "keys", "next", "size_hint"]),
     },
     Scope {
         file_suffix: "crates/obs/src/expose.rs",

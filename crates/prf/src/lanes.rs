@@ -12,7 +12,7 @@
 //! instruction-level parallelism.
 //!
 //! [`SipStateXN`] is the lane-parallel mirror of
-//! [`SipState`](crate::siphash::SipState): it broadcasts a block-aligned
+//! [`SipState`]: it broadcasts a block-aligned
 //! scalar prefix state into N lanes, absorbs N records' `(id, key)`
 //! blocks, and finishes all N once per requested query value. The
 //! scalar `SipState` remains the reference implementation — it carries the
@@ -55,7 +55,7 @@ pub const SUPPORTED_LANE_WIDTHS: &[usize] = &[1, 4, 8];
 /// and the per-record `(id, key)` fields differ.
 ///
 /// Lane `i` of every output equals the scalar
-/// [`SipState`](crate::siphash::SipState) evaluation of the same byte
+/// [`SipState`] evaluation of the same byte
 /// stream, bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct SipStateXN<const LANES: usize> {

@@ -6,6 +6,7 @@
 //! into a [`SketchDb`] that anyone can query. Rejecting malformed or
 //! duplicate submissions is bookkeeping, not trust.
 
+use crate::ingest::IngestBatch;
 use crate::messages::{Announcement, Submission};
 use parking_lot::Mutex;
 use psketch_core::theory::min_sketch_bits;
@@ -237,36 +238,28 @@ impl Coordinator {
         &self.announcement
     }
 
-    /// Accepts a submission into the pool.
+    /// Accepts a submission into the pool: a one-submission batch.
     ///
     /// # Errors
     ///
-    /// * [`Error::Codec`] for malformed bundles or duplicate users (a
-    ///   duplicate would double-count one person's data in every
-    ///   estimate);
-    /// * alignment errors from [`Submission::decode`].
+    /// [`Error::Codec`] for malformed bundles (see [`IngestBatch::push`])
+    /// or duplicate users (a duplicate would double-count one person's
+    /// data in every estimate).
     pub fn accept(&self, submission: &Submission) -> Result<(), Error> {
-        let records = match submission.decode_indexed(&self.announcement) {
-            Ok(r) => r,
-            Err(e) => {
-                // ord: monotonic stat counter, eventual totals suffice
-                self.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
-            }
-        };
-        {
-            let mut seen = self.seen.lock();
-            if !seen.insert(submission.user) {
-                // ord: monotonic stat counter, eventual totals suffice
-                self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                return Err(Error::Codec {
-                    reason: format!("duplicate submission from {}", submission.user),
-                });
-            }
+        let mut batch = self.new_batch(1);
+        let staged = batch.push(
+            submission.user,
+            submission.database_id,
+            &submission.bundle,
+            submission.skipped.iter().copied(),
+        );
+        let outcome = self.apply_batch(batch);
+        staged?;
+        if outcome.accepted == 0 {
+            return Err(Error::Codec {
+                reason: format!("duplicate submission from {}", submission.user),
+            });
         }
-        // ord: monotonic stat counter, eventual totals suffice
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        self.ingest(std::iter::once((submission.user, records)));
         Ok(())
     }
 
@@ -274,77 +267,75 @@ impl Coordinator {
     ///
     /// Malformed or duplicate submissions are rejected (and counted)
     /// individually without failing the batch — ingestion at scale must
-    /// not let one hostile bundle stall everyone else's. All decoded
-    /// records are grouped per subset and appended through the pool's
-    /// columnar batch insert, so a batch of `m` submissions over `k`
-    /// subsets costs `k` shard appends instead of `m·k` map probes.
+    /// not let one hostile bundle stall everyone else's.
     pub fn accept_batch<'a, I>(&self, submissions: I) -> BatchOutcome
     where
         I: IntoIterator<Item = &'a Submission>,
     {
-        let mut outcome = BatchOutcome::default();
-        // Decode outside any lock: bundle parsing is the expensive part
-        // and must not serialize concurrent ingestion.
-        let mut decoded: Vec<(UserId, Vec<(usize, psketch_core::Sketch)>)> = Vec::new();
-        for submission in submissions {
-            match submission.decode_indexed(&self.announcement) {
-                Ok(records) => decoded.push((submission.user, records)),
-                Err(_) => {
-                    // ord: monotonic stat counter, eventual totals suffice
-                    self.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                    outcome.rejected += 1;
-                }
-            }
+        let submissions = submissions.into_iter();
+        let mut batch = self.new_batch(submissions.size_hint().0);
+        for sub in submissions {
+            // A rejection is counted by the batch itself.
+            let _ = batch.push(
+                sub.user,
+                sub.database_id,
+                &sub.bundle,
+                sub.skipped.iter().copied(),
+            );
         }
-        // Dedup under a short lock covering only the membership check.
-        {
-            let mut seen = self.seen.lock();
-            decoded.retain(|(user, _)| {
-                if seen.insert(*user) {
-                    true
-                } else {
-                    // ord: monotonic stat counter, eventual totals suffice
-                    self.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                    outcome.rejected += 1;
-                    false
-                }
-            });
-        }
-        outcome.accepted = decoded.len();
-        self.counters
-            .accepted
-            // ord: monotonic stat counter, eventual totals suffice
-            .fetch_add(outcome.accepted as u64, Ordering::Relaxed);
-        self.ingest(decoded);
-        outcome
+        self.apply_batch(batch)
     }
 
-    /// Groups decoded records by announced subset (records name theirs
-    /// by index) into id and key columns and lands them in the pool's
-    /// shards via `SketchDb::insert_columns`, which also brings each
-    /// subset's count table up to date.
-    fn ingest<I>(&self, decoded: I)
-    where
-        I: IntoIterator<Item = (UserId, Vec<(usize, psketch_core::Sketch)>)>,
-    {
-        let subsets = &self.announcement.subsets;
-        let mut grouped: Vec<(Vec<u64>, Vec<u64>)> = vec![Default::default(); subsets.len()];
-        let mut total = 0u64;
-        for (user, records) in decoded {
-            for (i, sketch) in records {
-                total += 1;
-                let (ids, keys) = &mut grouped[i];
-                ids.push(user.0);
-                keys.push(sketch.key);
+    /// An empty batch for this coordinator's announcement, with column
+    /// room for `users` users. Fill it with [`IngestBatch::push`] —
+    /// outside any lock: validation and unpacking are the expensive part
+    /// and must not serialize concurrent ingestion — then land it with
+    /// [`Coordinator::apply_batch`].
+    #[must_use]
+    pub fn new_batch(&self, users: usize) -> IngestBatch {
+        IngestBatch::new(&self.announcement, users)
+    }
+
+    /// Lands a staged batch. Its malformed submissions were rejected
+    /// before dedup; of the rest, a user already accepted (earlier, or
+    /// earlier in this batch) is rejected as a duplicate and the first
+    /// occurrence is kept. The kept rows go to the pool's shards in
+    /// batch order through `SketchDb::insert_columns`, one append per
+    /// subset, which also brings each subset's count table up to date.
+    pub fn apply_batch(&self, mut batch: IngestBatch) -> BatchOutcome {
+        let mut dropped = Vec::new();
+        {
+            // Dedup under a short lock covering only the membership check.
+            let mut seen = self.seen.lock();
+            for (j, user) in batch.users.iter().enumerate() {
+                if !seen.insert(*user) {
+                    dropped.push(j);
+                }
             }
         }
-        // ord: monotonic stat counter, eventual totals suffice
-        self.counters.records.fetch_add(total, Ordering::Relaxed);
-        for (subset, (ids, keys)) in subsets.iter().zip(grouped) {
-            if !ids.is_empty() {
-                self.db.insert_columns(subset.clone(), ids, keys);
+        if !dropped.is_empty() {
+            batch.drop_users(&dropped);
+        }
+        let outcome = BatchOutcome {
+            accepted: batch.users.len() - dropped.len(),
+            rejected: batch.malformed + dropped.len(),
+        };
+        let records: usize = batch.columns.iter().map(|c| c.ids.len()).sum();
+        let add = |counter: &AtomicU64, n: usize| {
+            // ord: monotonic stat counter, eventual totals suffice
+            counter.fetch_add(n as u64, Ordering::Relaxed);
+        };
+        add(&self.counters.malformed, batch.malformed);
+        add(&self.counters.duplicates, dropped.len());
+        add(&self.counters.accepted, outcome.accepted);
+        add(&self.counters.records, records);
+        for (subset, column) in self.announcement.subsets.iter().zip(batch.columns) {
+            if !column.ids.is_empty() {
+                self.db
+                    .insert_columns(subset.clone(), column.ids, column.keys);
             }
         }
+        outcome
     }
 
     /// Number of accepted participants.

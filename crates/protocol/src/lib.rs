@@ -14,7 +14,9 @@
 //! * [`coordinator`] — [`coordinator::AnnouncementBuilder`]
 //!   (Lemma 3.1 sketch sizing, canonical subset plans) and
 //!   [`coordinator::Coordinator`] (validation, duplicate
-//!   rejection, the public [`SketchDb`](psketch_core::SketchDb) pool).
+//!   rejection, the public [`SketchDb`](psketch_core::SketchDb) pool);
+//! * [`ingest`] — [`ingest::IngestBatch`]: the one submission validator,
+//!   staging every accepted key straight into per-subset columns.
 //!
 //! Nothing in this crate is trusted with private data: the coordinator
 //! sees only sketches, and every parameter it publishes is public —
@@ -25,8 +27,10 @@
 
 pub mod agent;
 pub mod coordinator;
+pub mod ingest;
 pub mod messages;
 
 pub use agent::UserAgent;
 pub use coordinator::{AnnouncementBuilder, BatchOutcome, Coordinator, CoordinatorStats};
+pub use ingest::IngestBatch;
 pub use messages::{Announcement, QueryCounts, ShardIdentity, Submission};

@@ -8,6 +8,7 @@
 //! of [`psketch_core::codec`], so the published object is exactly the
 //! paper's "minuscule" artifact.
 
+use crate::ingest::IngestBatch;
 use psketch_core::{BitSubset, Error, Sketch, UserId};
 use serde::{Deserialize, Serialize};
 
@@ -107,69 +108,31 @@ pub struct Submission {
 }
 
 impl Submission {
-    /// Decodes the bundle and aligns sketches with the announced subsets.
+    /// Decodes the bundle and aligns sketches with the announced subsets,
+    /// through the same validator ingest runs ([`IngestBatch::push`]).
     ///
     /// # Errors
     ///
     /// [`Error::Codec`] on malformed bundles or misaligned counts.
     pub fn decode(&self, announcement: &Announcement) -> Result<Vec<(BitSubset, Sketch)>, Error> {
-        Ok(self
-            .decode_indexed(announcement)?
-            .into_iter()
-            .map(|(i, sketch)| (announcement.subsets[i].clone(), sketch))
+        let mut batch = IngestBatch::new(announcement, 1);
+        batch.push(
+            self.user,
+            self.database_id,
+            &self.bundle,
+            self.skipped.iter().copied(),
+        )?;
+        Ok(announcement
+            .subsets
+            .iter()
+            .zip(&batch.columns)
+            .filter_map(|(subset, column)| {
+                column
+                    .keys
+                    .first()
+                    .map(|&key| (subset.clone(), Sketch { key }))
+            })
             .collect())
-    }
-
-    /// As [`Submission::decode`], naming each sketch's subset by its
-    /// index in `announcement.subsets`: the ingest path, which groups by
-    /// index instead of cloning and hashing a subset per record.
-    ///
-    /// # Errors
-    ///
-    /// As [`Submission::decode`].
-    pub fn decode_indexed(
-        &self,
-        announcement: &Announcement,
-    ) -> Result<Vec<(usize, Sketch)>, Error> {
-        if self.database_id != announcement.database_id {
-            return Err(Error::Codec {
-                reason: format!(
-                    "submission for database {} offered to database {}",
-                    self.database_id, announcement.database_id
-                ),
-            });
-        }
-        let (bits, sketches) = psketch_core::codec::decode_bundle(&self.bundle)?;
-        if bits != announcement.sketch_bits {
-            return Err(Error::Codec {
-                reason: format!(
-                    "bundle uses {bits}-bit sketches, announcement requires {}",
-                    announcement.sketch_bits
-                ),
-            });
-        }
-        let expected = announcement.subsets.len() - self.skipped.len();
-        if sketches.len() != expected {
-            return Err(Error::Codec {
-                reason: format!(
-                    "bundle holds {} sketches, expected {expected}",
-                    sketches.len()
-                ),
-            });
-        }
-        let skipped: std::collections::HashSet<u32> = self.skipped.iter().copied().collect();
-        if skipped.len() != self.skipped.len()
-            || self
-                .skipped
-                .iter()
-                .any(|&i| i as usize >= announcement.subsets.len())
-        {
-            return Err(Error::Codec {
-                reason: "skipped indices malformed".to_string(),
-            });
-        }
-        let sketched = (0..announcement.subsets.len()).filter(|&i| !skipped.contains(&(i as u32)));
-        Ok(sketched.zip(sketches).collect())
     }
 }
 

@@ -537,11 +537,12 @@ mod tests {
         let est = psketch_core::ConjunctiveEstimator::new(params(p));
         let q1 = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(5, 3)).unwrap();
         let q2 = ConjunctiveQuery::new(subset, BitString::from_u64(2, 3)).unwrap();
+        // Non-dyadic coefficients: a reordered float sum changes the bits.
         let mut lq = LinearQuery::new("plan vs engine");
-        lq.constant = 0.75;
-        lq.push(2.0, q1.clone());
-        lq.push(-0.5, q2);
-        lq.push(3.0, q1);
+        lq.constant = 0.1;
+        lq.push(1.7, q1.clone());
+        lq.push(-0.3, q2);
+        lq.push(0.7, q1);
         let legacy = per_term_oracle(&est, &db, &lq).unwrap();
         let plan = TermPlan::compile(&lq);
         let answers = engine.execute_plan(&db, &plan).unwrap();

@@ -167,11 +167,21 @@ impl Client {
     /// Transport failures, which poison the connection, and a send on a
     /// connection that is poisoned or still awaiting a reply.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        self.send_payload(&req.encode())
+    }
+
+    /// As [`Client::send`] for a request already encoded as a frame
+    /// payload (e.g. by [`wire::submit_payload`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`].
+    pub fn send_payload(&mut self, payload: &[u8]) -> Result<(), ClientError> {
         if self.state != Exchange::Idle {
             return Err(self.out_of_turn());
         }
         self.state = Exchange::Poisoned;
-        wire::write_frame(&mut self.stream, &req.encode())?;
+        wire::write_frame(&mut self.stream, payload)?;
         self.state = Exchange::Awaiting;
         Ok(())
     }
@@ -257,7 +267,8 @@ impl Client {
     ///
     /// Transport, protocol, or server errors.
     pub fn submit_batch(&mut self, subs: &[Submission]) -> Result<SubmitAck, ClientError> {
-        match self.request(&Request::SubmitBatch(subs.to_vec()))? {
+        self.send_payload(&wire::submit_payload(subs))?;
+        match self.receive()? {
             Response::SubmitAck { accepted, rejected } => Ok(SubmitAck { accepted, rejected }),
             other => Self::unexpected(&other),
         }

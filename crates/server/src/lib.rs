@@ -10,8 +10,9 @@
 //!   carrying the existing protocol messages plus query/response and
 //!   error frames;
 //! * [`server`] — a threaded TCP server with a fixed worker pool and
-//!   graceful shutdown; ingestion routes through
-//!   [`psketch_protocol::Coordinator::accept_batch`], queries run off
+//!   graceful shutdown; a submit frame's body is decoded straight into
+//!   pool columns and landed with
+//!   [`psketch_protocol::Coordinator::apply_batch`], queries run off
 //!   `Arc` snapshots so analysts never block ingestion;
 //! * [`client`] — a blocking client with connection reuse and chunked
 //!   batch submission;

@@ -2,8 +2,10 @@
 //!
 //! Architecture: one accept thread hands connections to a **fixed pool
 //! of worker threads** over a channel; each worker owns one connection
-//! at a time and serves its frames until the peer hangs up. Ingestion
-//! routes through [`Coordinator::accept_batch`] behind the WAL lock
+//! at a time and serves its frames until the peer hangs up. A
+//! `SubmitBatch` frame body is decoded straight into an
+//! [`psketch_protocol::IngestBatch`]'s columns, then logged as received
+//! and landed with [`Coordinator::apply_batch`] behind the WAL lock
 //! (append → fsync → apply → ack), while queries run off
 //! [`psketch_core::SketchDb`] `Arc` snapshots — readers never block
 //! writers and a long analyst scan never stalls ingestion.
@@ -18,7 +20,7 @@ use crate::wire::{self, codes, Request, Response, PROTOCOL_VERSION};
 use parking_lot::Mutex;
 use psketch_core::{Error, PrivacyAccountant};
 use psketch_obs::{self as obs, expose::MetricsExposer, Counter, Histogram, SpanNode};
-use psketch_protocol::{Announcement, Coordinator, QueryCounts, ShardIdentity};
+use psketch_protocol::{Announcement, Coordinator, IngestBatch, QueryCounts, ShardIdentity};
 use psketch_queries::QueryEngine;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
@@ -535,7 +537,7 @@ struct ServiceState {
     engine: QueryEngine,
     /// Lock ordering the WAL append and the pool apply of each batch —
     /// a batch is acknowledged only after both. `None` (durability off)
-    /// skips the lock entirely: `accept_batch` is internally
+    /// skips the lock entirely: `apply_batch` is internally
     /// synchronized, so concurrent batches then decode in parallel.
     wal: Option<Mutex<Wal>>,
     /// This node's shard identity (hello handshake).
@@ -1038,15 +1040,12 @@ fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> S
         }
         Ok(_) => {}
     }
+    if let Some(body) = wire::submit_body(payload) {
+        return serve_submit(state, conn, body);
+    }
     let request = match Request::decode(payload) {
         Ok(r) => r,
-        Err(e) => {
-            state.frames.record_malformed();
-            return Served::Response(Response::Error {
-                code: codes::MALFORMED,
-                message: e.to_string(),
-            });
-        }
+        Err(e) => return malformed_frame(state, &e),
     };
     // The kind byte is trusted only after a full decode succeeded.
     let kind = payload.get(1).copied().unwrap_or(0);
@@ -1065,6 +1064,35 @@ fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> S
     let served = handle_request(state, conn, request);
     observe_request(state, conn, kind, trace, started.elapsed());
     served
+}
+
+/// Counts a frame that failed to decode and answers it.
+fn malformed_frame(state: &ServiceState, e: &Error) -> Served {
+    state.frames.record_malformed();
+    Served::Response(Response::Error {
+        code: codes::MALFORMED,
+        message: e.to_string(),
+    })
+}
+
+/// Serves a `SubmitBatch` frame from its body bytes: decoded straight
+/// into pool columns, never into `Submission`s, then ingested with the
+/// body logged as received.
+fn serve_submit(state: &ServiceState, conn: &ConnState, body: &[u8]) -> Served {
+    let decoded = {
+        let span = obs::span::enter("ingest:decode");
+        span.attr("bytes", body.len() as u64);
+        wire::decode_submit_body(body, &state.coordinator)
+    };
+    let batch = match decoded {
+        Ok(batch) => batch,
+        Err(e) => return malformed_frame(state, &e),
+    };
+    state.frames.record(wire::REQ_SUBMIT);
+    let started = Instant::now();
+    let response = ingest(state, body, batch);
+    observe_request(state, conn, wire::REQ_SUBMIT, None, started.elapsed());
+    Served::Response(response)
 }
 
 /// The trace correlation id a request carries: its query nonce (`0`
@@ -1198,7 +1226,11 @@ fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) 
         Request::FetchAnnouncement => Served::Response(Response::Announcement(
             state.coordinator.announcement().clone(),
         )),
-        Request::SubmitBatch(subs) => Served::Response(ingest(state, &subs)),
+        // `handle_frame` serves every submit frame from its bytes.
+        Request::SubmitBatch(_) => Served::Response(Response::Error {
+            code: codes::INTERNAL,
+            message: "submit frames are served from their bytes".into(),
+        }),
         Request::Plan {
             plan,
             nonce,
@@ -1275,26 +1307,27 @@ fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) 
     }
 }
 
-/// Ingests one batch: WAL append + fsync first, then the pool apply,
-/// then (still under the lock, so replay order matches apply order) a
-/// compaction check. Only after all of that is the client acked. With
-/// durability off there is no lock at all — batches from concurrent
-/// clients decode and land in parallel.
+/// Ingests one decoded batch: WAL append (of the frame body as
+/// received) + fsync first, then the pool apply, then (still under the
+/// lock, so replay order matches apply order) a compaction check. Only
+/// after all of that is the client acked. With durability off there is
+/// no lock at all — batches from concurrent clients decode and land in
+/// parallel.
 // The WAL lock is *deliberately* held across append/fsync/compact:
 // replay order must match apply order, and that serialization is
 // exactly what the lock provides. lint: allow(lock_across_io)
-fn ingest(state: &ServiceState, subs: &[psketch_protocol::Submission]) -> Response {
+fn ingest(state: &ServiceState, body: &[u8], batch: IngestBatch) -> Response {
     let outcome = match &state.wal {
         None => {
             let _span = obs::span::enter("pool:apply");
-            state.coordinator.accept_batch(subs.iter())
+            state.coordinator.apply_batch(batch)
         }
         Some(wal_mutex) => {
             let mut wal = wal_mutex.lock();
             {
                 let span = obs::span::enter("wal:commit");
-                span.attr("batch", subs.len() as u64);
-                if let Err(e) = wal.record_batch(subs) {
+                span.attr("batch", batch.submissions() as u64);
+                if let Err(e) = wal.record_batch_body(body) {
                     return Response::Error {
                         code: codes::INTERNAL,
                         message: format!("write-ahead log append failed: {e}"),
@@ -1303,7 +1336,7 @@ fn ingest(state: &ServiceState, subs: &[psketch_protocol::Submission]) -> Respon
             }
             let outcome = {
                 let _span = obs::span::enter("pool:apply");
-                state.coordinator.accept_batch(subs.iter())
+                state.coordinator.apply_batch(batch)
             };
             if wal.should_compact() {
                 if let Err(e) = wal.compact(&state.coordinator) {

@@ -17,9 +17,12 @@
 //!   column bit-packed through [`psketch_core::codec`] (each key costs
 //!   `sketch_bits` bits on disk, same as on the wire).
 //!
-//! Replay loads the snapshot (if any), then applies log records through
-//! [`Coordinator::accept_batch`] — the same code path live ingestion
-//! takes, so a replayed pool is *identical* to the pre-crash pool. A
+//! Live ingestion logs each `SubmitBatch` frame body as received, so a
+//! batch record's body is that frame's submission list. Replay loads the
+//! snapshot (if any), then decodes each batch record straight into
+//! columns and applies it through [`Coordinator::apply_batch`] — the
+//! same decoder and apply step live ingestion runs, so a replayed pool
+//! is *identical* to the pre-crash pool. A
 //! torn final record (the crash happened mid-append) is tolerated: the
 //! log is truncated back to the last fully committed record. Anything
 //! bad *before* that is real corruption and refuses to load.
@@ -32,7 +35,7 @@
 //! duplicate (the duplicate counter inflates; the pool does not).
 
 use crate::wire;
-use psketch_core::codec::{decode_bundle, encode_bundle};
+use psketch_core::codec::{encode_bundle, open_bundle};
 use psketch_core::{BitSubset, Sketch, SketchDb, UserId};
 use psketch_obs::{self as obs};
 use psketch_protocol::{Announcement, Coordinator, CoordinatorStats, Submission};
@@ -237,9 +240,9 @@ impl Wal {
     /// I/O failures; the record is not committed unless this returns
     /// `Ok`.
     pub fn record_announcement(&mut self, ann: &Announcement) -> Result<(), WalError> {
-        let mut payload = vec![TAG_ANNOUNCEMENT];
-        wire::put_announcement(&mut payload, ann);
-        self.append(&payload)
+        let mut body = Vec::new();
+        wire::put_announcement(&mut body, ann);
+        self.append(TAG_ANNOUNCEMENT, &body)
     }
 
     /// Appends and fsyncs one submission batch. Call *before* applying
@@ -251,27 +254,45 @@ impl Wal {
     /// I/O failures; the record is not committed unless this returns
     /// `Ok`.
     pub fn record_batch(&mut self, subs: &[Submission]) -> Result<(), WalError> {
-        let mut payload = vec![TAG_BATCH];
-        wire::put_submissions(&mut payload, subs);
-        self.append(&payload)
+        let mut body = Vec::new();
+        wire::put_submissions(&mut body, subs);
+        self.record_batch_body(&body)
     }
 
-    fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
+    /// As [`Wal::record_batch`] for a batch already encoded as a
+    /// submission list — a `SubmitBatch` frame body exactly as received.
+    /// The encoding is canonical, so the record is byte-identical to
+    /// the one [`Wal::record_batch`] writes for the decoded batch. Log
+    /// only a body the wire decoder accepted: replay refuses a batch
+    /// record that does not parse.
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::record_batch`].
+    pub fn record_batch_body(&mut self, body: &[u8]) -> Result<(), WalError> {
+        self.append(TAG_BATCH, body)
+    }
+
+    /// Appends and fsyncs the record `tag ‖ body`.
+    fn append(&mut self, tag: u8, body: &[u8]) -> Result<(), WalError> {
         if self.poisoned {
             return Err(corrupt(
                 "log poisoned by an earlier unrecoverable append failure",
             ));
         }
-        if payload.len() > MAX_RECORD_BYTES {
+        let len = 1 + body.len();
+        if len > MAX_RECORD_BYTES {
             return Err(corrupt(format!(
-                "record payload {} exceeds {MAX_RECORD_BYTES} bytes",
-                payload.len()
+                "record payload {len} exceeds {MAX_RECORD_BYTES} bytes"
             )));
         }
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(payload).to_le_bytes());
-        framed.extend_from_slice(payload);
+        let mut framed = Vec::with_capacity(8 + len);
+        framed.extend_from_slice(&(len as u32).to_le_bytes());
+        framed.extend_from_slice(&[0; 4]);
+        framed.push(tag);
+        framed.extend_from_slice(body);
+        let crc = crc32(&framed[8..]);
+        framed[4..8].copy_from_slice(&crc.to_le_bytes());
         let started = Instant::now();
         let wrote = self.log.write_all(&framed);
         let write_elapsed = started.elapsed();
@@ -454,12 +475,12 @@ fn apply_record(payload: &[u8], coordinator: &mut Option<Coordinator>) -> Result
             }
         }
         TAG_BATCH => {
-            let subs = wire::decode_submissions(body)
-                .map_err(|e| corrupt(format!("bad batch record: {e}")))?;
             let Some(c) = coordinator.as_ref() else {
                 return Err(corrupt("batch record before any announcement"));
             };
-            c.accept_batch(&subs);
+            let batch = wire::decode_submit_body(body, c)
+                .map_err(|e| corrupt(format!("bad batch record: {e}")))?;
+            c.apply_batch(batch);
         }
         other => return Err(corrupt(format!("unknown record tag {other}"))),
     }
@@ -567,19 +588,18 @@ fn decode_snapshot(bytes: &[u8]) -> Result<Coordinator, WalError> {
             ids.push(r.u64()?);
         }
         let bundle_len = r.u32()? as usize;
-        let bundle = r.take(bundle_len)?;
-        let (bits, sketches) =
-            decode_bundle(bundle).map_err(|e| corrupt(format!("shard bundle: {e}")))?;
-        if bits != ann.sketch_bits {
+        let bundle =
+            open_bundle(r.take(bundle_len)?).map_err(|e| corrupt(format!("shard bundle: {e}")))?;
+        if bundle.sketch_bits != ann.sketch_bits {
             return Err(corrupt(format!(
-                "shard bundle uses {bits}-bit sketches, announcement says {}",
-                ann.sketch_bits
+                "shard bundle uses {}-bit sketches, announcement says {}",
+                bundle.sketch_bits, ann.sketch_bits
             )));
         }
-        if sketches.len() != ids.len() {
+        if bundle.count != ids.len() {
             return Err(corrupt("shard columns misaligned"));
         }
-        let keys: Vec<u64> = sketches.into_iter().map(|s| s.key).collect();
+        let keys: Vec<u64> = bundle.keys().collect();
         shards.push((subset, ids, keys));
     }
     if !r.data.is_empty() {

@@ -23,10 +23,14 @@
 //! reject a frame from the future (or the past) with
 //! [`codes::UNSUPPORTED_VERSION`] without guessing at its body layout.
 
+use psketch_core::codec::bundle_size_bytes;
 use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Error, UserId};
 use psketch_obs::span::MAX_SPAN_ATTRS;
 use psketch_obs::{HistogramSnapshot, MetricId, RegistrySnapshot, SpanNode};
-use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
+use psketch_protocol::{
+    Announcement, Coordinator, CoordinatorStats, IngestBatch, QueryCounts, ShardIdentity,
+    Submission,
+};
 use psketch_queries::{LinearAnswer, TermPlan};
 use std::io::{self, Read, Write};
 
@@ -122,7 +126,7 @@ pub mod codes {
 // Message kind bytes. Requests use the low range, responses the high
 // range, so a stray response can never parse as a request.
 const REQ_ANNOUNCEMENT: u8 = 0x01;
-const REQ_SUBMIT: u8 = 0x02;
+pub(crate) const REQ_SUBMIT: u8 = 0x02;
 const REQ_PLAN: u8 = 0x05;
 const REQ_STATS: u8 = 0x06;
 const REQ_PING: u8 = 0x07;
@@ -603,7 +607,7 @@ fn get_announcement(dec: &mut Dec<'_>) -> Result<Announcement, Error> {
     })
 }
 
-pub(crate) fn put_submission(buf: &mut Vec<u8>, sub: &Submission) {
+fn put_submission(buf: &mut Vec<u8>, sub: &Submission) {
     put_u64(buf, sub.user.0);
     put_u64(buf, sub.database_id);
     put_bytes(buf, &sub.bundle);
@@ -613,16 +617,51 @@ pub(crate) fn put_submission(buf: &mut Vec<u8>, sub: &Submission) {
     }
 }
 
-fn get_submission(dec: &mut Dec<'_>) -> Result<Submission, Error> {
+/// Encodes a submission list (the `SubmitBatch` body, and the body of a
+/// WAL batch record) from borrowed submissions.
+pub(crate) fn put_submissions<'a, I>(buf: &mut Vec<u8>, subs: I)
+where
+    I: IntoIterator<Item = &'a Submission>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let subs = subs.into_iter();
+    put_len(buf, subs.len());
+    for sub in subs {
+        put_submission(buf, sub);
+    }
+}
+
+/// The fixed bytes of one encoded submission: user id, database id and
+/// the bundle and skipped-list length prefixes.
+const SUBMISSION_FIXED_BYTES: usize = 24;
+
+/// One encoded submission's fields, borrowed from the frame.
+struct RawSubmission<'a> {
+    user: UserId,
+    database_id: u64,
+    bundle: &'a [u8],
+    /// The skipped indices, `u32` LE each.
+    skipped: &'a [u8],
+}
+
+impl<'a> RawSubmission<'a> {
+    fn skipped(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        self.skipped.chunks_exact(4).map(|b| {
+            b.iter()
+                .rev()
+                .fold(0u32, |v, &byte| v << 8 | u32::from(byte))
+        })
+    }
+}
+
+fn get_raw_submission<'a>(dec: &mut Dec<'a>) -> Result<RawSubmission<'a>, Error> {
     let user = UserId(dec.u64()?);
     let database_id = dec.u64()?;
-    let bundle = dec.bytes()?;
-    let n = dec.count(4)?;
-    let mut skipped = Vec::with_capacity(n);
-    for _ in 0..n {
-        skipped.push(dec.u32()?);
-    }
-    Ok(Submission {
+    let bundle_len = dec.count(1)?;
+    let bundle = dec.take(bundle_len)?;
+    let skipped_len = dec.count(4)?;
+    let skipped = dec.take(skipped_len.saturating_mul(4))?;
+    Ok(RawSubmission {
         user,
         database_id,
         bundle,
@@ -630,15 +669,18 @@ fn get_submission(dec: &mut Dec<'_>) -> Result<Submission, Error> {
     })
 }
 
-pub(crate) fn put_submissions(buf: &mut Vec<u8>, subs: &[Submission]) {
-    put_len(buf, subs.len());
-    for sub in subs {
-        put_submission(buf, sub);
-    }
+fn get_submission(dec: &mut Dec<'_>) -> Result<Submission, Error> {
+    let raw = get_raw_submission(dec)?;
+    Ok(Submission {
+        user: raw.user,
+        database_id: raw.database_id,
+        bundle: raw.bundle.to_vec(),
+        skipped: raw.skipped().collect(),
+    })
 }
 
 fn get_submissions(dec: &mut Dec<'_>) -> Result<Vec<Submission>, Error> {
-    let n = dec.count(8)?;
+    let n = dec.count(SUBMISSION_FIXED_BYTES)?;
     let mut subs = Vec::with_capacity(n);
     for _ in 0..n {
         subs.push(get_submission(dec)?);
@@ -998,11 +1040,7 @@ impl Request {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Self::FetchAnnouncement => payload(REQ_ANNOUNCEMENT),
-            Self::SubmitBatch(subs) => {
-                let mut buf = payload(REQ_SUBMIT);
-                put_submissions(&mut buf, subs);
-                buf
-            }
+            Self::SubmitBatch(subs) => submit_payload(subs),
             Self::Plan {
                 plan,
                 nonce,
@@ -1372,12 +1410,56 @@ pub(crate) fn decode_subset_prefix(data: &[u8]) -> Result<(BitSubset, usize), Er
     Ok((subset, consumed))
 }
 
-/// Decodes a submission batch from a standalone buffer (WAL use).
-pub(crate) fn decode_submissions(data: &[u8]) -> Result<Vec<Submission>, Error> {
-    let mut dec = Dec::new(data);
-    let subs = get_submissions(&mut dec)?;
+/// Encodes a `SubmitBatch` frame payload from borrowed submissions —
+/// what [`Request::SubmitBatch`] encodes to, without owning them.
+#[must_use]
+pub fn submit_payload<'a, I>(subs: I) -> Vec<u8>
+where
+    I: IntoIterator<Item = &'a Submission>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut buf = payload(REQ_SUBMIT);
+    put_submissions(&mut buf, subs);
+    buf
+}
+
+/// The body of a current-version `SubmitBatch` frame payload, or `None`
+/// for any other frame.
+#[must_use]
+pub fn submit_body(payload: &[u8]) -> Option<&[u8]> {
+    match payload {
+        [PROTOCOL_VERSION, REQ_SUBMIT, body @ ..] => Some(body),
+        _ => None,
+    }
+}
+
+/// Decodes a submission list (a `SubmitBatch` body, or a WAL batch
+/// record's) straight into a batch of `coordinator`'s, each submission
+/// validated by [`IngestBatch::push`]: the serve path and WAL replay.
+/// A malformed submission is counted in the batch; a body that does not
+/// parse (truncated, trailing bytes, a count its bytes cannot hold) is
+/// an error, with nothing staged.
+///
+/// The columns are pre-sized from the bytes present, not the declared
+/// count alone: every user that fills all its columns needs a full
+/// bundle on the wire, so a hostile count cannot reserve more than a
+/// small multiple of the body.
+pub(crate) fn decode_submit_body(
+    body: &[u8],
+    coordinator: &Coordinator,
+) -> Result<IngestBatch, Error> {
+    let mut dec = Dec::new(body);
+    let n = dec.count(SUBMISSION_FIXED_BYTES)?;
+    let ann = coordinator.announcement();
+    let full = SUBMISSION_FIXED_BYTES + bundle_size_bytes(ann.sketch_bits, ann.subsets.len());
+    let mut batch = coordinator.new_batch(n.min(body.len() / full));
+    for _ in 0..n {
+        let raw = get_raw_submission(&mut dec)?;
+        // A rejection is counted by the batch itself.
+        let _ = batch.push(raw.user, raw.database_id, raw.bundle, raw.skipped());
+    }
     dec.finish()?;
-    Ok(subs)
+    Ok(batch)
 }
 
 #[cfg(test)]
@@ -2018,5 +2100,275 @@ mod tests {
             let cut = payload.len() - 1;
             prop_assert!(Response::decode(&payload[..cut]).is_err());
         }
+    }
+}
+
+/// The columnar submit decoder against the decoded-`Submission` path
+/// (`Request::decode`, then `Coordinator::accept_batch`) and against an
+/// independent reference of the per-submission checks.
+#[cfg(test)]
+mod ingest_tests {
+    use super::*;
+    use psketch_core::codec::encode_bundle;
+    use psketch_core::Sketch;
+    use std::collections::HashSet;
+
+    const DB: u64 = 42;
+    const BITS: u8 = 10;
+
+    /// A valid announcement (so its pool keeps count tables) over
+    /// `subsets` single-bit subsets.
+    fn announcement(subsets: u32) -> Announcement {
+        Announcement {
+            database_id: DB,
+            p: 0.3,
+            sketch_bits: BITS,
+            global_key: [7; 32],
+            subsets: (0..subsets).map(BitSubset::single).collect(),
+        }
+    }
+
+    fn bundle(bits: u8, user: u64, count: usize) -> Vec<u8> {
+        let sketches: Vec<Sketch> = (0..count as u64)
+            .map(|i| Sketch {
+                key: (user * 37 + i * 11) % (1 << bits),
+            })
+            .collect();
+        encode_bundle(bits, &sketches).to_vec()
+    }
+
+    fn sub(user: u64, database_id: u64, bundle: Vec<u8>, skipped: Vec<u32>) -> Submission {
+        Submission {
+            user: UserId(user),
+            database_id,
+            bundle,
+            skipped,
+        }
+    }
+
+    fn good(user: u64) -> Submission {
+        sub(user, DB, bundle(BITS, user, 4), vec![])
+    }
+
+    /// Users accepted before the frame arrives.
+    fn earlier() -> Vec<Submission> {
+        vec![good(100)]
+    }
+
+    /// One frame holding every per-submission failure kind among good
+    /// submissions, over a 4-subset announcement.
+    fn mixed() -> Vec<Submission> {
+        let mut bad_magic = bundle(BITS, 11, 4);
+        bad_magic[0] ^= 0xFF;
+        let mut bad_version = bundle(BITS, 12, 4);
+        bad_version[1] = 9;
+        let mut truncated = bundle(BITS, 15, 4);
+        truncated.pop();
+        let mut reused = bad_magic.clone();
+        reused[3] = 1;
+        vec![
+            good(1),
+            good(2),
+            sub(3, DB, bundle(BITS, 3, 3), vec![2]),
+            sub(10, DB + 1, bundle(BITS, 10, 4), vec![]), // wrong database
+            sub(11, DB, bad_magic, vec![]),
+            sub(12, DB, bad_version, vec![]),
+            sub(13, DB, bundle(BITS - 1, 13, 4), vec![]), // bad bits
+            sub(14, DB, bundle(BITS, 14, 3), vec![]),     // wrong count
+            sub(15, DB, truncated, vec![]),
+            sub(16, DB, bundle(BITS, 16, 3), vec![7]), // out of range
+            sub(17, DB, bundle(BITS, 17, 2), vec![1, 1]), // repeated
+            sub(18, DB, bundle(BITS, 18, 0), vec![0, 1, 2, 3, 0]), // too many
+            sub(2, DB, bundle(BITS, 99, 4), vec![]),   // in-batch duplicate
+            sub(100, DB, bundle(BITS, 100, 4), vec![]), // earlier duplicate
+            sub(19, DB, reused, vec![]),               // malformed, then …
+            good(19),                                  // … well-formed: accepted
+            sub(4, DB, bundle(BITS, 4, 2), vec![3, 0]),
+        ]
+    }
+
+    /// The per-submission checks as a reference: `(subset index, key)`
+    /// rows of a well-formed submission, `None` otherwise.
+    fn reference_rows(sub: &Submission, ann: &Announcement) -> Option<Vec<(usize, u64)>> {
+        if sub.database_id != ann.database_id {
+            return None;
+        }
+        let (bits, sketches) = psketch_core::codec::decode_bundle(&sub.bundle).ok()?;
+        let expected = ann.subsets.len().checked_sub(sub.skipped.len())?;
+        if bits != ann.sketch_bits || sketches.len() != expected {
+            return None;
+        }
+        let skipped: HashSet<u32> = sub.skipped.iter().copied().collect();
+        if skipped.len() != sub.skipped.len()
+            || sub.skipped.iter().any(|&i| i as usize >= ann.subsets.len())
+        {
+            return None;
+        }
+        let sketched = (0..ann.subsets.len()).filter(|&i| !skipped.contains(&(i as u32)));
+        Some(sketched.zip(sketches.iter().map(|s| s.key)).collect())
+    }
+
+    /// Each subset's `(ids, keys)` after `batches` land on an empty
+    /// pool, by the reference checks: malformed dropped, then the first
+    /// occurrence of each user kept.
+    fn reference_columns(
+        ann: &Announcement,
+        batches: &[&[Submission]],
+    ) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let mut columns = vec![(Vec::new(), Vec::new()); ann.subsets.len()];
+        let mut seen = HashSet::new();
+        for batch in batches {
+            let rows: Vec<_> = batch
+                .iter()
+                .filter_map(|s| Some((s.user, reference_rows(s, ann)?)))
+                .collect();
+            for (user, rows) in rows {
+                if seen.insert(user) {
+                    for (i, key) in rows {
+                        columns[i].0.push(user.0);
+                        columns[i].1.push(key);
+                    }
+                }
+            }
+        }
+        columns
+    }
+
+    /// A subset's count table and population, if it has one.
+    type Table = Option<(Vec<u64>, u64)>;
+
+    /// Counters, accepted users, columns and count tables.
+    type IngestState = (
+        CoordinatorStats,
+        Vec<UserId>,
+        Vec<(Vec<u64>, Vec<u64>)>,
+        Vec<Table>,
+    );
+
+    /// Everything observable about a coordinator's ingest state.
+    fn state(c: &Coordinator) -> IngestState {
+        let mut seen = c.seen_users();
+        seen.sort_unstable();
+        let ann = c.announcement();
+        let params = ann.validate().unwrap();
+        let columns = ann
+            .subsets
+            .iter()
+            .map(|s| match c.pool().snapshot(s) {
+                Ok(snap) => (snap.ids().to_vec(), snap.keys().to_vec()),
+                Err(_) => (Vec::new(), Vec::new()),
+            })
+            .collect();
+        let tables = ann
+            .subsets
+            .iter()
+            .map(|s| c.pool().count_table(s, &params))
+            .collect();
+        (c.stats(), seen, columns, tables)
+    }
+
+    /// Serves `payload` both ways on coordinators that already hold
+    /// `earlier`, asserting the same verdict, ack and resulting state;
+    /// returns the columnar coordinator.
+    fn assert_paths_agree(
+        ann: &Announcement,
+        earlier: &[Submission],
+        payload: &[u8],
+    ) -> Coordinator {
+        let oracle = Coordinator::new(ann.clone());
+        let columnar = Coordinator::new(ann.clone());
+        oracle.accept_batch(earlier);
+        columnar.accept_batch(earlier);
+        let want = match Request::decode(payload) {
+            Ok(Request::SubmitBatch(subs)) => Some(oracle.accept_batch(&subs)),
+            _ => None,
+        };
+        let got = submit_body(payload)
+            .and_then(|body| decode_submit_body(body, &columnar).ok())
+            .map(|batch| columnar.apply_batch(batch));
+        assert_eq!(got, want, "frame verdict or ack differs");
+        assert_eq!(state(&columnar), state(&oracle));
+        columnar
+    }
+
+    #[test]
+    fn every_failure_kind_in_one_frame_matches_both_oracles() {
+        let ann = announcement(4);
+        let subs = mixed();
+        let payload = Request::SubmitBatch(subs.clone()).encode();
+        let c = assert_paths_agree(&ann, &earlier(), &payload);
+        let stats = c.stats();
+        // Users 1, 2, 3, 4, 19 and the earlier 100.
+        assert_eq!(stats.accepted, 6);
+        assert_eq!(stats.malformed, 10);
+        assert_eq!(stats.duplicates, 2);
+        assert_eq!(stats.records, 4 + 4 + 4 + 3 + 4 + 2);
+        let (_, seen, columns, tables) = state(&c);
+        assert_eq!(seen, [1, 2, 3, 4, 19, 100].map(UserId));
+        assert_eq!(columns, reference_columns(&ann, &[&earlier(), &subs]));
+        assert!(tables.iter().all(Option::is_some), "count tables kept");
+    }
+
+    #[test]
+    fn mutated_and_truncated_frames_agree_and_never_panic() {
+        let ann = announcement(4);
+        let payload = Request::SubmitBatch(mixed()).encode();
+        for cut in 0..payload.len() {
+            assert_paths_agree(&ann, &earlier(), &payload[..cut]);
+        }
+        // Trailing bytes: one appended, and a count one short of the list.
+        let mut extra = payload.clone();
+        extra.push(0);
+        assert_paths_agree(&ann, &earlier(), &extra);
+        let mut short = payload.clone();
+        short[2] -= 1;
+        assert_paths_agree(&ann, &earlier(), &short);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        for _ in 0..3_000 {
+            let mut mutated = payload.clone();
+            for _ in 0..=next() % 3 {
+                let at = next() as usize % mutated.len();
+                mutated[at] = next() as u8;
+            }
+            if next() % 4 == 0 {
+                mutated.truncate(next() as usize % mutated.len());
+            }
+            assert_paths_agree(&ann, &earlier(), &mutated);
+        }
+    }
+
+    #[test]
+    fn hostile_count_reserves_by_bytes_present() {
+        // 2000 subsets: a full bundle is 2.5 kB, so a frame of 24-byte
+        // minimal submissions declaring the most it can hold must not
+        // reserve 2000 rows for each of them.
+        let subsets = 2_000;
+        let ann = announcement(subsets);
+        let n = 10_000u32;
+        let mut body = n.to_le_bytes().to_vec();
+        for user in 0..u64::from(n) {
+            body.extend_from_slice(&user.to_le_bytes());
+            body.extend_from_slice(&DB.to_le_bytes());
+            body.extend_from_slice(&0u32.to_le_bytes()); // empty bundle
+            body.extend_from_slice(&0u32.to_le_bytes()); // nothing skipped
+        }
+        let coordinator = Coordinator::new(ann);
+        let batch = decode_submit_body(&body, &coordinator).unwrap();
+        // Each reserved row holds an id and a key: 16 bytes.
+        let reserved_bytes = batch.reserved_rows() * 16;
+        assert!(
+            reserved_bytes <= 16 * body.len(),
+            "reserved {reserved_bytes} bytes for a {}-byte body",
+            body.len()
+        );
+        assert!(reserved_bytes < subsets as usize * n as usize);
+        let outcome = coordinator.apply_batch(batch);
+        assert_eq!((outcome.accepted, outcome.rejected), (0, n as usize));
     }
 }

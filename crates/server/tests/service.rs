@@ -327,6 +327,157 @@ fn stale_log_after_compaction_crash_is_harmless() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `TAG_BATCH` WAL record as the decoded-`Submission` encoder wrote
+/// it: `u32 len ‖ u32 crc ‖ 2 ‖ u32 count ‖` per submission `u64 user ‖
+/// u64 database ‖ u32 len ‖ bundle ‖ u32 count ‖ u32 skipped…`, all LE.
+fn legacy_batch_record(subs: &[Submission]) -> Vec<u8> {
+    let mut payload = vec![2u8];
+    payload.extend_from_slice(&(subs.len() as u32).to_le_bytes());
+    for sub in subs {
+        payload.extend_from_slice(&sub.user.0.to_le_bytes());
+        payload.extend_from_slice(&sub.database_id.to_le_bytes());
+        payload.extend_from_slice(&(sub.bundle.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&sub.bundle);
+        payload.extend_from_slice(&(sub.skipped.len() as u32).to_le_bytes());
+        for i in &sub.skipped {
+            payload.extend_from_slice(&i.to_le_bytes());
+        }
+    }
+    let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+    record.extend_from_slice(&psketch_server::wal::crc32(&payload).to_le_bytes());
+    record.extend_from_slice(&payload);
+    record
+}
+
+/// Three batches with malformed submissions, an in-batch duplicate and
+/// duplicates of earlier batches among good ones.
+fn mixed_batches(ann: &Announcement) -> Vec<Vec<Submission>> {
+    let mut first = submissions(ann, 0..40, 61);
+    first[3].database_id += 1;
+    first[5].bundle[0] ^= 0xFF;
+    first[7].bundle.pop();
+    first[9].skipped = vec![9];
+    let dup = first[1].clone();
+    first.push(dup);
+    let mut second = submissions(ann, 40..80, 62);
+    second.extend(submissions(ann, 0..5, 61));
+    let third = submissions(ann, 75..120, 63);
+    vec![first, second, third]
+}
+
+/// The announcement record a fresh store begins with, as `Wal` writes it.
+fn announcement_record(ann: &Announcement) -> Vec<u8> {
+    let dir = temp_dir("ann-record");
+    let (mut wal, _) = Wal::open(&WalConfig::new(&dir)).unwrap();
+    wal.record_announcement(ann).unwrap();
+    drop(wal);
+    let bytes = std::fs::read(dir.join("wal.log")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// Counters, accepted users, and every subset's columns and count table.
+type PoolState = (
+    psketch_protocol::CoordinatorStats,
+    Vec<UserId>,
+    Vec<(Vec<u64>, Vec<u64>, Option<(Vec<u64>, u64)>)>,
+);
+
+fn pool_state(c: &Coordinator) -> PoolState {
+    let mut seen = c.seen_users();
+    seen.sort_unstable();
+    let params = c.announcement().validate().unwrap();
+    let shards = c
+        .announcement()
+        .subsets
+        .iter()
+        .map(|s| {
+            let snap = c.pool().snapshot(s).unwrap();
+            let table = c.pool().count_table(s, &params);
+            (snap.ids().to_vec(), snap.keys().to_vec(), table)
+        })
+        .collect();
+    (c.stats(), seen, shards)
+}
+
+#[test]
+fn wal_logs_each_batch_as_the_frame_bytes_received() {
+    let ann = announcement();
+    let batches = mixed_batches(&ann);
+    let dir = temp_dir("received");
+    let config = ServerConfig {
+        workers: 2,
+        wal: Some(WalConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", ann.clone(), config).unwrap();
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    for batch in &batches {
+        client.submit_batch(batch).unwrap();
+    }
+    drop(client);
+    server.shutdown();
+    // The server logged the bodies it received; the decoded-submission
+    // encoder writes the same bytes.
+    let mut expected = announcement_record(&ann);
+    for batch in &batches {
+        expected.extend(legacy_batch_record(batch));
+    }
+    assert_eq!(std::fs::read(dir.join("wal.log")).unwrap(), expected);
+    // `record_batch_body` over a frame body and `record_batch` over the
+    // decoded batch write one identical record.
+    for batch in &batches {
+        let payload = psketch_server::Request::SubmitBatch(batch.clone()).encode();
+        let (by_body, by_subs) = (temp_dir("by-body"), temp_dir("by-subs"));
+        Wal::open(&WalConfig::new(&by_body))
+            .unwrap()
+            .0
+            .record_batch_body(psketch_server::wire::submit_body(&payload).unwrap())
+            .unwrap();
+        Wal::open(&WalConfig::new(&by_subs))
+            .unwrap()
+            .0
+            .record_batch(batch)
+            .unwrap();
+        let logged = std::fs::read(by_body.join("wal.log")).unwrap();
+        assert_eq!(logged, legacy_batch_record(batch));
+        assert_eq!(std::fs::read(by_subs.join("wal.log")).unwrap(), logged);
+        let _ = std::fs::remove_dir_all(&by_body);
+        let _ = std::fs::remove_dir_all(&by_subs);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn legacy_encoded_log_replays_to_the_same_pool() {
+    let ann = announcement();
+    let batches = mixed_batches(&ann);
+    let dir = temp_dir("legacy");
+    let mut log = announcement_record(&ann);
+    for batch in &batches {
+        log.extend(legacy_batch_record(batch));
+    }
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("wal.log"), &log).unwrap();
+    let (_, recovered) = Wal::open(&WalConfig::new(&dir)).unwrap();
+    let replayed = recovered.expect("announcement and batches recovered");
+
+    let direct = Coordinator::new(ann.clone());
+    for batch in &batches {
+        direct.accept_batch(batch);
+    }
+    assert_eq!(pool_state(&replayed), pool_state(&direct));
+    let stats = replayed.stats();
+    // Users 0..120, except 5, 7 and 9, malformed in the first batch;
+    // user 3, malformed there too, is accepted from the second.
+    assert_eq!(stats.accepted, 117);
+    assert_eq!(stats.malformed, 4);
+    // The in-batch repeat, 0..5 but 3 again, and 75..80 again.
+    assert_eq!(stats.duplicates, 1 + 4 + 5);
+    assert_eq!(stats.records, 117 * 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn server_restart_serves_identical_answers() {
     let dir = temp_dir("restart");
