@@ -6,8 +6,10 @@
 //!                        [--wal-root DIR] [--budget EPS]
 //!     Spawn N shard nodes in one process (ports base-port..base-port+N,
 //!     or ephemeral with --base-port 0), print the shard map JSON (and
-//!     write it to --map-out), serve until killed. For independently
-//!     killable nodes, run `psketch serve --shard i/N` per node instead.
+//!     write it to --map-out), serve until killed. --budget refuses to
+//!     start when the announcement costs each user more than EPS. For
+//!     independently killable nodes, run `psketch serve --shard i/N`
+//!     per node instead.
 //!
 //! psketch cluster submit (--map FILE | --addrs a,b,c) [--users 1000]
 //!                        [--seed 1] [--id-base 0] [--batch 500]
@@ -41,13 +43,13 @@
 //!     `cluster trace` fetches (answers stay float-bit-identical).
 //!
 //! psketch cluster status (--map|--addrs)
-//!     Per-shard coordinator + server counters and the exact merge.
+//!     Per-shard coordinator + server counters, the exact merge, and the
+//!     per-user ε the deployment's announcement costs.
 //!
 //! psketch cluster trace NONCE (--map|--addrs)
 //!     Fetch the recorded span trees for a recent query nonce (decimal
 //!     or 0x-hex, as printed by `--explain`) from every shard's trace
-//!     ring and render each as a waterfall. Uncharged: replaying a
-//!     nonce here never touches the privacy budget.
+//!     ring and render each as a waterfall.
 //! ```
 
 use crate::args::{Args, CliError};
@@ -114,7 +116,6 @@ fn router(args: &Args, map: ShardMap) -> Result<Router, CliError> {
         return Err(CliError(format!("--timeout {timeout} must be positive")));
     }
     let retries: u32 = args.get_or("retries", 2)?;
-    let analyst: u64 = args.get_or("analyst", 0)?;
     // 0 = fan out to every shard concurrently; 1 = sequential oracle.
     let fanout: usize = args.get_or("fanout", 0)?;
     let slow_query_ms = match args.get_or("slow-query-ms", -1i64)? {
@@ -126,7 +127,6 @@ fn router(args: &Args, map: ShardMap) -> Result<Router, CliError> {
         RouterConfig {
             timeout: Duration::from_secs_f64(timeout),
             retries,
-            analyst,
             // Only `cluster submit` accepts --batch.
             submit_chunk: args.get_or("batch", 500)?,
             fanout,
@@ -143,7 +143,6 @@ const ROUTER_FLAGS: &[&str] = &[
     "addrs",
     "timeout",
     "retries",
-    "analyst",
     "fanout",
     "slow-query-ms",
 ];
@@ -240,7 +239,7 @@ fn serve(args: &Args) -> Result<(), CliError> {
                     shard_id,
                     shard_count: shards,
                 }),
-                analyst_budget: budget,
+                user_epsilon_budget: budget,
                 metrics_addr: if shard_id == 0 {
                     metrics_addr.clone()
                 } else {
@@ -286,8 +285,7 @@ fn serve(args: &Args) -> Result<(), CliError> {
 /// a total failure.
 fn submit(args: &Args) -> Result<(), CliError> {
     args.reject_unknown(&[
-        "map", "addrs", "timeout", "retries", "analyst", "fanout", "users", "seed", "id-base",
-        "batch",
+        "map", "addrs", "timeout", "retries", "fanout", "users", "seed", "id-base", "batch",
     ])?;
     let users: u64 = args.get_or("users", 1_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
@@ -568,8 +566,7 @@ fn status(args: &Args) -> Result<(), CliError> {
                     .collect();
                 println!(
                     "shard {} @ {}: up {}s | accepted {} | rejected {} | records {} | \
-                     {requests} requests ({}) | plans {} (terms scanned {}, reused {}) | \
-                     budget charged {} (replays {}, denials {})",
+                     {requests} requests ({}) | plans {} (terms scanned {}, reused {})",
                     row.shard,
                     row.addr,
                     server.uptime_secs,
@@ -579,10 +576,7 @@ fn status(args: &Args) -> Result<(), CliError> {
                     top.join(", "),
                     server.plans.plans_executed,
                     server.plans.terms_scanned,
-                    server.plans.terms_reused,
-                    server.budget.charged_terms,
-                    server.budget.replays,
-                    server.budget.denials
+                    server.plans.terms_reused
                 );
             }
             Err(error) => {
@@ -604,6 +598,10 @@ fn status(args: &Args) -> Result<(), CliError> {
         status.merged.records,
         status.merged_server.total_requests()
     );
+    match router.announcement() {
+        Ok(ann) => println!("{}", crate::service::user_epsilon_line(&ann)),
+        Err(e) => println!("per-user eps unknown: {e}"),
+    }
     if args.get_or("metrics", false)? {
         let (snapshot, outages) = router.metrics().map_err(err)?;
         print_merged_metrics(&snapshot, outages.len());
@@ -760,7 +758,7 @@ mod tests {
                     let mut acks = 0;
                     while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
                         let response = match wire::Request::decode(&frame).unwrap() {
-                            wire::Request::Hello { .. } => wire::Response::Hello {
+                            wire::Request::Hello => wire::Response::Hello {
                                 shard: Some(identity),
                             },
                             wire::Request::FetchAnnouncement => {

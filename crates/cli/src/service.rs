@@ -5,10 +5,12 @@
 //! psketch serve  [--addr 127.0.0.1:7171] [--db-id 1] [--users 100000]
 //!                [--tau 1e-6] [--p 0.3] [--width 2] [--key-seed 7]
 //!                [--workers 8] [--wal DIR] [--compact-bytes 67108864]
-//!                [--lanes 0]
+//!                [--lanes 0] [--budget EPS]
 //!     Publish an announcement and serve the pool over TCP. With --wal,
 //!     every accepted batch is fsync'd to DIR before it is acknowledged
-//!     and the pool is recovered from DIR on restart.
+//!     and the pool is recovered from DIR on restart. With --budget,
+//!     refuse to start when the announcement costs each user more than
+//!     EPS (Corollary 3.4: one release per announced subset).
 //!
 //! psketch submit [--addr …] [--users 1000] [--seed 1] [--id-base 0]
 //!                [--batch 500] [--timeout 10]
@@ -22,13 +24,8 @@
 //! psketch query ping                          [--addr …]
 //!     Analyst queries against a running server. The query families are
 //!     `psketch cluster query` over a 1-shard map holding the `--addr`
-//!     node: the same plan, the same merge, the same output.
-//!
-//! psketch query replay [--subset 0] [--value 1] [--analyst 0] [--addr …]
-//!     Charge-once self-test: sends a nonce'd one-term count query,
-//!     kills the socket before reading the answer, retries with the
-//!     same nonce, and fails unless the server's ε-ledger advanced
-//!     exactly once.
+//!     node: the same plan, the same merge, the same output. `stats`
+//!     also prints the per-user ε the server's announcement costs.
 //! ```
 //!
 //! Every failure (unreachable server, bad flags, server-side error
@@ -37,7 +34,7 @@
 
 use crate::args::{Args, CliError};
 use psketch_cluster::ShardMap;
-use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Profile, UserId};
+use psketch_core::{BitString, BitSubset, Profile, UserId};
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{Announcement, AnnouncementBuilder, Submission, UserAgent};
 use psketch_server::wal::WalConfig;
@@ -100,7 +97,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
         raw if raw.is_empty() => None,
         raw => Some(parse_shard(&raw)?),
     };
-    let analyst_budget = match args.get_or("budget", f64::NAN)? {
+    let user_epsilon_budget = match args.get_or("budget", f64::NAN)? {
         eps if eps.is_nan() => None,
         eps => Some(eps),
     };
@@ -114,7 +111,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
             workers,
             wal,
             shard,
-            analyst_budget,
+            user_epsilon_budget,
             metrics_addr,
             slow_query_ms,
         },
@@ -301,7 +298,7 @@ pub fn submit(args: &Args) -> Result<(), CliError> {
 /// `psketch query <conj|dist|mean|interval|dnf|tree|moment|stats|ping>`:
 /// analyst queries against one server. The query families run the
 /// `cluster query` code over a 1-shard map of the `--addr` node;
-/// `stats`, `ping` and `replay` talk to it directly.
+/// `stats` and `ping` talk to it directly.
 pub fn query(args: &Args) -> Result<(), CliError> {
     let kind = args
         .positional()
@@ -325,6 +322,8 @@ pub fn query(args: &Args) -> Result<(), CliError> {
                 "accepted {}  duplicates {}  malformed {}  records {}",
                 stats.accepted, stats.duplicates, stats.malformed, stats.records
             );
+            let ann = client.announcement().map_err(err)?;
+            println!("{}", user_epsilon_line(&ann));
         }
         "ping" => {
             args.reject_unknown(&["addr", "timeout"])?;
@@ -332,11 +331,10 @@ pub fn query(args: &Args) -> Result<(), CliError> {
             client.ping().map_err(err)?;
             println!("pong");
         }
-        "replay" => return replay_check(args),
         other => {
             return Err(CliError(format!(
                 "unknown query kind '{other}' (try conj, dist, mean, interval, dnf, tree, \
-                 moment, stats, ping, replay)"
+                 moment, stats, ping)"
             )));
         }
     }
@@ -349,100 +347,16 @@ fn single_node_map(args: &Args) -> Result<ShardMap, CliError> {
     ShardMap::new(0, [addr.as_str()]).map_err(err)
 }
 
-/// `psketch query replay`: the charge-once self-test. Sends one nonce'd
-/// one-term `PartialTermCounts` query and **kills the socket without
-/// reading the response** (the transport failure that used to double-charge), then
-/// retries the same nonce on a fresh connection and verifies through
-/// server stats that the analyst's ε-ledger advanced exactly once.
-/// Exits non-zero on a double charge — scriptable as a deployment
-/// health check (the CI smoke job runs it after every release).
-fn replay_check(args: &Args) -> Result<(), CliError> {
-    use psketch_server::wire;
-    args.reject_unknown(&["addr", "timeout", "subset", "value", "analyst"])?;
-    let subset = parse_subset(&args.get_or("subset", "0".to_string())?)?;
-    let value = parse_value(&args.get_or("value", "1".to_string())?, subset.len())?;
-    let terms = [ConjunctiveQuery::new(subset, value).map_err(err)?];
-    let analyst: u64 = args.get_or("analyst", 0)?;
-    let addr: String = args.get_or("addr", DEFAULT_ADDR.to_string())?;
-    let timeout: f64 = args.get_or("timeout", 10.0)?;
-    let timeout = Duration::from_secs_f64(timeout);
-    let nonce = psketch_server::next_nonce();
-
-    // Baseline ledger counters (the server may have served others).
-    let mut observer = connect(args)?;
-    let before = observer.server_stats().map_err(err)?;
-
-    // Injected transport kill: handshake, send the nonce'd query, drop
-    // the socket before the response can be read.
-    {
-        let mut raw = std::net::TcpStream::connect(addr.as_str())
-            .map_err(|e| CliError(format!("cannot reach server at {addr}: {e}")))?;
-        raw.set_read_timeout(Some(timeout)).map_err(err)?;
-        wire::write_frame(&mut raw, &wire::Request::Hello { analyst }.encode()).map_err(err)?;
-        let hello = wire::read_frame(&mut raw)
-            .map_err(err)?
-            .ok_or_else(|| CliError("server hung up during hello".into()))?;
-        match wire::Response::decode(&hello).map_err(err)? {
-            wire::Response::Hello { .. } => {}
-            other => return Err(CliError(format!("unexpected hello response: {other:?}"))),
-        }
-        let req = wire::Request::PartialTermCounts {
-            terms: terms.to_vec(),
-            nonce,
-            profile: false,
-        };
-        wire::write_frame(&mut raw, &req.encode()).map_err(err)?;
-        // Dropped here without reading: the response dies on the wire.
-    }
-
-    // The retry a router would issue: same nonce, fresh connection. A
-    // RETRY_PENDING answer means the killed socket's frame is still
-    // being evaluated — retry until its cached answer is ready.
-    let mut retry = connect(args)?;
-    retry.hello(analyst).map_err(err)?;
-    let counts = loop {
-        match retry.partial_term_counts_nonced(nonce, &terms) {
-            Err(psketch_server::ClientError::Server { code, .. })
-                if code == wire::codes::RETRY_PENDING =>
-            {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => break other.map_err(err)?,
-        }
-    };
-    if let [c] = counts.as_slice() {
-        println!("retried counts: {} of n = {}", c.ones, c.population);
-    }
-
-    // Wait until the server has processed both count frames (the killed
-    // socket's frame was in flight and races the retry), then the
-    // ledger must have advanced by exactly one estimate.
-    let counts_kind = 0x09u8;
-    let mut after = retry.server_stats().map_err(err)?;
-    for _ in 0..100 {
-        if after.count_for(counts_kind) >= before.count_for(counts_kind) + 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        after = retry.server_stats().map_err(err)?;
-    }
-    let charged = after.budget.charged_terms - before.budget.charged_terms;
-    let replays = after.budget.replays - before.budget.replays;
-    println!(
-        "replay check: ledger advanced by {charged} (replays {replays}, denials {})",
-        after.budget.denials - before.budget.denials
-    );
-    if after.budget.charged_terms == 0 {
-        println!("note: server runs without --budget; nonce dedup has no ledger to protect");
-        return Ok(());
-    }
-    if charged != 1 {
-        return Err(CliError(format!(
-            "DOUBLE CHARGE: one logical query advanced the ledger by {charged}"
-        )));
-    }
-    println!("charge-once verified: one logical query, one charge");
-    Ok(())
+/// The privacy an announcement costs each user, as `query stats` and
+/// `cluster status` print it: Corollary 3.4's ε for one release per
+/// announced subset. Estimates are post-processing and add nothing.
+pub fn user_epsilon_line(ann: &Announcement) -> String {
+    format!(
+        "per-user eps = {:.4} ({} sketches/user at p = {})",
+        ann.epsilon_cost(),
+        ann.subsets.len(),
+        ann.p
+    )
 }
 
 /// Parses a shard identity literal `i/N` (e.g. `0/3`).
@@ -539,7 +453,7 @@ mod tests {
         assert!(query(&parse(&["query", "conj", "--subset", "0,1"])).is_err()); // missing --value
                                                                                 // `query` is a 1-shard `cluster query` but keeps its own flags:
                                                                                 // the router and map flags stay `cluster`-only.
-        for flag in ["--fanout", "--retries", "--analyst", "--addrs", "--map"] {
+        for flag in ["--fanout", "--retries", "--addrs", "--map"] {
             let tokens = ["query", "conj", "--subset", "0", "--value", "1", flag, "1"];
             assert!(query(&parse(&tokens)).is_err(), "{flag} accepted");
         }
@@ -693,40 +607,6 @@ mod tests {
             "query", "mean", "--addr", &addr, "--field", "0:2", "--le", "1",
         ]))
         .is_err());
-        server.shutdown();
-    }
-
-    #[test]
-    fn replay_self_test_passes_against_a_budgeted_server() {
-        let ann =
-            build_announcement(&parse(&["serve", "--users", "5000", "--width", "2"])).unwrap();
-        let server = Server::start(
-            "127.0.0.1:0",
-            ann,
-            ServerConfig {
-                analyst_budget: Some(100.0),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = server.local_addr().to_string();
-        submit(&parse(&[
-            "submit", "--addr", &addr, "--users", "200", "--batch", "100",
-        ]))
-        .unwrap();
-        query(&parse(&[
-            "query",
-            "replay",
-            "--addr",
-            &addr,
-            "--subset",
-            "0,1",
-            "--value",
-            "10",
-            "--analyst",
-            "3",
-        ]))
-        .unwrap();
         server.shutdown();
     }
 }

@@ -51,8 +51,8 @@
 //! when a prior [`Router::status`] sweep recorded their size, what
 //! fraction of the known user population — the answer excludes.
 //!
-//! Deterministic server refusals (budget exhausted, malformed query)
-//! and misrouted nodes are never retried and fail the whole query.
+//! Deterministic server refusals (a malformed or oversized query) and
+//! misrouted nodes are never retried and fail the whole query.
 //! Replies are read in shard order, so the first fatal outcome read is
 //! the lowest-numbered shard's: the router then dispatches no further
 //! shard, reads the replies already in flight, and reports it —
@@ -60,11 +60,14 @@
 //!
 //! # Retry correctness
 //!
-//! Every query scatter mints one request nonce
-//! ([`psketch_server::next_nonce`]) per logical query and replays it on
-//! every retry, so a server that already charged the analyst's
-//! ε-ledger before the transport died serves the retry **without a
-//! second charge** (wire protocol v4 charge-once semantics).
+//! Queries are read-only and idempotent, so a retry simply asks again:
+//! a shard keeps no per-query state that a second ask could disturb,
+//! even when its first answer died with the connection. Privacy is not
+//! at stake either — Corollary 3.4 prices the sketches each user
+//! released, not the estimates computed from them. Every query scatter
+//! mints one request nonce ([`psketch_server::next_nonce`]) and sends
+//! it on every retry, so all of one query's log records and span
+//! traces, on every shard, share one trace id.
 
 use crate::shard::{ShardMap, ShardMapError};
 use psketch_core::Estimate;
@@ -117,8 +120,6 @@ pub struct RouterConfig {
     /// Base backoff slept before the first retry; doubles per attempt,
     /// capped at [`MAX_BACKOFF`].
     pub backoff: Duration,
-    /// The analyst identity declared to every shard (budget accounting).
-    pub analyst: u64,
     /// Chunk size for batch submissions (bounds frame sizes).
     pub submit_chunk: usize,
     /// Maximum shard requests written and not yet answered at once.
@@ -139,7 +140,6 @@ impl Default for RouterConfig {
             timeout: Duration::from_secs(10),
             retries: 2,
             backoff: Duration::from_millis(50),
-            analyst: 0,
             submit_chunk: 500,
             fanout: 0,
             slow_query_ms: None,
@@ -302,7 +302,7 @@ pub struct ClusterStatus {
     /// partition the population, so this is the single-node total).
     pub merged: CoordinatorStats,
     /// Server counters merged over the responding shards with
-    /// [`ServerStats::merge`] semantics: request/plan/budget counters
+    /// [`ServerStats::merge`] semantics: request and plan counters
     /// sum, but gauge-like fields (uptime) keep the **maximum** — a
     /// 3-shard cluster has not been up three times as long, and a
     /// summed uptime would mask one freshly crashed shard behind two
@@ -317,8 +317,8 @@ pub enum ClusterError {
     Map(ShardMapError),
     /// Every shard stayed unreachable after retries.
     AllShardsDown(Vec<ShardOutage>),
-    /// A shard answered with a deterministic refusal (budget exhausted,
-    /// malformed query, …) — retrying or failing over cannot help,
+    /// A shard answered with a deterministic refusal (malformed or
+    /// oversized query, …) — retrying or failing over cannot help,
     /// every shard would refuse identically. When several shards refuse
     /// in the same parallel round, the lowest-numbered one is reported.
     Refused {
@@ -541,15 +541,15 @@ impl Router {
     ///
     /// Each round writes the frames of the shards still owed an answer
     /// — at most [`RouterConfig::fanout`] unread at once — and reads
-    /// the replies in shard order. Shards that failed in transport (or
-    /// answered `RETRY_PENDING`) are retried together in the next
-    /// round, behind one capped backoff sleep.
+    /// the replies in shard order. Shards that failed in transport are
+    /// retried together in the next round, behind one capped backoff
+    /// sleep.
     ///
     /// Once a **fatal** outcome (refusal, misroute) is read, no further
     /// shard is dispatched and no retry round runs — the operation is
-    /// doomed, and every extra dispatch would charge another shard's
-    /// ε-ledger for an answer that will be discarded. Replies already
-    /// in flight are still read.
+    /// doomed, and every extra dispatch would cost a shard a scan for an
+    /// answer that will be discarded. Replies already in flight are
+    /// still read.
     fn scatter<T>(
         &mut self,
         targets: &[(u32, &[u8])],
@@ -659,9 +659,7 @@ impl Router {
         // write returns, and a later stamp would under-time it.
         let sent = Instant::now();
         let written = if hello {
-            client.send(&Request::Hello {
-                analyst: self.config.analyst,
-            })
+            client.send(&Request::Hello)
         } else {
             client.send_payload(payload)
         };
@@ -717,15 +715,6 @@ impl Router {
                     (ShardAttempt::Down(error), false)
                 }
             },
-            // Transient by contract: our own earlier attempt's
-            // evaluation is still running server-side and its answer
-            // will be cached. The exchange completed, so the connection
-            // stays healthy — just retry.
-            Err(ClientError::Server { code, message })
-                if code == psketch_server::wire::codes::RETRY_PENDING =>
-            {
-                (ShardAttempt::Down(message), true)
-            }
             Err(ClientError::Server { code, message }) => {
                 (ShardAttempt::Refused { code, message }, true)
             }
@@ -952,9 +941,8 @@ impl Router {
     /// `PartialTermCounts` round trip, all shards' requests in flight at
     /// once; the router merges the integer counts in shard order,
     /// inverts once per term, and runs the plan's post-combination
-    /// exactly as the single-node engine would. One nonce covers the
-    /// whole logical query, so per-shard retries never double-charge
-    /// the analyst.
+    /// exactly as the single-node engine would. One nonce, the trace
+    /// id, covers the whole logical query and its retries.
     ///
     /// # Errors
     ///
@@ -1089,9 +1077,9 @@ impl Router {
             wrapper
                 .attrs
                 .push(("attempt".into(), u64::from(stamp.attempts)));
-            // A shard that skipped profiling (e.g. served the retry from
-            // its replay cache) contributes a childless wrapper: the
-            // round trip is still attributed, just not broken down.
+            // A shard that sent no profile contributes a childless
+            // wrapper: the round trip is still attributed, just not
+            // broken down.
             if let Some(tree) = subtree {
                 wrapper.children.push(tree);
             }

@@ -15,7 +15,7 @@ use psketch_queries::{LinearAnswer, LinearQuery, QueryEngine, TermPlan};
 use psketch_server::{wire, Request, Response, Server, ServerConfig};
 use rand::SeedableRng;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -742,53 +742,95 @@ fn parallel_ingest_refuses_a_misordered_map() {
     }
 }
 
-/// A scripted shard node for ingest tests: answers `Hello` with
-/// `identity`, `FetchAnnouncement` with `ann`, and acks every
-/// `SubmitBatch` in full — except that the first connection to send
-/// `cut_after` acks closes there. It logs every batch it acks as
-/// `(connection index, user ids)`.
+/// A scripted shard node: answers `Hello` with `identity`,
+/// `FetchAnnouncement` with `ann`, and acks every `SubmitBatch` in full
+/// — except that the first connection to send `cut_after` acks closes
+/// there. It logs every batch it acks as `(connection index, user
+/// ids)`. A refusing node answers every `PartialTermCounts` with a
+/// deterministic [`wire::codes::QUERY`] error frame and counts them.
 struct ScriptedNode {
     addr: String,
     acked: Arc<BatchLog>,
+    refused: Arc<AtomicUsize>,
 }
 
 /// Acked batches as `(connection index, user ids)`, in ack order.
 type BatchLog = Mutex<Vec<(usize, Vec<u64>)>>;
 
+/// What a [`ScriptedNode`] answers.
+#[derive(Clone)]
+struct Script {
+    ann: Announcement,
+    identity: ShardIdentity,
+    cut_after: usize,
+    refuse_counts: bool,
+}
+
 impl ScriptedNode {
     fn start(ann: Announcement, identity: ShardIdentity, cut_after: usize) -> Self {
+        Self::launch(Script {
+            ann,
+            identity,
+            cut_after,
+            refuse_counts: false,
+        })
+    }
+
+    /// A node that never cuts a connection and refuses every count.
+    fn refusing(ann: Announcement, identity: ShardIdentity) -> Self {
+        Self::launch(Script {
+            ann,
+            identity,
+            cut_after: usize::MAX,
+            refuse_counts: true,
+        })
+    }
+
+    fn launch(script: Script) -> Self {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let acked = Arc::new(Mutex::new(Vec::new()));
+        let refused = Arc::new(AtomicUsize::new(0));
         let cut = Arc::new(AtomicBool::new(false));
-        let log = Arc::clone(&acked);
+        let (log, tally) = (Arc::clone(&acked), Arc::clone(&refused));
         std::thread::spawn(move || {
             for (conn, stream) in listener.incoming().map_while(Result::ok).enumerate() {
-                let (ann, log, cut) = (ann.clone(), Arc::clone(&log), Arc::clone(&cut));
+                let script = script.clone();
+                let (log, tally, cut) = (Arc::clone(&log), Arc::clone(&tally), Arc::clone(&cut));
                 std::thread::spawn(move || {
-                    Self::serve(stream, conn, &ann, identity, cut_after, &log, &cut);
+                    Self::serve(stream, conn, &script, &log, &tally, &cut);
                 });
             }
         });
-        Self { addr, acked }
+        Self {
+            addr,
+            acked,
+            refused,
+        }
     }
 
     fn serve(
         mut stream: TcpStream,
         conn: usize,
-        ann: &Announcement,
-        identity: ShardIdentity,
-        cut_after: usize,
+        script: &Script,
         log: &BatchLog,
+        refused: &AtomicUsize,
         cut: &AtomicBool,
     ) {
         let mut acks = 0;
         while let Ok(Some(frame)) = wire::read_frame(&mut stream) {
             let response = match Request::decode(&frame).unwrap() {
-                Request::Hello { .. } => Response::Hello {
-                    shard: Some(identity),
+                Request::Hello => Response::Hello {
+                    shard: Some(script.identity),
                 },
-                Request::FetchAnnouncement => Response::Announcement(ann.clone()),
+                Request::FetchAnnouncement => Response::Announcement(script.ann.clone()),
+                Request::PartialTermCounts { .. } if script.refuse_counts => {
+                    refused.fetch_add(1, AtomicOrdering::SeqCst);
+                    Response::Error {
+                        code: wire::codes::QUERY,
+                        message: "scripted refusal".into(),
+                    }
+                }
                 Request::SubmitBatch(batch) => {
                     acks += 1;
                     let users = batch.iter().map(|s| s.user.0).collect();
@@ -803,7 +845,7 @@ impl ScriptedNode {
             if wire::write_frame(&mut stream, &response.encode()).is_err() {
                 return;
             }
-            if acks == cut_after && !cut.swap(true, AtomicOrdering::SeqCst) {
+            if acks == script.cut_after && !cut.swap(true, AtomicOrdering::SeqCst) {
                 // Send nothing more, but read until the peer hangs up:
                 // closing with unread bytes would reset the connection
                 // and could destroy acks the peer has not read yet.
@@ -817,6 +859,50 @@ impl ScriptedNode {
     fn acked(&self) -> Vec<(usize, Vec<u64>)> {
         self.acked.lock().unwrap().clone()
     }
+
+    fn refused(&self) -> usize {
+        self.refused.load(AtomicOrdering::SeqCst)
+    }
+}
+
+/// `shards` nodes behind a router at `fanout` with the default retries:
+/// shard 0 a [`ScriptedNode::refusing`], the rest real servers
+/// (`servers[i]` holds shard `i + 1`), all holding `users` users.
+fn cluster_refusing_on_shard_0(
+    ann: &Announcement,
+    shards: u32,
+    fanout: usize,
+    users: u64,
+) -> (ScriptedNode, Vec<Server>, Router) {
+    let (mut servers, map) = start_cluster(ann, shards);
+    servers.remove(0).shutdown();
+    let identity = ShardIdentity {
+        shard_id: 0,
+        shard_count: shards,
+    };
+    let node = ScriptedNode::refusing(ann.clone(), identity);
+    let addrs: Vec<String> = std::iter::once(node.addr.clone())
+        .chain((1..shards).map(|shard| map.addr_of(shard).to_string()))
+        .collect();
+    let mut router = Router::new(
+        ShardMap::new(1, addrs).unwrap(),
+        RouterConfig {
+            timeout: TIMEOUT,
+            fanout,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let ids: Vec<u64> = (0..users).collect();
+    let report = router.submit_batch(&submissions(ann, &ids, 3)).unwrap();
+    assert!(report.fully_ingested(), "{report:?}");
+    (node, servers, router)
+}
+
+/// The plan-count frames (kind `0x09`) a real server has been sent.
+fn count_frames(server: &Server) -> u64 {
+    let mut probe = psketch_server::Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    probe.server_stats().unwrap().count_for(0x09)
 }
 
 #[test]
@@ -963,49 +1049,24 @@ fn parallel_ingest_reports_a_refused_map_in_every_row() {
 }
 
 #[test]
-fn budget_refusals_propagate_and_are_not_retried() {
-    use psketch_server::wire::codes;
+fn refusals_propagate_and_are_not_retried() {
+    // Shard 0 refuses every count with a deterministic error frame. The
+    // refusal fails the whole query with its code, and although the
+    // router allows two retries, neither shard is asked twice.
     let ann = announcement(13);
-    // Per-analyst budget that affords one estimate per shard at p=0.45.
-    let servers: Vec<Server> = (0..2)
-        .map(|shard_id| {
-            Server::start(
-                "127.0.0.1:0",
-                ann.clone(),
-                ServerConfig {
-                    workers: 2,
-                    shard: Some(ShardIdentity {
-                        shard_id,
-                        shard_count: 2,
-                    }),
-                    analyst_budget: Some(3.0),
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    let map = ShardMap::new(1, servers.iter().map(|s| s.local_addr().to_string())).unwrap();
-    let ids: Vec<u64> = (0..100).collect();
-    let subs = submissions(&ann, &ids, 3);
-    let mut router = Router::new(
-        map,
-        RouterConfig {
-            timeout: TIMEOUT,
-            analyst: 42,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    router.submit_batch(&subs).unwrap();
-    let subset = BitSubset::single(0);
-    let value = BitString::from_bits(&[true]);
-    router
-        .execute_plan(&conj_plan(subset.clone(), value.clone()))
-        .unwrap();
-    match router.execute_plan(&conj_plan(subset, value)) {
-        Err(ClusterError::Refused { code, .. }) => assert_eq!(code, codes::BUDGET),
-        other => panic!("expected a budget refusal, got {other:?}"),
+    let (node, servers, mut router) = cluster_refusing_on_shard_0(&ann, 2, 0, 100);
+    let plan = conj_plan(BitSubset::single(0), BitString::from_bits(&[true]));
+    for asked in 1..=2 {
+        match router.execute_plan(&plan) {
+            Err(ClusterError::Refused { shard: 0, code, .. }) => {
+                assert_eq!(code, wire::codes::QUERY);
+            }
+            other => panic!("expected a shard 0 refusal, got {other:?}"),
+        }
+        assert_eq!(node.refused(), asked);
+        // All shards were in flight at once (fanout 0), so shard 1
+        // answered too — once per query.
+        assert_eq!(count_frames(&servers[0]), asked as u64);
     }
     for server in servers {
         server.shutdown();
@@ -1438,56 +1499,19 @@ fn lane_widths_three_shard_anchor() {
 #[test]
 fn fatal_outcomes_stop_dispatching_further_shards() {
     // At fanout = 1 a refusal on shard 0 must end the scatter before
-    // shard 1 is contacted at all — the old sequential contract. With
-    // the budget sized to afford exactly one estimate per shard, shard
-    // 1's ledger must show one charge and zero denials afterwards.
+    // shard 1 is contacted at all — the old sequential contract.
     let ann = announcement(29);
-    let servers: Vec<Server> = (0..2)
-        .map(|shard_id| {
-            Server::start(
-                "127.0.0.1:0",
-                ann.clone(),
-                ServerConfig {
-                    workers: 2,
-                    shard: Some(ShardIdentity {
-                        shard_id,
-                        shard_count: 2,
-                    }),
-                    analyst_budget: Some(3.0),
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    let map = ShardMap::new(1, servers.iter().map(|s| s.local_addr().to_string())).unwrap();
-    let ids: Vec<u64> = (0..80).collect();
-    let subs = submissions(&ann, &ids, 29);
-    let mut router = Router::new(
-        map,
-        RouterConfig {
-            timeout: TIMEOUT,
-            analyst: 42,
-            fanout: 1,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    router.submit_batch(&subs).unwrap();
-    let subset = BitSubset::single(0);
-    let value = BitString::from_bits(&[true]);
-    router
-        .execute_plan(&conj_plan(subset.clone(), value.clone()))
-        .unwrap();
-    match router.execute_plan(&conj_plan(subset, value)) {
+    let (node, servers, mut router) = cluster_refusing_on_shard_0(&ann, 2, 1, 80);
+    match router.execute_plan(&conj_plan(
+        BitSubset::single(0),
+        BitString::from_bits(&[true]),
+    )) {
         Err(ClusterError::Refused { shard: 0, .. }) => {}
         other => panic!("expected shard 0 refusal, got {other:?}"),
     }
-    // Shard 1 was never asked to over-spend.
-    let mut probe = psketch_server::Client::connect(servers[1].local_addr(), TIMEOUT).unwrap();
-    let stats = probe.server_stats().unwrap();
-    assert_eq!(stats.budget.denials, 0, "{stats:?}");
-    assert_eq!(stats.budget.charged_terms, 1, "{stats:?}");
+    assert_eq!(node.refused(), 1);
+    // Shard 1 was never asked.
+    assert_eq!(count_frames(&servers[0]), 0);
     for server in servers {
         server.shutdown();
     }
@@ -1500,45 +1524,8 @@ fn fatal_outcomes_stop_dispatching_at_a_partial_fanout() {
     // slot frees up for shard 2, which must never be asked — whatever
     // order the replies arrive in.
     let ann = announcement(31);
-    let servers: Vec<Server> = (0..3)
-        .map(|shard_id| {
-            Server::start(
-                "127.0.0.1:0",
-                ann.clone(),
-                ServerConfig {
-                    workers: 2,
-                    shard: Some(ShardIdentity {
-                        shard_id,
-                        shard_count: 3,
-                    }),
-                    // Shard 0 cannot afford one estimate at p = 0.45;
-                    // the others can afford many.
-                    analyst_budget: Some(if shard_id == 0 { 1.0 } else { 1e9 }),
-                    ..ServerConfig::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    let map = ShardMap::new(1, servers.iter().map(|s| s.local_addr().to_string())).unwrap();
-    let ids: Vec<u64> = (0..90).collect();
-    let subs = submissions(&ann, &ids, 31);
-    let mut router = Router::new(
-        map,
-        RouterConfig {
-            timeout: TIMEOUT,
-            analyst: 42,
-            fanout: 2,
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    router.submit_batch(&subs).unwrap();
-    let budget_of_shard_2 = || {
-        let mut probe = psketch_server::Client::connect(servers[2].local_addr(), TIMEOUT).unwrap();
-        probe.server_stats().unwrap().budget
-    };
-    let before = budget_of_shard_2();
+    let (node, servers, mut router) = cluster_refusing_on_shard_0(&ann, 3, 2, 90);
+    let before = count_frames(&servers[1]);
     match router.execute_plan(&conj_plan(
         BitSubset::single(0),
         BitString::from_bits(&[true]),
@@ -1546,9 +1533,8 @@ fn fatal_outcomes_stop_dispatching_at_a_partial_fanout() {
         Err(ClusterError::Refused { shard: 0, .. }) => {}
         other => panic!("expected shard 0 refusal, got {other:?}"),
     }
-    let after = budget_of_shard_2();
-    assert_eq!(after.charged_terms, before.charged_terms, "{after:?}");
-    assert_eq!(after.denials, before.denials, "{after:?}");
+    assert_eq!(node.refused(), 1);
+    assert_eq!(count_frames(&servers[1]), before);
     for server in servers {
         server.shutdown();
     }

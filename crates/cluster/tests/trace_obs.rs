@@ -14,7 +14,7 @@ use psketch_obs::trace_hex;
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{Announcement, AnnouncementBuilder, ShardIdentity, Submission, UserAgent};
 use psketch_queries::TermPlan;
-use psketch_server::{Client, Server, ServerConfig};
+use psketch_server::{Client, Request, Server, ServerConfig};
 use rand::SeedableRng;
 use std::time::Duration;
 
@@ -85,7 +85,14 @@ fn query_nonce_surfaces_in_server_side_logs() {
     let terms =
         vec![ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap()];
     let mut client = Client::connect(servers[0].local_addr(), Duration::from_secs(10)).unwrap();
-    client.partial_term_counts_nonced(nonce, &terms).unwrap();
+    client
+        .send(&Request::PartialTermCounts {
+            terms,
+            nonce,
+            profile: false,
+        })
+        .unwrap();
+    client.receive().unwrap();
     let needle = format!("trace={}", trace_hex(nonce));
     let lines = capture.lines();
     let server_line = lines

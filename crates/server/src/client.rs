@@ -19,12 +19,11 @@
 //!
 //! # Request nonces
 //!
-//! Every charging request carries a nonce identifying the *logical*
-//! query, so the server's ε-ledger charges it at most once even when a
-//! transport failure forces a retry on a fresh connection. The plain
-//! query methods mint a fresh nonce per call ([`next_nonce`]); retrying
-//! callers (the cluster router) mint one nonce per logical query and
-//! use the `*_nonced` variants so every retry replays the same nonce.
+//! Every query frame carries a nonce: the trace correlation id that
+//! servers log with every record the query produces and key its span
+//! trace by. The plain query methods mint a fresh one per call
+//! ([`next_nonce`]); [`Client::execute_plan_traced`] takes the
+//! caller's, so the caller can fetch the trace again later.
 
 use crate::wire::{self, Request, Response, ServerStats};
 use psketch_core::ConjunctiveQuery;
@@ -38,9 +37,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Mints a request nonce: unique within this process, seeded with
-/// per-process entropy so two processes acting for the same analyst are
-/// overwhelmingly unlikely to collide. Never returns `0` (the wire's
-/// "no replay identity" sentinel).
+/// per-process entropy so two processes' traces are overwhelmingly
+/// unlikely to collide. Never returns `0` (the wire's "no trace"
+/// sentinel).
 #[must_use]
 pub fn next_nonce() -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
@@ -298,29 +297,16 @@ impl Client {
     /// Executes a compiled [`TermPlan`] server-side and returns one
     /// answer per plan output, in plan order. Every query family —
     /// linear combinations, DNF, intervals, means, moments, trees,
-    /// histograms — travels through this one entry point; the server
-    /// charges the analyst the plan's term count (fresh nonce).
+    /// histograms — travels through this one entry point (fresh
+    /// nonce).
     ///
     /// # Errors
     ///
     /// Transport, protocol, or server errors.
     pub fn execute_plan(&mut self, plan: &TermPlan) -> Result<Vec<LinearAnswer>, ClientError> {
-        self.execute_plan_nonced(next_nonce(), plan)
-    }
-
-    /// As [`Client::execute_plan`] with a caller-supplied nonce.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn execute_plan_nonced(
-        &mut self,
-        nonce: u64,
-        plan: &TermPlan,
-    ) -> Result<Vec<LinearAnswer>, ClientError> {
         match self.request(&Request::Plan {
             plan: plan.clone(),
-            nonce,
+            nonce: next_nonce(),
             profile: false,
         })? {
             Response::PlanAnswers(answers, _) => {
@@ -330,8 +316,9 @@ impl Client {
         }
     }
 
-    /// As [`Client::execute_plan_nonced`] with profiling requested; the
-    /// answers are bit-identical to the unprofiled path.
+    /// As [`Client::execute_plan`] with profiling requested under the
+    /// caller's `nonce`; the answers are bit-identical to the unprofiled
+    /// path.
     ///
     /// # Errors
     ///
@@ -377,15 +364,14 @@ impl Client {
         }
     }
 
-    /// Connection handshake: declares the analyst identity this
-    /// connection acts for (budget accounting) and returns the server's
-    /// shard identity (`None` for a standalone server).
+    /// Connection handshake: returns the server's shard identity
+    /// (`None` for a standalone server).
     ///
     /// # Errors
     ///
     /// Transport, protocol, or server errors.
-    pub fn hello(&mut self, analyst: u64) -> Result<Option<ShardIdentity>, ClientError> {
-        match self.request(&Request::Hello { analyst })? {
+    pub fn hello(&mut self) -> Result<Option<ShardIdentity>, ClientError> {
+        match self.request(&Request::Hello)? {
             Response::Hello { shard } => Ok(shard),
             other => Self::unexpected(&other),
         }
@@ -403,22 +389,9 @@ impl Client {
         &mut self,
         terms: &[ConjunctiveQuery],
     ) -> Result<Vec<QueryCounts>, ClientError> {
-        self.partial_term_counts_nonced(next_nonce(), terms)
-    }
-
-    /// As [`Client::partial_term_counts`] with a caller-supplied nonce.
-    ///
-    /// # Errors
-    ///
-    /// Transport, protocol, or server errors.
-    pub fn partial_term_counts_nonced(
-        &mut self,
-        nonce: u64,
-        terms: &[ConjunctiveQuery],
-    ) -> Result<Vec<QueryCounts>, ClientError> {
         match self.request(&Request::PartialTermCounts {
             terms: terms.to_vec(),
-            nonce,
+            nonce: next_nonce(),
             profile: false,
         })? {
             Response::PartialTermCounts(counts, _) => Ok(counts),
@@ -429,8 +402,7 @@ impl Client {
     /// Fetches a recently completed span trace from the server's
     /// bounded trace ring by the nonce of the query that produced it.
     /// Returns `None` when the ring holds no trace for that nonce (it
-    /// was never profiled, or has since been evicted). Uncharged: a
-    /// trace is metadata about a query already paid for.
+    /// was never profiled, or has since been evicted).
     ///
     /// # Errors
     ///

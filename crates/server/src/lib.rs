@@ -36,6 +36,6 @@ pub use client::{next_nonce, Client, ClientError, SubmitAck};
 pub use server::{ServeError, Server, ServerConfig};
 pub use wal::{Wal, WalConfig, WalError};
 pub use wire::{
-    BudgetStats, PlanAnswerWire, PlanStats, Request, Response, ServerStats, MAX_FRAME_BYTES,
-    MAX_PLAN_TERMS, PROTOCOL_VERSION,
+    PlanAnswerWire, PlanStats, Request, Response, ServerStats, MAX_FRAME_BYTES, MAX_PLAN_TERMS,
+    PROTOCOL_VERSION,
 };

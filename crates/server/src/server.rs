@@ -18,11 +18,11 @@
 use crate::wal::{Wal, WalConfig, WalError};
 use crate::wire::{self, codes, Request, Response, PROTOCOL_VERSION};
 use parking_lot::Mutex;
-use psketch_core::{Error, PrivacyAccountant};
+use psketch_core::Error;
 use psketch_obs::{self as obs, expose::MetricsExposer, Counter, Histogram, SpanNode};
 use psketch_protocol::{Announcement, Coordinator, IngestBatch, QueryCounts, ShardIdentity};
 use psketch_queries::QueryEngine;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,12 +45,13 @@ pub struct ServerConfig {
     /// handshake so routers can verify their shard map. `None` for a
     /// standalone server.
     pub shard: Option<ShardIdentity>,
-    /// Per-analyst ε-budget enforced at the query boundary (Corollary
-    /// 3.4 accounting): each conjunctive estimate served charges one
-    /// release at the announcement's bias, and an analyst whose spend
-    /// would exceed the budget gets a [`codes::BUDGET`] error frame.
-    /// `None` disables accounting.
-    pub analyst_budget: Option<f64>,
+    /// The most privacy the announcement may cost one user: the server
+    /// refuses to start when [`Announcement::epsilon_cost`] — the
+    /// Corollary 3.4 price of the sketches it asks each user to release
+    /// — exceeds this ε. Estimates are post-processing of published
+    /// sketches and cost nothing further, so this is the whole of the
+    /// accounting. `None` accepts any announcement.
+    pub user_epsilon_budget: Option<f64>,
     /// `Some(addr)` starts a Prometheus-text scrape listener serving
     /// `GET /metrics` from the process-global [`psketch_obs`] registry.
     pub metrics_addr: Option<String>,
@@ -66,7 +67,7 @@ impl Default for ServerConfig {
             workers: 8,
             wal: None,
             shard: None,
-            analyst_budget: None,
+            user_epsilon_budget: None,
             metrics_addr: None,
             slow_query_ms: None,
         }
@@ -85,8 +86,16 @@ pub enum ServeError {
     /// The WAL store was created under a different announcement than
     /// the one passed in (refusing to mix pools).
     AnnouncementMismatch,
-    /// The configured analyst budget is not a positive finite ε.
+    /// The configured per-user ε budget is not a positive finite ε.
     InvalidBudget(f64),
+    /// The announcement costs each user more ε than the configured
+    /// budget allows.
+    EpsilonOverBudget {
+        /// The announcement's per-user ε (Corollary 3.4).
+        epsilon: f64,
+        /// The configured per-user ε budget.
+        budget: f64,
+    },
     /// The configured shard identity is not a valid `id < count`.
     InvalidShard(ShardIdentity),
 }
@@ -103,8 +112,13 @@ impl std::fmt::Display for ServeError {
                  refusing to mix sketch pools"
             ),
             Self::InvalidBudget(eps) => {
-                write!(f, "analyst budget {eps} must be a positive finite epsilon")
+                write!(f, "per-user budget {eps} must be a positive finite epsilon")
             }
+            Self::EpsilonOverBudget { epsilon, budget } => write!(
+                f,
+                "the announcement costs each user eps = {epsilon:.6} (Corollary 3.4), \
+                 over the per-user budget eps = {budget}"
+            ),
             Self::InvalidShard(identity) => {
                 write!(f, "shard identity {identity} must satisfy id < count")
             }
@@ -123,348 +137,6 @@ impl From<io::Error> for ServeError {
 impl From<WalError> for ServeError {
     fn from(e: WalError) -> Self {
         Self::Wal(e)
-    }
-}
-
-/// How many charged nonces each analyst ledger remembers. A replay
-/// older than this window is re-charged — the conservative direction:
-/// the privacy accounting never under-counts, only a pathologically
-/// slow retry pays twice.
-const NONCE_WINDOW: usize = 4096;
-
-/// Largest encoded response cached for replay; bigger answers are
-/// marked evicted, and their replays re-charge (never under-counting).
-const REPLAY_CACHE_ENTRY_BYTES: usize = 2 << 20;
-
-/// Per-analyst ceiling on total cached replay-response bytes; the
-/// oldest cached bodies are dropped first (their digests stay, so a
-/// late replay re-charges rather than re-executing for free).
-const REPLAY_CACHE_TOTAL_BYTES: usize = 16 << 20;
-
-/// Server-wide ceiling on cached replay-response bytes across **all**
-/// analysts. Analyst ids are self-declared (no authentication), so
-/// without a global cap a client cycling fresh ids could pin a
-/// per-analyst cache each and amplify memory without bound. At the
-/// cap, new responses are simply not cached (their replays re-charge).
-const REPLAY_CACHE_GLOBAL_BYTES: usize = 64 << 20;
-
-/// The response side of a charged nonce.
-enum ReplayState {
-    /// Charged; the evaluation has not finished (or not yet attached
-    /// its response). A replay arriving now is answered with the
-    /// transient [`codes::RETRY_PENDING`] error — the charge happened
-    /// (so charging again would double-charge) but evaluating again
-    /// would release a second, possibly different answer for one
-    /// charge. The client retries and finds the cached response.
-    Pending,
-    /// The charged exchange's encoded response, replayed verbatim
-    /// (shared, so serving a replay never copies the body).
-    Ready(Arc<[u8]>),
-    /// The response was too large, crowded out, or dropped to make
-    /// room: a replay now re-charges (never under-counts).
-    Evicted,
-}
-
-/// One charged nonce: the digest of the exact request bytes it paid
-/// for, plus the state of the response that charge bought.
-struct NonceEntry {
-    digest: u64,
-    response: ReplayState,
-}
-
-/// What a nonce lookup found.
-enum ReplayLookup {
-    /// Unknown nonce, digest mismatch, or evicted cache: fresh charge.
-    Miss,
-    /// Charged, evaluation still in flight: answer `RETRY_PENDING`.
-    Pending,
-    /// Charged and cached: serve these bytes verbatim.
-    Ready(Arc<[u8]>),
-}
-
-/// A bounded FIFO map of the nonces an analyst has already been charged
-/// for. Each nonce is bound to a digest of the exact request body it
-/// paid for **and** to the response that charge produced: a replay is
-/// answered from the cache, never by re-executing against a pool that
-/// may have grown since — one charge buys exactly one release. The
-/// nonce counts as charged from the moment of the charge (not from
-/// response completion), so a timeout retry racing the original
-/// evaluation can never double-charge; and any digest or cache miss
-/// falls back to a fresh charge, so the ledger can never under-count.
-#[derive(Default)]
-struct NonceWindow {
-    seen: HashMap<u64, NonceEntry>,
-    order: VecDeque<u64>,
-    cached_bytes: usize,
-}
-
-impl NonceWindow {
-    fn lookup(&self, nonce: u64, digest: u64) -> ReplayLookup {
-        match self.seen.get(&nonce) {
-            Some(entry) if entry.digest == digest => match &entry.response {
-                ReplayState::Pending => ReplayLookup::Pending,
-                ReplayState::Ready(bytes) => ReplayLookup::Ready(Arc::clone(bytes)),
-                ReplayState::Evicted => ReplayLookup::Miss,
-            },
-            _ => ReplayLookup::Miss,
-        }
-    }
-
-    fn release(entry: NonceEntry, global: &AtomicU64) -> usize {
-        if let ReplayState::Ready(bytes) = entry.response {
-            // ord: advisory byte budget; enforcement is under the per-
-            // analyst mutex, the global word only approximates totals
-            global.fetch_sub(bytes.len() as u64, Ordering::Relaxed);
-            bytes.len()
-        } else {
-            0
-        }
-    }
-
-    fn record(&mut self, nonce: u64, digest: u64, global: &AtomicU64) {
-        if let Some(old) = self.seen.insert(
-            nonce,
-            NonceEntry {
-                digest,
-                response: ReplayState::Pending,
-            },
-        ) {
-            // Nonce reused for a different (re-charged) body: rebound
-            // in place, FIFO position unchanged, old cache released.
-            self.cached_bytes -= Self::release(old, global);
-            return;
-        }
-        self.order.push_back(nonce);
-        if self.order.len() > NONCE_WINDOW {
-            if let Some(evicted) = self.order.pop_front() {
-                if let Some(old) = self.seen.remove(&evicted) {
-                    self.cached_bytes -= Self::release(old, global);
-                }
-            }
-        }
-    }
-
-    /// Attaches the encoded response a fresh charge produced, within
-    /// the per-entry, per-analyst and server-wide byte budgets; when a
-    /// budget refuses, the entry is marked evicted so later replays
-    /// re-charge instead of riding free forever.
-    fn attach_response(
-        &mut self,
-        nonce: u64,
-        digest: u64,
-        encoded: &Arc<[u8]>,
-        global: &AtomicU64,
-    ) {
-        let fits_entry = encoded.len() <= REPLAY_CACHE_ENTRY_BYTES;
-        // Make room within the per-analyst budget by dropping the
-        // oldest cached bodies (their digests stay).
-        while fits_entry && self.cached_bytes + encoded.len() > REPLAY_CACHE_TOTAL_BYTES {
-            let Some(&victim) = self.order.iter().find(|n| {
-                self.seen
-                    .get(n)
-                    .is_some_and(|e| matches!(e.response, ReplayState::Ready(_)))
-            }) else {
-                break;
-            };
-            if let Some(entry) = self.seen.get_mut(&victim) {
-                let old = std::mem::replace(&mut entry.response, ReplayState::Evicted);
-                if let ReplayState::Ready(bytes) = old {
-                    // ord: advisory byte budget (see `release`)
-                    global.fetch_sub(bytes.len() as u64, Ordering::Relaxed);
-                    self.cached_bytes -= bytes.len();
-                }
-            }
-        }
-        let fits_analyst = self.cached_bytes + encoded.len() <= REPLAY_CACHE_TOTAL_BYTES;
-        // ord: advisory byte budget (see `release`)
-        let fits_global = global.load(Ordering::Relaxed) + encoded.len() as u64
-            <= REPLAY_CACHE_GLOBAL_BYTES as u64;
-        if let Some(entry) = self.seen.get_mut(&nonce) {
-            if entry.digest == digest && matches!(entry.response, ReplayState::Pending) {
-                if fits_entry && fits_analyst && fits_global {
-                    // ord: advisory byte budget (see `release`)
-                    global.fetch_add(encoded.len() as u64, Ordering::Relaxed);
-                    self.cached_bytes += encoded.len();
-                    entry.response = ReplayState::Ready(Arc::clone(encoded));
-                } else {
-                    entry.response = ReplayState::Evicted;
-                }
-            }
-        }
-    }
-}
-
-/// One analyst's account: the ε accountant plus the nonces it has been
-/// charged for.
-struct AnalystLedger {
-    accountant: PrivacyAccountant,
-    nonces: NonceWindow,
-}
-
-/// Per-analyst ε ledgers (Corollary 3.4 accounting at the service
-/// boundary). Every conjunctive estimate the server computes on an
-/// analyst's behalf is one "release" at the announcement's bias; the
-/// multiplicative ratio bound is tracked by [`PrivacyAccountant`] and a
-/// charge that would exceed the budget is refused *before* the scan.
-///
-/// Charges are **idempotent per request nonce**: a client that lost its
-/// connection after the server charged (but before it read the answer)
-/// retries with the same nonce — and the same bytes — and is served the
-/// **cached original response** without a second charge or a second
-/// evaluation. The nonce is bound to a keyed digest of the request
-/// payload, so only a byte-identical replay rides free; a reused nonce
-/// carrying a different query is a fresh charge. Nonce `0` is the "no
-/// replay identity" sentinel and always charges.
-struct BudgetBook {
-    epsilon: f64,
-    p: f64,
-    ledgers: Mutex<HashMap<u64, AnalystLedger>>,
-    /// Keys the payload digest (SipHash with per-process random keys):
-    /// an analyst cannot construct offline collisions to ride a paid
-    /// nonce with a different query body.
-    hasher: std::collections::hash_map::RandomState,
-    /// Cached replay-response bytes across all analysts (global cap).
-    cached_bytes: AtomicU64,
-    /// Estimates charged across all analysts (ServerStats surface).
-    charged_terms: AtomicU64,
-    /// Requests served without a fresh charge (replayed or in-flight
-    /// nonces).
-    replays: AtomicU64,
-    /// Requests refused over budget.
-    denials: AtomicU64,
-    /// Registry mirrors of the three counters above, cached at
-    /// construction so the charge path never takes a registry lock —
-    /// budget exhaustion becomes visible on `/metrics` before analysts
-    /// start hitting `BUDGET` errors.
-    obs_charged_terms: Arc<Counter>,
-    obs_replays: Arc<Counter>,
-    obs_denials: Arc<Counter>,
-}
-
-/// Outcome of a budget gate check, before any evaluation.
-enum Charge {
-    /// A fresh charge was recorded: evaluate, then hand the encoded
-    /// response to [`BudgetBook::attach_response`].
-    Evaluate,
-    /// Byte-identical replay of a paid request: serve these cached
-    /// encoded response bytes verbatim, nothing to evaluate.
-    Replay(Arc<[u8]>),
-    /// Byte-identical replay of a paid request whose original
-    /// evaluation is still in flight: answer the transient
-    /// [`codes::RETRY_PENDING`] error (no charge, no evaluation).
-    Pending,
-}
-
-impl BudgetBook {
-    fn new(epsilon: f64, p: f64) -> Self {
-        // The per-analyst ε ceiling is a configuration gauge, exported
-        // once in micro-ε so the text format stays integral.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        obs::gauge("psketch_budget_epsilon_per_analyst_micro", &[])
-            .set((epsilon * 1e6).round().max(0.0) as u64);
-        Self {
-            epsilon,
-            p,
-            ledgers: Mutex::new(HashMap::new()),
-            hasher: std::collections::hash_map::RandomState::new(),
-            cached_bytes: AtomicU64::new(0),
-            charged_terms: AtomicU64::new(0),
-            replays: AtomicU64::new(0),
-            denials: AtomicU64::new(0),
-            obs_charged_terms: obs::counter("psketch_budget_charged_terms_total", &[]),
-            obs_replays: obs::counter("psketch_budget_replays_total", &[]),
-            obs_denials: obs::counter("psketch_budget_denials_total", &[]),
-        }
-    }
-
-    /// The keyed fingerprint binding a request nonce to its exact
-    /// payload bytes.
-    fn digest(&self, payload: &[u8]) -> u64 {
-        use std::hash::{BuildHasher, Hasher};
-        let mut h = self.hasher.build_hasher();
-        h.write(payload);
-        h.finish()
-    }
-
-    fn charge(
-        &self,
-        analyst: u64,
-        estimates: u32,
-        nonce: u64,
-        digest: u64,
-    ) -> Result<Charge, Error> {
-        let mut ledgers = self.ledgers.lock();
-        let ledger = ledgers.entry(analyst).or_insert_with(|| AnalystLedger {
-            accountant: PrivacyAccountant::new(self.p, self.epsilon),
-            nonces: NonceWindow::default(),
-        });
-        if nonce != 0 {
-            match ledger.nonces.lookup(nonce, digest) {
-                // Already paid for, byte-identical, original response
-                // cached: serve that exact response free.
-                ReplayLookup::Ready(cached) => {
-                    // ord: monotonic stat counter, eventual totals suffice
-                    self.replays.fetch_add(1, Ordering::Relaxed);
-                    self.obs_replays.inc();
-                    return Ok(Charge::Replay(cached));
-                }
-                // Paid for, but the original evaluation hasn't finished
-                // (a timeout retry racing it): charging again would be
-                // the exact double-charge this machinery prevents, and
-                // evaluating again for free would release a second
-                // answer for one charge. Tell the client to retry; the
-                // original's cached response will be waiting.
-                ReplayLookup::Pending => return Ok(Charge::Pending),
-                // Unknown nonce, digest mismatch, or evicted cache:
-                // fall through to a fresh charge — dedup must never let
-                // a new query, or a late re-evaluation over a grown
-                // pool, ride an old charge.
-                ReplayLookup::Miss => {}
-            }
-        }
-        match ledger.accountant.charge(estimates) {
-            Ok(()) => {
-                if nonce != 0 {
-                    ledger.nonces.record(nonce, digest, &self.cached_bytes);
-                }
-                self.charged_terms
-                    // ord: monotonic stat counter, eventual totals suffice
-                    .fetch_add(u64::from(estimates), Ordering::Relaxed);
-                self.obs_charged_terms.add(u64::from(estimates));
-                Ok(Charge::Evaluate)
-            }
-            Err(e) => {
-                // ord: monotonic stat counter, eventual totals suffice
-                self.denials.fetch_add(1, Ordering::Relaxed);
-                self.obs_denials.inc();
-                Err(e)
-            }
-        }
-    }
-
-    /// Caches the encoded response a fresh charge produced so replays
-    /// of the same `(nonce, digest)` can be served verbatim.
-    fn attach_response(&self, analyst: u64, nonce: u64, digest: u64, encoded: &Arc<[u8]>) {
-        if nonce == 0 {
-            return;
-        }
-        let mut ledgers = self.ledgers.lock();
-        if let Some(ledger) = ledgers.get_mut(&analyst) {
-            ledger
-                .nonces
-                .attach_response(nonce, digest, encoded, &self.cached_bytes);
-        }
-    }
-
-    fn stats(&self) -> wire::BudgetStats {
-        wire::BudgetStats {
-            // ord: fuzzy stats snapshot; fields may tear across readers
-            charged_terms: self.charged_terms.load(Ordering::Relaxed),
-            // ord: fuzzy stats snapshot; fields may tear across readers
-            replays: self.replays.load(Ordering::Relaxed),
-            // ord: fuzzy stats snapshot; fields may tear across readers
-            denials: self.denials.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -498,12 +170,7 @@ impl FrameCounters {
         self.malformed.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot(
-        &self,
-        uptime: Duration,
-        engine: &QueryEngine,
-        budget: Option<&BudgetBook>,
-    ) -> wire::ServerStats {
+    fn snapshot(&self, uptime: Duration, engine: &QueryEngine) -> wire::ServerStats {
         let frames = self
             .kinds
             .iter()
@@ -525,7 +192,6 @@ impl FrameCounters {
                 terms_scanned: engine_stats.terms_scanned,
                 terms_reused: engine_stats.terms_reused,
             },
-            budget: budget.map(BudgetBook::stats).unwrap_or_default(),
         }
     }
 }
@@ -542,8 +208,6 @@ struct ServiceState {
     wal: Option<Mutex<Wal>>,
     /// This node's shard identity (hello handshake).
     shard: Option<ShardIdentity>,
-    /// Per-analyst ε accounting; `None` disables it.
-    budget: Option<BudgetBook>,
     /// Server start time (uptime reporting).
     started: Instant,
     /// Per-frame-kind request counters.
@@ -600,17 +264,6 @@ impl OpenSockets {
     }
 }
 
-/// Per-connection protocol state, established by the hello handshake.
-#[derive(Default)]
-struct ConnState {
-    /// The analyst this connection acts for; 0 (anonymous) until a
-    /// [`Request::Hello`] declares otherwise.
-    analyst: u64,
-    /// Digest of the frame currently being served (binds its nonce to
-    /// its exact body in the ε-ledger's replay window).
-    request_digest: u64,
-}
-
 /// A running sketch-pool server. Dropping it (or calling
 /// [`Server::shutdown`]) stops accepting, drains in-flight requests and
 /// joins every thread.
@@ -646,17 +299,22 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Socket, WAL recovery, or announcement validation failures.
+    /// Socket, WAL recovery, or announcement validation failures, and
+    /// an announcement that costs each user more ε than
+    /// [`ServerConfig::user_epsilon_budget`] allows.
     pub fn start(
         addr: impl ToSocketAddrs,
         announcement: Announcement,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
         let params = announcement.validate().map_err(ServeError::Params)?;
-        let announcement_p = announcement.p;
-        if let Some(eps) = config.analyst_budget {
-            if !(eps.is_finite() && eps > 0.0) {
-                return Err(ServeError::InvalidBudget(eps));
+        let epsilon = announcement.epsilon_cost();
+        if let Some(budget) = config.user_epsilon_budget {
+            if !(budget.is_finite() && budget > 0.0) {
+                return Err(ServeError::InvalidBudget(budget));
+            }
+            if epsilon > budget {
+                return Err(ServeError::EpsilonOverBudget { epsilon, budget });
             }
         }
         if let Some(identity) = config.shard {
@@ -689,9 +347,6 @@ impl Server {
             engine: QueryEngine::new(params),
             wal: wal.map(Mutex::new),
             shard: config.shard,
-            budget: config
-                .analyst_budget
-                .map(|epsilon| BudgetBook::new(epsilon, announcement_p)),
             started: Instant::now(),
             frames: FrameCounters::new(),
             obs_request_nanos: std::array::from_fn(|i| {
@@ -706,6 +361,11 @@ impl Server {
             slow_query_ms: config.slow_query_ms,
             sockets: OpenSockets::default(),
         });
+
+        // Corollary 3.4's per-user price of this announcement, exported
+        // in micro-ε so the text format stays integral.
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        obs::gauge("psketch_user_epsilon_micro", &[]).set((epsilon * 1e6).round().max(0.0) as u64);
 
         let exposer = match &config.metrics_addr {
             Some(addr) => Some(MetricsExposer::start(addr)?),
@@ -866,7 +526,6 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_TICK))?;
-    let mut conn = ConnState::default();
     loop {
         let Some(len) = read_len_prefix(&mut stream, shutdown)? else {
             return Ok(()); // peer hung up between frames, or shutdown
@@ -884,11 +543,8 @@ fn serve_connection(
         }
         let mut payload = vec![0u8; len as usize];
         read_exact_patient(&mut stream, &mut payload, shutdown)?;
-        let bytes: Arc<[u8]> = match handle_frame(state, &mut conn, &payload) {
-            Served::Response(response) => response.encode().into(),
-            Served::Raw(bytes) => bytes,
-        };
-        wire::write_frame(&mut stream, &bytes)?;
+        let response = handle_frame(state, &payload);
+        wire::write_frame(&mut stream, &response.encode())?;
     }
 }
 
@@ -975,73 +631,22 @@ fn query_error(e: &Error) -> Response {
     }
 }
 
-/// What a frame handler hands back to the connection loop: a response
-/// to encode, or pre-encoded bytes (the replay cache serves the charged
-/// exchange's original encoding verbatim; shared so replays never copy
-/// the body).
-enum Served {
-    Response(Response),
-    Raw(Arc<[u8]>),
-}
-
-/// Outcome of the budget gate in front of a charging request.
-enum Gate {
-    /// Accounting off, or a fresh charge recorded: evaluate.
-    Open,
-    /// Byte-identical replay: serve the cached bytes, skip evaluation.
-    Replay(Arc<[u8]>),
-    /// Refuse before any scan (over budget, or a transient
-    /// `RETRY_PENDING` while the nonce's original evaluation runs).
-    Refuse(Response),
-}
-
-/// Runs the budget gate for a charging request. The `(nonce, payload
-/// digest)` pair makes the charge idempotent across transport retries
-/// of the identical request — replays are served from the response
-/// cache, never re-evaluated.
-fn charge_budget(state: &ServiceState, conn: &ConnState, estimates: u32, nonce: u64) -> Gate {
-    let Some(book) = state.budget.as_ref() else {
-        return Gate::Open;
-    };
-    match book.charge(conn.analyst, estimates, nonce, conn.request_digest) {
-        Ok(Charge::Evaluate) => Gate::Open,
-        Ok(Charge::Replay(bytes)) => Gate::Replay(bytes),
-        Ok(Charge::Pending) => Gate::Refuse(Response::Error {
-            code: codes::RETRY_PENDING,
-            message: format!(
-                "nonce {nonce}: the original request is still being evaluated; \
-                 retry for its cached answer"
-            ),
-        }),
-        Err(e) => Gate::Refuse(Response::Error {
-            code: codes::BUDGET,
-            message: format!("analyst {}: {e}", conn.analyst),
-        }),
-    }
-}
-
 /// Decodes and dispatches one frame. Never panics on client input; all
 /// failures become error frames.
-fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> Served {
+fn handle_frame(state: &ServiceState, payload: &[u8]) -> Response {
     match wire::frame_version(payload) {
         Ok(v) if v != PROTOCOL_VERSION => {
             state.frames.record_malformed();
-            return Served::Response(Response::Error {
+            return Response::Error {
                 code: codes::UNSUPPORTED_VERSION,
                 message: format!("server speaks protocol {PROTOCOL_VERSION}, frame declares {v}"),
-            });
+            };
         }
-        Err(e) => {
-            state.frames.record_malformed();
-            return Served::Response(Response::Error {
-                code: codes::MALFORMED,
-                message: e.to_string(),
-            });
-        }
+        Err(e) => return malformed_frame(state, &e),
         Ok(_) => {}
     }
     if let Some(body) = wire::submit_body(payload) {
-        return serve_submit(state, conn, body);
+        return serve_submit(state, body);
     }
     let request = match Request::decode(payload) {
         Ok(r) => r,
@@ -1050,35 +655,26 @@ fn handle_frame(state: &ServiceState, conn: &mut ConnState, payload: &[u8]) -> S
     // The kind byte is trusted only after a full decode succeeded.
     let kind = payload.get(1).copied().unwrap_or(0);
     state.frames.record(kind);
-    // The replay digest is only needed for charging kinds, and only
-    // when accounting is on — ingest frames (which can be megabytes)
-    // never pay for a hash pass.
-    conn.request_digest = match (&request, state.budget.as_ref()) {
-        (Request::Plan { .. } | Request::PartialTermCounts { .. }, Some(book)) => {
-            book.digest(payload)
-        }
-        _ => 0,
-    };
     let trace = request_trace(&request);
     let started = Instant::now();
-    let served = handle_request(state, conn, request);
-    observe_request(state, conn, kind, trace, started.elapsed());
-    served
+    let response = handle_request(state, request);
+    observe_request(state, kind, trace, started.elapsed());
+    response
 }
 
 /// Counts a frame that failed to decode and answers it.
-fn malformed_frame(state: &ServiceState, e: &Error) -> Served {
+fn malformed_frame(state: &ServiceState, e: &Error) -> Response {
     state.frames.record_malformed();
-    Served::Response(Response::Error {
+    Response::Error {
         code: codes::MALFORMED,
         message: e.to_string(),
-    })
+    }
 }
 
 /// Serves a `SubmitBatch` frame from its body bytes: decoded straight
 /// into pool columns, never into `Submission`s, then ingested with the
 /// body logged as received.
-fn serve_submit(state: &ServiceState, conn: &ConnState, body: &[u8]) -> Served {
+fn serve_submit(state: &ServiceState, body: &[u8]) -> Response {
     let decoded = {
         let span = obs::span::enter("ingest:decode");
         span.attr("bytes", body.len() as u64);
@@ -1091,12 +687,12 @@ fn serve_submit(state: &ServiceState, conn: &ConnState, body: &[u8]) -> Served {
     state.frames.record(wire::REQ_SUBMIT);
     let started = Instant::now();
     let response = ingest(state, body, batch);
-    observe_request(state, conn, wire::REQ_SUBMIT, None, started.elapsed());
-    Served::Response(response)
+    observe_request(state, wire::REQ_SUBMIT, None, started.elapsed());
+    response
 }
 
 /// The trace correlation id a request carries: its query nonce (`0`
-/// means "no replay identity" and therefore no trace either).
+/// means "no trace").
 fn request_trace(request: &Request) -> Option<u64> {
     match request {
         Request::Plan { nonce, .. } | Request::PartialTermCounts { nonce, .. } => {
@@ -1108,13 +704,7 @@ fn request_trace(request: &Request) -> Option<u64> {
 
 /// Records the request's latency metrics, its per-request DEBUG trace
 /// record, and — past the configured threshold — the slow-query WARN.
-fn observe_request(
-    state: &ServiceState,
-    conn: &ConnState,
-    kind: u8,
-    trace: Option<u64>,
-    elapsed: Duration,
-) {
+fn observe_request(state: &ServiceState, kind: u8, trace: Option<u64>, elapsed: Duration) {
     let slot = (kind as usize).saturating_sub(1);
     if let Some(Some(hist)) = state.obs_request_nanos.get(slot) {
         hist.record_duration(elapsed);
@@ -1126,7 +716,6 @@ fn observe_request(
     if obs::log::enabled(obs::log::Level::Debug, "psketch::server::request") {
         let mut event = obs::log::debug("psketch::server::request")
             .field("kind", kind_name)
-            .field("analyst", conn.analyst)
             .field("elapsed_us", elapsed.as_micros());
         if let Some(trace) = trace {
             event = event.trace(trace);
@@ -1137,7 +726,6 @@ fn observe_request(
         if elapsed.as_millis() >= u128::from(threshold_ms) {
             let mut event = obs::log::warn("psketch::server::slow_query")
                 .field("kind", kind_name)
-                .field("analyst", conn.analyst)
                 .field("elapsed_us", elapsed.as_micros())
                 .field("threshold_ms", threshold_ms);
             if let Some(trace) = trace {
@@ -1148,48 +736,35 @@ fn observe_request(
     }
 }
 
-/// One charged query's identity on the wire.
-struct Charged {
-    /// The terms it scans: its Corollary 3.4 ε charge.
+/// A query frame's shape: what the size cap and the trace need.
+struct QueryFrame {
+    /// The terms it counts.
     terms: usize,
-    /// Charge-once replay identity (`0` = no replay protection).
+    /// Trace correlation id (`0` = no trace).
     nonce: u64,
     /// Whether the caller asked for a span trace.
     profile: bool,
 }
 
-/// Serves one charging request: the size cap, then the budget gate (a
-/// replay is served its cached bytes, a refusal its error frame), then
-/// the profiled trace and the evaluation. The response is encoded once
-/// and cached against the charge's `(nonce, digest)`, so a replay is
-/// served those bytes verbatim. The trace opens only after the gate:
-/// refused requests and replays (nothing re-executed) are never
-/// profiled, and nonce `0` opts out because the ring is keyed by nonce.
-/// The ε charge is the term count — exactly the conjunctive estimates
-/// computed — whatever the shape of the answer.
-fn serve_charged_query<T>(
+/// Serves one query frame: the size cap, then the profiled trace and
+/// the evaluation. Nonce `0` opts out of profiling, because the trace
+/// ring is keyed by nonce.
+fn serve_query<T>(
     state: &ServiceState,
-    conn: &ConnState,
-    query: Charged,
+    query: QueryFrame,
     root: &'static str,
     evaluate: impl FnOnce() -> Result<T, Error>,
     respond: impl FnOnce(T, Option<SpanNode>) -> Response,
-) -> Served {
+) -> Response {
     if query.terms > wire::MAX_PLAN_TERMS {
-        return Served::Response(Response::Error {
+        return Response::Error {
             code: codes::BAD_REQUEST,
             message: format!(
                 "plan holds {} terms, server cap is {}",
                 query.terms,
                 wire::MAX_PLAN_TERMS
             ),
-        });
-    }
-    let charge = u32::try_from(query.terms).unwrap_or(u32::MAX);
-    match charge_budget(state, conn, charge, query.nonce) {
-        Gate::Open => {}
-        Gate::Replay(bytes) => return Served::Raw(bytes),
-        Gate::Refuse(refusal) => return Served::Response(refusal),
+        };
     }
     let trace = (query.profile && query.nonce != 0).then(|| {
         let trace = obs::Trace::begin(query.nonce, root);
@@ -1199,7 +774,7 @@ fn serve_charged_query<T>(
         trace.root_attr("term_count", query.terms as u64);
         trace
     });
-    let response = match evaluate() {
+    match evaluate() {
         Ok(answer) => {
             // The tree goes to the recent-trace ring (the `Trace` frame
             // and `/traces` surface) and rides the response in-band.
@@ -1211,34 +786,26 @@ fn serve_charged_query<T>(
             respond(answer, tree)
         }
         Err(e) => query_error(&e),
-    };
-    let encoded: Arc<[u8]> = response.encode().into();
-    if query.nonce != 0 {
-        if let Some(book) = state.budget.as_ref() {
-            book.attach_response(conn.analyst, query.nonce, conn.request_digest, &encoded);
-        }
     }
-    Served::Raw(encoded)
 }
 
-fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) -> Served {
+fn handle_request(state: &ServiceState, request: Request) -> Response {
     match request {
-        Request::FetchAnnouncement => Served::Response(Response::Announcement(
-            state.coordinator.announcement().clone(),
-        )),
+        Request::FetchAnnouncement => {
+            Response::Announcement(state.coordinator.announcement().clone())
+        }
         // `handle_frame` serves every submit frame from its bytes.
-        Request::SubmitBatch(_) => Served::Response(Response::Error {
+        Request::SubmitBatch(_) => Response::Error {
             code: codes::INTERNAL,
             message: "submit frames are served from their bytes".into(),
-        }),
+        },
         Request::Plan {
             plan,
             nonce,
             profile,
-        } => serve_charged_query(
+        } => serve_query(
             state,
-            conn,
-            Charged {
+            QueryFrame {
                 terms: plan.cost(),
                 nonce,
                 profile,
@@ -1255,12 +822,9 @@ fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) 
                 )
             },
         ),
-        Request::Stats => Served::Response(Response::Stats(state.coordinator.stats())),
-        Request::Ping => Served::Response(Response::Pong),
-        Request::Hello { analyst } => {
-            conn.analyst = analyst;
-            Served::Response(Response::Hello { shard: state.shard })
-        }
+        Request::Stats => Response::Stats(state.coordinator.stats()),
+        Request::Ping => Response::Pong,
+        Request::Hello => Response::Hello { shard: state.shard },
         // Shard semantics: a subset this node holds no records for is an
         // empty share `(0, 0)` that merges as a no-op, not an error that
         // fails the whole scatter.
@@ -1268,10 +832,9 @@ fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) 
             terms,
             nonce,
             profile,
-        } => serve_charged_query(
+        } => serve_query(
             state,
-            conn,
-            Charged {
+            QueryFrame {
                 terms: terms.len(),
                 nonce,
                 profile,
@@ -1292,18 +855,13 @@ fn handle_request(state: &ServiceState, conn: &mut ConnState, request: Request) 
                 )
             },
         ),
-        Request::ServerStats => Served::Response(Response::ServerStats(state.frames.snapshot(
-            state.started.elapsed(),
-            &state.engine,
-            state.budget.as_ref(),
-        ))),
-        Request::Metrics => Served::Response(Response::Metrics(obs::snapshot())),
-        // Profiles are operational metadata, not query answers: fetching
-        // one is uncharged (the release it describes was paid for when
-        // the profiled query ran).
-        Request::Trace { nonce } => {
-            Served::Response(Response::Trace(obs::span::ring().fetch(nonce)))
-        }
+        Request::ServerStats => Response::ServerStats(
+            state
+                .frames
+                .snapshot(state.started.elapsed(), &state.engine),
+        ),
+        Request::Metrics => Response::Metrics(obs::snapshot()),
+        Request::Trace { nonce } => Response::Trace(obs::span::ring().fetch(nonce)),
     }
 }
 

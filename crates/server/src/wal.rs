@@ -24,8 +24,12 @@
 //! same decoder and apply step live ingestion runs, so a replayed pool
 //! is *identical* to the pre-crash pool. A
 //! torn final record (the crash happened mid-append) is tolerated: the
-//! log is truncated back to the last fully committed record. Anything
-//! bad *before* that is real corruption and refuses to load.
+//! log is truncated back to the last fully committed record, after the
+//! discarded bytes are copied aside to `wal.log.damaged-<offset>` (a
+//! "torn tail" can hold a CRC-intact record stranded between two
+//! damaged ones, so truncation never destroys bytes). Damage followed
+//! by a chain of intact records running to the end of the log is real
+//! corruption and refuses to load.
 //!
 //! Compaction: once the log exceeds the configured threshold the whole
 //! state is written to `snapshot.tmp`, fsync'd, renamed over
@@ -199,9 +203,10 @@ impl Wal {
             .field("elapsed_us", replay_started.elapsed().as_micros())
             .emit("replayed");
         // Drop a torn tail so the next append starts at a record
-        // boundary.
+        // boundary — after a durable copy of it is set aside.
         let len = log.metadata()?.len();
         if committed < len {
+            set_aside(&mut log, &config.dir, committed)?;
             log.set_len(committed)?;
             log.sync_data()?;
         }
@@ -358,6 +363,38 @@ impl Wal {
             .emit("compacted");
         Ok(())
     }
+}
+
+/// Copies the log bytes from `offset` to EOF — the region replay is
+/// about to truncate — to `wal.log.damaged-<offset>` in `dir` (`.1`,
+/// `.2`, … appended if that name is taken), fsyncs the copy and the
+/// directory, and logs a WARN naming the file. The region can hold
+/// committed records that no CRC-valid chain reaches, so it is never
+/// destroyed; if the copy fails, the open fails and the log is left
+/// untouched.
+fn set_aside(log: &mut File, dir: &Path, offset: u64) -> Result<(), WalError> {
+    let base = format!("wal.log.damaged-{offset}");
+    let mut path = dir.join(&base);
+    let mut taken = 0u32;
+    let mut copy = loop {
+        match OpenOptions::new().write(true).create_new(true).open(&path) {
+            Ok(file) => break file,
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                taken += 1;
+                path = dir.join(format!("{base}.{taken}"));
+            }
+            Err(e) => return Err(e.into()),
+        }
+    };
+    log.seek(SeekFrom::Start(offset))?;
+    let bytes = io::copy(log, &mut copy)?;
+    copy.sync_all()?;
+    sync_dir(dir)?;
+    obs::log::warn("psketch::wal")
+        .field("file", path.display())
+        .field("bytes", bytes)
+        .emit("set aside the damaged log tail before truncating it");
+    Ok(())
 }
 
 fn sync_dir(dir: &Path) -> io::Result<()> {

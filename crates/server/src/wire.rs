@@ -56,7 +56,7 @@ use std::io::{self, Read, Write};
 ///   client that lost the connection after the server charged its
 ///   ε-ledger can retry with the same nonce and be served without a
 ///   second charge (charge-once per nonce; `0` opts out). Server stats
-///   gained the ε-ledger counters ([`BudgetStats`]).
+///   gained the ε-ledger counters.
 /// * 5 — the observability revision: the v4 request nonce doubles as
 ///   the **trace correlation id** — routers and servers log it with
 ///   every record a query produces, so one analyst query greps
@@ -75,7 +75,15 @@ use std::io::{self, Read, Write};
 ///   `Distribution` responses (`0x83`/`0x84`) are retired. A conjunction
 ///   is a one-term plan and a `k`-bit distribution a `2^k`-term one, so
 ///   every charged query travels as `Plan` or `PartialTermCounts`.
-pub const PROTOCOL_VERSION: u8 = 7;
+/// * 8 — the per-user-privacy revision: the server no longer keeps a
+///   per-analyst ε ledger. Corollary 3.4 prices sketch releases per
+///   *user*, and the announcement fixes that price; estimates are
+///   post-processing and cost nothing further. So `Hello` loses its
+///   analyst id (empty body), `ServerStats` loses the three ledger
+///   counters, and error codes 6 (the budget refusal) and 8 (the
+///   replay retry hint) are retired, never to be reused. The request nonce stays, as the
+///   trace correlation id only.
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Hard ceiling on the terms of one plan (or term-counts batch); larger
 /// plans are refused as [`codes::BAD_REQUEST`] before any scan. A
@@ -109,18 +117,11 @@ pub mod codes {
     pub const BAD_REQUEST: u16 = 4;
     /// The server failed internally.
     pub const INTERNAL: u16 = 5;
-    /// The analyst's ε-budget is exhausted (Corollary 3.4 accounting at
-    /// the service boundary); the query was refused before evaluation.
-    pub const BUDGET: u16 = 6;
+    // 6 (the per-analyst budget refusal) was retired in v8; never reuse it.
     /// The connection handshake declared a shard identity the server
     /// does not hold (a misrouted connection in a sharded deployment).
     pub const WRONG_SHARD: u16 = 7;
-    /// A replay of a charged request nonce arrived while the original
-    /// request is still being evaluated. The charge already happened
-    /// and the original answer will be cached when it completes —
-    /// retry shortly; this is the only **transient** error code
-    /// (clients treat every other server error as deterministic).
-    pub const RETRY_PENDING: u16 = 8;
+    // 8 (the replay-in-flight retry hint) was retired in v8; never reuse it.
 }
 
 // Message kind bytes. Requests use the low range, responses the high
@@ -184,25 +185,10 @@ pub struct PlanStats {
     pub terms_reused: u64,
 }
 
-/// The ε-ledger counters a server reports (all zero when budget
-/// accounting is disabled).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BudgetStats {
-    /// Conjunctive estimates charged to analyst ledgers (ε units in
-    /// release counts, summed over analysts).
-    pub charged_terms: u64,
-    /// Requests served *without* a charge because their nonce was
-    /// already charged — each one is a retry that would have
-    /// double-charged before v4.
-    pub replays: u64,
-    /// Requests refused with [`codes::BUDGET`].
-    pub denials: u64,
-}
-
 /// Server-level observability counters: process uptime plus one request
 /// counter per frame kind (malformed frames land in the dedicated
-/// `malformed` bucket because they have no trustworthy kind byte), the
-/// engine's plan-execution counters, and the ε-ledger counters.
+/// `malformed` bucket because they have no trustworthy kind byte) and
+/// the engine's plan-execution counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Seconds since the server started.
@@ -214,8 +200,6 @@ pub struct ServerStats {
     pub malformed: u64,
     /// Plan-execution and term counters.
     pub plans: PlanStats,
-    /// ε-ledger charge/replay/denial counters.
-    pub budget: BudgetStats,
 }
 
 impl ServerStats {
@@ -235,8 +219,8 @@ impl ServerStats {
     }
 
     /// Merges another node's stats into this one for a cluster-wide
-    /// view. Counter-like fields (frames, malformed, plan and budget
-    /// counters) **sum** — shards partition the traffic. Gauge-like
+    /// view. Counter-like fields (frames, malformed, plan counters)
+    /// **sum** — shards partition the traffic. Gauge-like
     /// fields do not: `uptime_secs` keeps the **maximum** (a 3-shard
     /// cluster has not been up three times as long; summing uptimes is
     /// the classic status-merge bug — per-shard values stay visible in
@@ -253,9 +237,6 @@ impl ServerStats {
         self.plans.plans_executed += other.plans.plans_executed;
         self.plans.terms_scanned += other.plans.terms_scanned;
         self.plans.terms_reused += other.plans.terms_reused;
-        self.budget.charged_terms += other.budget.charged_terms;
-        self.budget.replays += other.budget.replays;
-        self.budget.denials += other.budget.denials;
     }
 }
 
@@ -268,13 +249,11 @@ pub enum Request {
     SubmitBatch(Vec<Submission>),
     /// Execute a compiled query plan server-side: every query family —
     /// linear combinations, DNF, intervals, means, moments, trees,
-    /// histograms — travels as this one frame. The analyst is charged
-    /// the plan's **term count** (its true Corollary 3.4 cost), never
-    /// per-output.
+    /// histograms — travels as this one frame.
     Plan {
         /// The compiled plan to execute.
         plan: TermPlan,
-        /// Charge-once replay identity (`0` = no replay protection).
+        /// The query's trace correlation id (`0` = no trace).
         nonce: u64,
         /// Record a span trace of this execution and attach it to the
         /// response.
@@ -284,12 +263,8 @@ pub enum Request {
     Stats,
     /// Liveness probe.
     Ping,
-    /// Connection handshake: declares the analyst identity for budget
-    /// accounting and asks the server for its shard identity.
-    Hello {
-        /// The analyst this connection acts for (0 = anonymous).
-        analyst: u64,
-    },
+    /// Connection handshake: asks the server for its shard identity.
+    Hello,
     /// Raw satisfying counts for a plan's deduplicated term list — the
     /// scatter half of a router's scatter-gather. One batch answers a
     /// whole plan's terms in one round trip; the router merges the
@@ -297,21 +272,20 @@ pub enum Request {
     PartialTermCounts {
         /// The terms to count, answered positionally.
         terms: Vec<ConjunctiveQuery>,
-        /// Charge-once replay identity (`0` = no replay protection).
+        /// The query's trace correlation id (`0` = no trace).
         nonce: u64,
         /// Record a span trace of this execution and attach it to the
         /// response.
         profile: bool,
     },
     /// Fetch server-level observability counters (uptime, per-frame-kind
-    /// request counts, plan counters, ε-ledger counters).
+    /// request counts, plan counters).
     ServerStats,
     /// Fetch the node's full metrics-registry snapshot (counters,
     /// gauges, log₂ latency histograms) for cluster-wide merging.
     Metrics,
     /// Fetch a recently completed span trace from the server's bounded
-    /// ring by its wire nonce (uncharged — profiles are metadata, not
-    /// query answers).
+    /// ring by its wire nonce.
     Trace {
         /// The nonce the trace was keyed by.
         nonce: u64,
@@ -1054,11 +1028,7 @@ impl Request {
             }
             Self::Stats => payload(REQ_STATS),
             Self::Ping => payload(REQ_PING),
-            Self::Hello { analyst } => {
-                let mut buf = payload(REQ_HELLO);
-                put_u64(&mut buf, *analyst);
-                buf
-            }
+            Self::Hello => payload(REQ_HELLO),
             Self::PartialTermCounts {
                 terms,
                 nonce,
@@ -1103,9 +1073,7 @@ impl Request {
             },
             REQ_STATS => Self::Stats,
             REQ_PING => Self::Ping,
-            REQ_HELLO => Self::Hello {
-                analyst: dec.u64()?,
-            },
+            REQ_HELLO => Self::Hello,
             REQ_PLAN_COUNTS => Self::PartialTermCounts {
                 nonce: dec.u64()?,
                 profile: get_bool(&mut dec)?,
@@ -1191,9 +1159,6 @@ impl Response {
                 put_u64(&mut buf, stats.plans.plans_executed);
                 put_u64(&mut buf, stats.plans.terms_scanned);
                 put_u64(&mut buf, stats.plans.terms_reused);
-                put_u64(&mut buf, stats.budget.charged_terms);
-                put_u64(&mut buf, stats.budget.replays);
-                put_u64(&mut buf, stats.budget.denials);
                 buf
             }
             Self::Metrics(snap) => {
@@ -1293,11 +1258,6 @@ impl Response {
                         plans_executed: dec.u64()?,
                         terms_scanned: dec.u64()?,
                         terms_reused: dec.u64()?,
-                    },
-                    budget: BudgetStats {
-                        charged_terms: dec.u64()?,
-                        replays: dec.u64()?,
-                        denials: dec.u64()?,
                     },
                 })
             }
@@ -1534,7 +1494,7 @@ mod tests {
         });
         roundtrip_request(&Request::Stats);
         roundtrip_request(&Request::Ping);
-        roundtrip_request(&Request::Hello { analyst: 99 });
+        roundtrip_request(&Request::Hello);
         roundtrip_request(&Request::PartialTermCounts {
             terms: vec![
                 ConjunctiveQuery::new(
@@ -1699,11 +1659,6 @@ mod tests {
                 terms_scanned: 40,
                 terms_reused: 9,
             },
-            budget: BudgetStats {
-                charged_terms: 17,
-                replays: 3,
-                denials: 1,
-            },
         }));
         roundtrip_response(&Response::Error {
             code: codes::QUERY,
@@ -1752,11 +1707,6 @@ mod tests {
                 terms_scanned: 40,
                 terms_reused: 8,
             },
-            budget: BudgetStats {
-                charged_terms: 30,
-                replays: 1,
-                denials: 0,
-            },
         };
         let right = ServerStats {
             uptime_secs: 120, // a freshly restarted shard
@@ -1766,11 +1716,6 @@ mod tests {
                 plans_executed: 1,
                 terms_scanned: 9,
                 terms_reused: 0,
-            },
-            budget: BudgetStats {
-                charged_terms: 9,
-                replays: 0,
-                denials: 3,
             },
         };
         left.merge(&right);
@@ -1782,9 +1727,6 @@ mod tests {
         assert_eq!(left.plans.plans_executed, 5);
         assert_eq!(left.plans.terms_scanned, 49);
         assert_eq!(left.plans.terms_reused, 8);
-        assert_eq!(left.budget.charged_terms, 39);
-        assert_eq!(left.budget.replays, 1);
-        assert_eq!(left.budget.denials, 3);
         assert_eq!(left.total_requests(), 24);
     }
 
@@ -1795,7 +1737,6 @@ mod tests {
             frames: vec![(0x03, 12), (0x09, 4)],
             malformed: 0,
             plans: PlanStats::default(),
-            budget: BudgetStats::default(),
         };
         assert_eq!(stats.total_requests(), 16);
         assert_eq!(stats.count_for(0x09), 4);

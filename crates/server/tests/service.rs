@@ -48,16 +48,15 @@ fn submissions(ann: &Announcement, ids: std::ops::Range<u64>, seed: u64) -> Vec<
 }
 
 /// One conjunctive estimate over the wire, as the router computes it:
-/// a one-term `PartialTermCounts` exchange (`nonce` is its replay
-/// identity), inverted client-side at the announcement's quantized bias.
+/// a one-term `PartialTermCounts` exchange, inverted client-side at the
+/// announcement's quantized bias.
 fn conjunctive(
     client: &mut Client,
-    nonce: u64,
     subset: &BitSubset,
     value: &BitString,
 ) -> Result<Estimate, ClientError> {
     let term = ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap();
-    let counts = client.partial_term_counts_nonced(nonce, &[term])?;
+    let counts = client.partial_term_counts(&[term])?;
     let p = announcement().validate().unwrap().p();
     Ok(Estimate::from_counts(
         counts[0].ones,
@@ -149,7 +148,7 @@ fn loopback_concurrent_clients_match_oracle() {
         let width = subset.len();
         for value in 0..(1u64 << width) {
             let value = BitString::from_u64(value, width);
-            let served = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+            let served = conjunctive(&mut client, &subset, &value).unwrap();
             let q = psketch_core::ConjunctiveQuery::new(subset.clone(), value).unwrap();
             let local = estimator.estimate(oracle.pool(), &q).unwrap();
             assert_eq!(served.fraction.to_bits(), local.fraction.to_bits());
@@ -191,8 +190,8 @@ fn loopback_concurrent_clients_match_oracle() {
     assert_eq!(used, 2);
     assert_eq!(min_n, 1000);
     let yes = BitString::from_bits(&[true]);
-    let e0 = conjunctive(&mut client, next_nonce(), &BitSubset::single(0), &yes).unwrap();
-    let e1 = conjunctive(&mut client, next_nonce(), &BitSubset::single(1), &yes).unwrap();
+    let e0 = conjunctive(&mut client, &BitSubset::single(0), &yes).unwrap();
+    let e1 = conjunctive(&mut client, &BitSubset::single(1), &yes).unwrap();
     assert!((value - (e0.fraction + e1.fraction - 1.0)).abs() < 1e-12);
 
     // Stats reflect everything the four clients pushed.
@@ -283,6 +282,46 @@ fn wal_rejects_corruption_before_the_tail() {
     }
     // The damaged file was left untouched for inspection.
     assert_eq!(std::fs::read(&log_path).unwrap(), bytes);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wal_sets_the_discarded_region_aside_before_truncating() {
+    // Damage batch records 1 and 3: record 2 is CRC-intact, but no
+    // intact chain runs from it to the end of the log, so replay treats
+    // everything from record 1 on as a torn tail. Truncating it must not
+    // destroy record 2: the region is copied aside first.
+    let dir = temp_dir("set-aside");
+    let config = WalConfig::new(&dir);
+    let ann = announcement();
+    let mut starts = Vec::new();
+    {
+        let (mut wal, _) = Wal::open(&config).unwrap();
+        wal.record_announcement(&ann).unwrap();
+        for b in 0..3u64 {
+            starts.push(wal.log_bytes() as usize);
+            wal.record_batch(&submissions(&ann, b * 10..(b + 1) * 10, 600 + b))
+                .unwrap();
+        }
+        starts.push(wal.log_bytes() as usize);
+    }
+    let log_path = dir.join("wal.log");
+    let mut bytes = std::fs::read(&log_path).unwrap();
+    assert_eq!(bytes.len(), starts[3]);
+    let record_2 = bytes[starts[1]..starts[2]].to_vec();
+    bytes[starts[0] + 10] ^= 0xFF;
+    bytes[starts[2] + 10] ^= 0xFF;
+    std::fs::write(&log_path, &bytes).unwrap();
+
+    let (_, recovered) = Wal::open(&config).unwrap();
+    assert_eq!(recovered.expect("announcement recovered").participants(), 0);
+    assert_eq!(std::fs::read(&log_path).unwrap(), bytes[..starts[0]]);
+    let aside = std::fs::read(dir.join(format!("wal.log.damaged-{}", starts[0]))).unwrap();
+    assert_eq!(aside, bytes[starts[0]..]);
+    assert_eq!(
+        aside[starts[1] - starts[0]..starts[2] - starts[0]],
+        record_2[..]
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -495,7 +534,7 @@ fn server_restart_serves_identical_answers() {
         let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
         let subs = submissions(&ann, 0..300, 42);
         assert_eq!(client.submit_chunked(&subs, 50).unwrap().accepted, 300);
-        let conj = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+        let conj = conjunctive(&mut client, &subset, &value).unwrap();
         let dist = distribution(&mut client, &subset);
         server.shutdown();
         (conj, dist)
@@ -505,7 +544,7 @@ fn server_restart_serves_identical_answers() {
     // files; replay must reproduce the pool bit-for-bit.
     let server = Server::start("127.0.0.1:0", ann.clone(), config()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    let after_conj = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+    let after_conj = conjunctive(&mut client, &subset, &value).unwrap();
     let after_dist = distribution(&mut client, &subset);
     assert_eq!(
         before_conj.fraction.to_bits(),
@@ -521,6 +560,71 @@ fn server_restart_serves_identical_answers() {
     let ack = client.submit_batch(&subs).unwrap();
     assert_eq!(ack.accepted, 0);
     assert_eq!(ack.rejected, 10);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corollary_3_4_holds_at_ingest_across_a_crash_and_restart() {
+    // Corollary 3.4 prices releases per user: the announcement's L
+    // subsets, one sketch each, cost ((1 − p)/p)^{4L} − 1. The store's
+    // dedup set keeps every user at L sketches, so it must survive a
+    // crash: a WAL server ingests users, dies mid-append, restarts, and
+    // the same users resubmitting are rejected.
+    let dir = temp_dir("corollary");
+    let ann = announcement();
+    let config = || ServerConfig {
+        workers: 2,
+        wal: Some(WalConfig::new(&dir)),
+        ..ServerConfig::default()
+    };
+    let subs = submissions(&ann, 0..120, 5);
+    {
+        let server = Server::start("127.0.0.1:0", ann.clone(), config()).unwrap();
+        let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+        assert_eq!(client.submit_chunked(&subs, 40).unwrap().accepted, 120);
+        server.shutdown();
+    }
+    // The crash: a batch of fresh users torn mid-append.
+    let log_path = dir.join("wal.log");
+    let committed = std::fs::metadata(&log_path).unwrap().len() as usize;
+    {
+        let (mut wal, _) = Wal::open(&WalConfig::new(&dir)).unwrap();
+        wal.record_batch(&submissions(&ann, 120..130, 6)).unwrap();
+    }
+    let bytes = std::fs::read(&log_path).unwrap();
+    std::fs::write(
+        &log_path,
+        &bytes[..committed + (bytes.len() - committed) / 2],
+    )
+    .unwrap();
+
+    let server = Server::start("127.0.0.1:0", ann.clone(), config()).unwrap();
+    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
+    assert_eq!(client.stats().unwrap().accepted, 120);
+    let ack = client.submit_chunked(&subs, 40).unwrap();
+    assert_eq!((ack.accepted, ack.rejected), (0, 120));
+    // The torn batch was never acknowledged: its users may submit once.
+    let late = submissions(&ann, 120..130, 6);
+    assert_eq!(client.submit_batch(&late).unwrap().accepted, 10);
+    assert_eq!(client.submit_batch(&late).unwrap().rejected, 10);
+
+    let mut sketches = std::collections::BTreeMap::<u64, u32>::new();
+    let pool = server.coordinator().pool();
+    for subset in pool.subsets() {
+        for record in pool.records(&subset).unwrap() {
+            *sketches.entry(record.id.0).or_default() += 1;
+        }
+    }
+    let l = ann.subsets.len() as u32;
+    assert_eq!(sketches.len(), 130);
+    for (user, &count) in &sketches {
+        assert_eq!(count, l, "user {user}");
+        assert_eq!(
+            psketch_core::theory::epsilon_for(ann.p, count).to_bits(),
+            ann.epsilon_cost().to_bits()
+        );
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -546,7 +650,7 @@ fn compaction_snapshot_restores_identically() {
         let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
         let subs = submissions(&ann, 0..200, 9);
         assert_eq!(client.submit_chunked(&subs, 20).unwrap().accepted, 200);
-        let e = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+        let e = conjunctive(&mut client, &subset, &value).unwrap();
         server.shutdown();
         e
     };
@@ -557,7 +661,7 @@ fn compaction_snapshot_restores_identically() {
 
     let server = Server::start("127.0.0.1:0", ann.clone(), config()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    let after = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
+    let after = conjunctive(&mut client, &subset, &value).unwrap();
     assert_eq!(before.fraction.to_bits(), after.fraction.to_bits());
     assert_eq!(before.sample_size, after.sample_size);
     let stats = client.stats().unwrap();
@@ -796,7 +900,7 @@ fn hello_handshake_reports_shard_identity_and_partials_match_counts() {
     let subs = submissions(&ann, 0..300, 42);
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     assert_eq!(
-        client.hello(7).unwrap(),
+        client.hello().unwrap(),
         Some(ShardIdentity {
             shard_id: 1,
             shard_count: 3
@@ -843,112 +947,7 @@ fn standalone_server_reports_no_shard() {
     let ann = announcement();
     let server = Server::start("127.0.0.1:0", ann, ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    assert_eq!(client.hello(0).unwrap(), None);
-    server.shutdown();
-}
-
-#[test]
-fn analyst_budget_is_enforced_with_a_dedicated_error_frame() {
-    use psketch_server::wire::codes;
-    let ann = announcement();
-    // At p = 0.45 one estimate costs ε₁ = (11/9)⁴ − 1 ≈ 1.23 and two
-    // compose to ε₂ = (11/9)⁸ − 1 ≈ 3.98, so a budget of 3.0 affords
-    // exactly one conjunctive estimate per analyst.
-    let server = Server::start(
-        "127.0.0.1:0",
-        ann.clone(),
-        ServerConfig {
-            analyst_budget: Some(3.0),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let subs = submissions(&ann, 0..100, 9);
-    let mut ingest = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    ingest.submit_batch(&subs).unwrap();
-
-    let subset = BitSubset::single(0);
-    let value = BitString::from_bits(&[true]);
-
-    // Analyst 1: first query fine, second refused with the BUDGET code.
-    let mut analyst = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    analyst.hello(1).unwrap();
-    let one_term = conj_plan(&subset, &value);
-    analyst.execute_plan(&one_term).unwrap();
-    match analyst.execute_plan(&one_term) {
-        Err(ClientError::Server { code, message }) => {
-            assert_eq!(code, codes::BUDGET);
-            assert!(message.contains("analyst 1"), "{message}");
-        }
-        other => panic!("expected budget refusal, got {other:?}"),
-    }
-    // The refusal is not a transport failure: the connection stays warm
-    // and budget-free requests still work.
-    analyst.ping().unwrap();
-    assert_eq!(analyst.stats().unwrap().accepted, 100);
-
-    // The ledger follows the analyst identity, not the connection: a
-    // fresh connection declaring the same analyst is still exhausted...
-    let mut same = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    same.hello(1).unwrap();
-    assert!(matches!(
-        same.execute_plan(&one_term),
-        Err(ClientError::Server { code, .. }) if code == codes::BUDGET
-    ));
-    // ...while a different analyst has their own fresh budget.
-    let mut other = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    other.hello(2).unwrap();
-    other.execute_plan(&one_term).unwrap();
-
-    // A 2-bit distribution charges 4 estimates at once: refused for a
-    // fresh analyst whose budget affords only one.
-    let mut wide = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    wide.hello(3).unwrap();
-    assert!(matches!(
-        wide.execute_plan(&TermPlan::for_distribution(&BitSubset::range(0, 2))),
-        Err(ClientError::Server { code, .. }) if code == codes::BUDGET
-    ));
-
-    // An oversized term batch is refused (BAD_REQUEST) *before* the
-    // charge: the analyst's budget still affords a valid query.
-    let mut careless = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    careless.hello(4).unwrap();
-    let term = psketch_core::ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap();
-    let huge = vec![term.clone(); psketch_server::wire::MAX_PLAN_TERMS + 1];
-    assert!(matches!(
-        careless.partial_term_counts(&huge),
-        Err(ClientError::Server { code, .. }) if code == codes::BAD_REQUEST
-    ));
-    careless.partial_term_counts(&[term]).unwrap();
-
-    // A compound plan is charged its *term count*: a 2-term plan is
-    // refused outright for a fresh analyst whose budget affords one.
-    let mut compound = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    compound.hello(5).unwrap();
-    let mut lq = psketch_queries::LinearQuery::new("two terms");
-    lq.push(
-        1.0,
-        psketch_core::ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true]))
-            .unwrap(),
-    );
-    lq.push(
-        1.0,
-        psketch_core::ConjunctiveQuery::new(BitSubset::single(1), BitString::from_bits(&[true]))
-            .unwrap(),
-    );
-    assert!(matches!(
-        compound.execute_plan(&psketch_queries::TermPlan::compile(&lq)),
-        Err(ClientError::Server { code, .. }) if code == codes::BUDGET
-    ));
-    // The same two terms *deduplicated to one* (a repeated-term plan)
-    // cost a single estimate and fit the budget.
-    let mut dup = psketch_queries::LinearQuery::new("dup term");
-    let q = psketch_core::ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap();
-    dup.push(1.0, q.clone());
-    dup.push(2.0, q);
-    compound
-        .execute_plan(&psketch_queries::TermPlan::compile(&dup))
-        .unwrap();
+    assert_eq!(client.hello().unwrap(), None);
     server.shutdown();
 }
 
@@ -958,7 +957,7 @@ fn server_stats_count_frames_by_kind() {
     let server = Server::start("127.0.0.1:0", ann.clone(), ServerConfig::default()).unwrap();
     let subs = submissions(&ann, 0..50, 11);
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    client.hello(0).unwrap();
+    client.hello().unwrap();
     client.submit_batch(&subs).unwrap();
     client.ping().unwrap();
     client.ping().unwrap();
@@ -990,17 +989,43 @@ fn server_stats_count_frames_by_kind() {
 #[test]
 fn invalid_budget_and_shard_configs_are_rejected() {
     use psketch_protocol::ShardIdentity;
+    use psketch_server::ServeError;
     let ann = announcement();
-    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        assert!(Server::start(
+    let budgeted = |budget: f64| {
+        Server::start(
             "127.0.0.1:0",
             ann.clone(),
             ServerConfig {
-                analyst_budget: Some(bad),
+                user_epsilon_budget: Some(budget),
                 ..ServerConfig::default()
             },
         )
-        .is_err());
+    };
+    for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        assert!(matches!(budgeted(bad), Err(ServeError::InvalidBudget(_))));
+    }
+    // Corollary 3.4: three announced subsets cost each user
+    // ((1 − p)/p)^12 − 1. A budget below that is refused at start, and
+    // the refusal names both numbers.
+    let epsilon = ann.epsilon_cost();
+    assert_eq!(
+        epsilon.to_bits(),
+        psketch_core::theory::epsilon_for(ann.p, 3).to_bits()
+    );
+    match budgeted(epsilon * 0.99) {
+        Err(e @ ServeError::EpsilonOverBudget { .. }) => {
+            let message = e.to_string();
+            assert!(message.contains(&format!("{epsilon:.6}")), "{message}");
+            assert!(
+                message.contains(&format!("{}", epsilon * 0.99)),
+                "{message}"
+            );
+        }
+        other => panic!("expected an over-budget refusal, got {other:?}"),
+    }
+    // A budget at or above the announcement's cost starts.
+    for fits in [epsilon, epsilon * 2.0] {
+        budgeted(fits).unwrap().shutdown();
     }
     assert!(Server::start(
         "127.0.0.1:0",
@@ -1028,13 +1053,7 @@ fn client_is_send() {
 fn send_and_receive_pair_one_request_with_one_reply() {
     use psketch_server::wire::codes;
     use psketch_server::{Request, Response};
-    // A budget too small for one estimate at p = 0.45: every charged
-    // query is refused with an error frame.
-    let config = ServerConfig {
-        analyst_budget: Some(1.0),
-        ..ServerConfig::default()
-    };
-    let server = Server::start("127.0.0.1:0", announcement(), config).unwrap();
+    let server = Server::start("127.0.0.1:0", announcement(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     // Out of turn either way: nothing to receive yet, then a second send
     // before the first reply is read.
@@ -1046,118 +1065,82 @@ fn send_and_receive_pair_one_request_with_one_reply() {
     ));
     assert!(matches!(client.receive(), Ok(Response::Pong)));
     // A server error frame completes the exchange: the connection stays
-    // usable.
-    let term = ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap();
+    // usable. (Position 5 is not announced, so the plan is refused.)
     client
-        .send(&Request::PartialTermCounts {
-            terms: vec![term],
+        .send(&Request::Plan {
+            plan: conj_plan(&BitSubset::single(5), &BitString::from_bits(&[true])),
             nonce: next_nonce(),
             profile: false,
         })
         .unwrap();
     match client.receive() {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, codes::BUDGET),
-        other => panic!("expected a budget refusal, got {other:?}"),
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, codes::QUERY),
+        other => panic!("expected a query refusal, got {other:?}"),
     }
     client.ping().unwrap();
     server.shutdown();
 }
 
 #[test]
-fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
-    use psketch_server::wire;
+fn killed_socket_mid_response_retry_answers_identically() {
+    use psketch_server::{wire, Request, Response};
     let ann = announcement();
-    // Generous budget: the point here is counting charges, not refusals.
-    let server = Server::start(
-        "127.0.0.1:0",
-        ann.clone(),
-        ServerConfig {
-            analyst_budget: Some(1e6),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Server::start("127.0.0.1:0", ann.clone(), ServerConfig::default()).unwrap();
     let subs = submissions(&ann, 0..200, 31);
     let mut ingest = Client::connect(server.local_addr(), TIMEOUT).unwrap();
     ingest.submit_batch(&subs).unwrap();
 
-    let subset = BitSubset::single(0);
-    let value = BitString::from_bits(&[true]);
-    let nonce = next_nonce();
+    let term = ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap();
+    // The reference: the same query, asked and read normally.
+    let reference = ingest
+        .partial_term_counts(std::slice::from_ref(&term))
+        .unwrap();
+    let request = Request::PartialTermCounts {
+        terms: vec![term.clone()],
+        nonce: next_nonce(),
+        profile: false,
+    };
 
     // --- The injected transport kill. ---
-    // Raw connection: handshake, send the nonce'd query, then kill the
-    // socket *without reading the response*. The server receives the
-    // frame, charges the analyst's ε-ledger, evaluates, and its answer
-    // dies on the closed socket — exactly the failure mode that made
-    // router retries double-charge before wire v4.
+    // Raw connection: handshake, send the query, then kill the socket
+    // *without reading the response*: the answer dies on the wire.
     {
         let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        wire::write_frame(&mut raw, &wire::Request::Hello { analyst: 7 }.encode()).unwrap();
+        wire::write_frame(&mut raw, &Request::Hello.encode()).unwrap();
         let hello = wire::read_frame(&mut raw).unwrap().unwrap();
         assert!(matches!(
-            wire::Response::decode(&hello).unwrap(),
-            wire::Response::Hello { .. }
+            Response::decode(&hello).unwrap(),
+            Response::Hello { .. }
         ));
-        let req = wire::Request::PartialTermCounts {
-            terms: vec![ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap()],
-            nonce,
-            profile: false,
-        };
-        wire::write_frame(&mut raw, &req.encode()).unwrap();
+        wire::write_frame(&mut raw, &request.encode()).unwrap();
         // Drop without reading: the socket dies mid-response.
     }
 
-    // The retry must come after the killed frame's charge: a retry
-    // charged first would leave that frame `Pending`, and its
-    // RETRY_PENDING reply would die on the closed socket unseen. The
-    // frame counter moves before the charge, so wait for the charge.
-    let charged = {
-        let mut observed = ingest.server_stats().unwrap();
-        for _ in 0..500 {
-            if observed.budget.charged_terms >= 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-            observed = ingest.server_stats().unwrap();
-        }
-        observed
-    };
-    assert_eq!(
-        charged.budget.charged_terms, 1,
-        "the killed frame was never charged: {charged:?}"
-    );
-
     // --- The retry, same nonce, fresh connection. ---
-    // A RETRY_PENDING answer means the killed socket's frame is still
-    // being evaluated; the cached answer is ready shortly after.
+    // Queries are read-only, so the retry simply asks again.
     let mut retry = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    retry.hello(7).unwrap();
-    let answer = loop {
-        match conjunctive(&mut retry, nonce, &subset, &value) {
-            Err(ClientError::Server { code, .. })
-                if code == psketch_server::wire::codes::RETRY_PENDING =>
-            {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            other => break other.unwrap(),
-        }
+    retry.hello().unwrap();
+    retry.send(&request).unwrap();
+    let counts = match retry.receive().unwrap() {
+        Response::PartialTermCounts(counts, None) => counts,
+        other => panic!("unexpected reply {other:?}"),
     };
+    assert_eq!(counts, reference);
 
-    // The retry's answer matches the in-process oracle.
+    // Both invert to the in-process oracle's estimate, bit for bit.
     let oracle = oracle(&ann, &subs);
     let estimator = ConjunctiveEstimator::new(ann.validate().unwrap());
-    let q = psketch_core::ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap();
-    let local = estimator.estimate(oracle.pool(), &q).unwrap();
-    assert_eq!(answer.fraction.to_bits(), local.fraction.to_bits());
+    let local = estimator.estimate(oracle.pool(), &term).unwrap();
+    let p = ann.validate().unwrap().p();
+    let served = Estimate::from_counts(counts[0].ones, counts[0].population, p);
+    assert_eq!(served.fraction.to_bits(), local.fraction.to_bits());
 
-    // Wait until the server has processed *both* count frames (the
-    // killed socket's frame was already in flight and races the retry),
-    // then the ledger must have advanced exactly once.
+    // The server saw all three count frames (the killed one races the
+    // retry) and keeps answering.
     let stats = {
         let mut observed = retry.server_stats().unwrap();
         for _ in 0..100 {
-            if observed.count_for(0x09) >= 2 {
+            if observed.count_for(0x09) >= 3 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(20));
@@ -1165,137 +1148,13 @@ fn killed_socket_mid_response_charges_the_ledger_exactly_once() {
         }
         observed
     };
-    assert!(
-        stats.count_for(0x09) >= 2,
-        "server never saw both count frames: {stats:?}"
-    );
-    assert_eq!(
-        stats.budget.charged_terms, 1,
-        "the retry double-charged the ledger: {stats:?}"
-    );
-    assert_eq!(stats.budget.replays, 1, "{stats:?}");
-    assert_eq!(stats.budget.denials, 0, "{stats:?}");
-
-    // A *different* logical query (fresh nonce) is a real charge, not a
-    // replay — dedup must not overreach.
-    conjunctive(&mut retry, next_nonce(), &subset, &value).unwrap();
-    let stats = retry.server_stats().unwrap();
-    assert_eq!(stats.budget.charged_terms, 2, "{stats:?}");
-    assert_eq!(stats.budget.replays, 1, "{stats:?}");
-    server.shutdown();
-}
-
-#[test]
-fn plan_replays_with_the_same_nonce_charge_once() {
-    let ann = announcement();
-    let server = Server::start(
-        "127.0.0.1:0",
-        ann.clone(),
-        ServerConfig {
-            analyst_budget: Some(1e6),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let subs = submissions(&ann, 0..50, 17);
-    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    client.hello(9).unwrap();
-    client.submit_batch(&subs).unwrap();
-
-    let mut lq = psketch_queries::LinearQuery::new("two terms");
-    lq.push(
-        1.0,
-        psketch_core::ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true]))
-            .unwrap(),
-    );
-    lq.push(
-        -1.0,
-        psketch_core::ConjunctiveQuery::new(BitSubset::single(1), BitString::from_bits(&[true]))
-            .unwrap(),
-    );
-    let plan = psketch_queries::TermPlan::compile(&lq);
-    let nonce = next_nonce();
-
-    // Three replays of one logical plan (as a router retrying two
-    // flapping shards would send): one charge of the plan's term count.
-    let first = client.execute_plan_nonced(nonce, &plan).unwrap();
-    let second = client.execute_plan_nonced(nonce, &plan).unwrap();
-    let third = client.execute_plan_nonced(nonce, &plan).unwrap();
-    assert_eq!(first[0].value.to_bits(), second[0].value.to_bits());
-    assert_eq!(first[0].value.to_bits(), third[0].value.to_bits());
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.budget.charged_terms, 2, "{stats:?}"); // 2-term plan
-    assert_eq!(stats.budget.replays, 2, "{stats:?}");
-
-    // The partial-counts scatter frame dedupes identically.
-    let nonce = next_nonce();
-    let terms = plan.terms().to_vec();
-    client.partial_term_counts_nonced(nonce, &terms).unwrap();
-    client.partial_term_counts_nonced(nonce, &terms).unwrap();
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.budget.charged_terms, 4, "{stats:?}");
-    assert_eq!(stats.budget.replays, 3, "{stats:?}");
-
-    // Dedup is bound to the request *body*, not the nonce alone: a
-    // reused nonce carrying a different query is a fresh charge (a new
-    // query must never ride an old charge — the ledger would
-    // under-count), and only the latest body then replays free.
-    let nonce = next_nonce();
-    let q0 = (BitSubset::single(0), BitString::from_bits(&[true]));
-    let q1 = (BitSubset::single(1), BitString::from_bits(&[true]));
-    conjunctive(&mut client, nonce, &q0.0, &q0.1).unwrap();
-    conjunctive(&mut client, nonce, &q1.0, &q1.1).unwrap();
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.budget.charged_terms, 6, "{stats:?}");
-    assert_eq!(stats.budget.replays, 3, "{stats:?}");
-    conjunctive(&mut client, nonce, &q1.0, &q1.1).unwrap();
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.budget.charged_terms, 6, "{stats:?}");
-    assert_eq!(stats.budget.replays, 4, "{stats:?}");
-    server.shutdown();
-}
-
-#[test]
-fn replays_serve_the_cached_response_not_a_recomputation() {
-    // One charge buys exactly one release: a replay after the pool has
-    // grown must return the *original* answer verbatim, not a fresh
-    // evaluation over the larger pool (that would be a second release
-    // for one Corollary 3.4 charge).
-    let ann = announcement();
-    let server = Server::start(
-        "127.0.0.1:0",
-        ann.clone(),
-        ServerConfig {
-            analyst_budget: Some(1e6),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let mut client = Client::connect(server.local_addr(), TIMEOUT).unwrap();
-    client.hello(11).unwrap();
-    client.submit_batch(&submissions(&ann, 0..100, 41)).unwrap();
-
-    let subset = BitSubset::single(0);
-    let value = BitString::from_bits(&[true]);
-    let nonce = next_nonce();
-    let first = conjunctive(&mut client, nonce, &subset, &value).unwrap();
-    assert_eq!(first.sample_size, 100);
-
-    // Grow the pool, then replay: same answer bytes, original n.
-    client
-        .submit_batch(&submissions(&ann, 100..150, 43))
+    assert_eq!(stats.count_for(0x09), 3, "{stats:?}");
+    retry.ping().unwrap();
+    ingest.ping().unwrap();
+    Client::connect(server.local_addr(), TIMEOUT)
+        .unwrap()
+        .ping()
         .unwrap();
-    let replay = conjunctive(&mut client, nonce, &subset, &value).unwrap();
-    assert_eq!(replay.sample_size, 100, "replay re-evaluated the pool");
-    assert_eq!(replay.fraction.to_bits(), first.fraction.to_bits());
-    assert_eq!(replay.raw.to_bits(), first.raw.to_bits());
-
-    // A fresh nonce sees the grown pool and is a fresh charge.
-    let fresh = conjunctive(&mut client, next_nonce(), &subset, &value).unwrap();
-    assert_eq!(fresh.sample_size, 150);
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats.budget.charged_terms, 2, "{stats:?}");
-    assert_eq!(stats.budget.replays, 1, "{stats:?}");
     server.shutdown();
 }
 
