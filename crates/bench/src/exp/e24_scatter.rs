@@ -52,8 +52,8 @@ use psketch_protocol::{
 };
 use psketch_queries as q;
 use psketch_queries::{QueryEngine, TermPlan};
-use psketch_server::{Server, ServerConfig};
-use std::io::{Read, Write};
+use psketch_server::{wire, Server, ServerConfig};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -140,24 +140,15 @@ impl LatencyProxy {
         }
     }
 
-    fn pump_frames(mut from: TcpStream, mut to: TcpStream, latency: Duration) {
-        loop {
-            let mut prefix = [0u8; 4];
-            if from.read_exact(&mut prefix).is_err() {
-                let _ = to.shutdown(std::net::Shutdown::Write);
-                return;
-            }
-            let len = u32::from_le_bytes(prefix) as usize;
-            let mut payload = vec![0u8; len];
-            if from.read_exact(&mut payload).is_err() {
-                let _ = to.shutdown(std::net::Shutdown::Write);
-                return;
-            }
+    fn pump_frames(from: TcpStream, mut to: TcpStream, latency: Duration) {
+        let mut from = BufReader::new(from);
+        while let Ok(Some(payload)) = wire::read_frame(&mut from) {
             std::thread::sleep(latency);
-            if to.write_all(&prefix).is_err() || to.write_all(&payload).is_err() {
+            if wire::write_frame(&mut to, &payload).is_err() {
                 return;
             }
         }
+        let _ = to.shutdown(std::net::Shutdown::Write);
     }
 }
 

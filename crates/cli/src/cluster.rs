@@ -267,6 +267,7 @@ fn serve(args: &Args) -> Result<(), CliError> {
             .map_err(|e| CliError(format!("cannot write --map-out {map_out}: {e}")))?;
         println!("wrote shard map to {map_out}");
     }
+    crate::service::warn_if_weak_privacy(&announcement);
     println!(
         "cluster listening ({shards} shards, {} PRF lanes, eps = {:.4}/user)",
         psketch_core::lane_width(),

@@ -34,7 +34,7 @@
 
 use crate::args::{Args, CliError};
 use psketch_cluster::ShardMap;
-use psketch_core::{BitString, BitSubset, Profile, UserId};
+use psketch_core::{theory, BitString, BitSubset, Profile, UserId};
 use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{Announcement, AnnouncementBuilder, Submission, UserAgent};
 use psketch_server::wal::WalConfig;
@@ -118,6 +118,7 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     )
     .map_err(|e| CliError(format!("cannot serve on {addr}: {e}")))?;
     let ann = server.coordinator().announcement();
+    warn_if_weak_privacy(ann);
     println!(
         "announcement: db {} | p = {} | {} bits/sketch | {} subsets | eps = {:.4}/user",
         ann.database_id,
@@ -154,6 +155,31 @@ pub fn serve(args: &Args) -> Result<(), CliError> {
     loop {
         std::thread::park();
     }
+}
+
+/// Logs a WARN when `ann` costs each user more than ε = 1 (Corollary
+/// 3.4), naming `theory::p_for_epsilon(1.0, L)` — the corollary's `p`
+/// for ε = 1 over the same `L` sketches — and the exact ε at that `p`
+/// (the corollary's last step is first order, so it is a little over 1).
+/// The defaults (`--p 0.3`, `--width 2`) cost about 26044. Shared by
+/// `serve` and `cluster serve`.
+pub fn warn_if_weak_privacy(ann: &Announcement) {
+    let epsilon = ann.epsilon_cost();
+    if epsilon <= 1.0 {
+        return;
+    }
+    let sketches = u32::try_from(ann.subsets.len()).unwrap_or(u32::MAX).max(1);
+    let p_for_one = theory::p_for_epsilon(1.0, sketches);
+    psketch_obs::log::warn("psketch::privacy")
+        .field("eps_per_user", format!("{epsilon:.4}"))
+        .field("p", ann.p)
+        .field("sketches", sketches)
+        .field("p_for_epsilon_1", format!("{p_for_one:.4}"))
+        .field(
+            "eps_at_that_p",
+            format!("{:.4}", theory::epsilon_for(p_for_one, sketches)),
+        )
+        .emit("the announcement costs each user more than eps = 1; theory::p_for_epsilon(1.0, L) gives the p for eps = 1");
 }
 
 /// Applies `--lanes N` (0 = auto-probe the CPU, 1 = scalar reference
@@ -426,6 +452,33 @@ mod tests {
         assert!(v.get(0) && !v.get(1) && v.get(2));
         assert!(parse_value("10", 3).is_err());
         assert!(parse_value("1a1", 3).is_err());
+    }
+
+    #[test]
+    fn weak_privacy_announcements_warn_at_startup() {
+        let capture = psketch_obs::log::Capture::install();
+        let warnings = || {
+            capture
+                .lines()
+                .into_iter()
+                .filter(|line| line.contains("target=psketch::privacy"))
+                .collect::<Vec<_>>()
+        };
+        // The defaults: 3 sketches at p = 0.3, eps ≈ 26044 per user.
+        let defaults = build_announcement(&parse(&["serve"])).unwrap();
+        warn_if_weak_privacy(&defaults);
+        let lines = warnings();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let p_for_one = format!("p_for_epsilon_1={:.4}", theory::p_for_epsilon(1.0, 3));
+        assert!(lines[0].contains("level=WARN"), "{}", lines[0]);
+        assert!(lines[0].contains(&p_for_one), "{}", lines[0]);
+        assert!(lines[0].contains("eps_per_user=26043.8238"), "{}", lines[0]);
+        // One sketch at p = 0.49 costs about 0.17: no warning.
+        let private =
+            build_announcement(&parse(&["serve", "--width", "1", "--p", "0.49"])).unwrap();
+        assert!(private.epsilon_cost() < 1.0);
+        warn_if_weak_privacy(&private);
+        assert_eq!(warnings().len(), 1);
     }
 
     #[test]

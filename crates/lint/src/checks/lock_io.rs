@@ -40,6 +40,7 @@ pub const CHECK: &str = "lock-across-io";
 
 const IO_PRIMITIVES: &[&str] = &[
     "write_all",
+    "write_vectored",
     "read_exact",
     "sync_all",
     "sync_data",
@@ -245,5 +246,38 @@ fn persisted_binding(sf: &SourceFile, i: usize) -> Option<GuardBinding> {
         } else {
             return None;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    #[test]
+    fn frame_io_counts_as_blocking_io() {
+        let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = crate::model::load_workspace(&root).expect("workspace scans");
+        let io_fns = io_fn_names(&files);
+        for name in ["write_frame", "read_frame"] {
+            assert!(
+                io_fns.contains(name),
+                "`{name}` fell out of the blocking-I/O set"
+            );
+        }
+    }
+
+    #[test]
+    fn a_guard_held_across_a_vectored_write_is_flagged() {
+        let sf = SourceFile::parse(
+            "x.rs".into(),
+            "fn send_frame(w: &mut W, b: &[IoSlice]) { w.write_vectored(b); }\n\
+             fn f(m: &Mutex<u8>, w: &mut W) { let g = m.lock(); send_frame(w, &[]); }\n",
+        );
+        let files = [sf];
+        let mut diags = Vec::new();
+        run(&files, &mut diags);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].message.contains("send_frame"), "{diags:?}");
     }
 }

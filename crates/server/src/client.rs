@@ -30,7 +30,7 @@ use psketch_core::ConjunctiveQuery;
 use psketch_obs::SpanNode;
 use psketch_protocol::{Announcement, CoordinatorStats, QueryCounts, ShardIdentity, Submission};
 use psketch_queries::{LinearAnswer, TermPlan};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -123,10 +123,12 @@ enum Exchange {
     Poisoned,
 }
 
-/// A blocking connection to a sketch-pool server.
+/// A blocking connection to a sketch-pool server. Replies are read
+/// through a buffer over the socket (a small reply costs one read);
+/// requests are written to the socket beneath it, one write per frame.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    reader: BufReader<TcpStream>,
     state: Exchange,
 }
 
@@ -146,7 +148,7 @@ impl Client {
                     stream.set_read_timeout(Some(timeout))?;
                     stream.set_write_timeout(Some(timeout))?;
                     return Ok(Self {
-                        stream,
+                        reader: BufReader::new(stream),
                         state: Exchange::Idle,
                     });
                 }
@@ -180,7 +182,7 @@ impl Client {
             return Err(self.out_of_turn());
         }
         self.state = Exchange::Poisoned;
-        wire::write_frame(&mut self.stream, payload)?;
+        wire::write_frame(&mut self.reader.get_ref(), payload)?;
         self.state = Exchange::Awaiting;
         Ok(())
     }
@@ -200,7 +202,7 @@ impl Client {
             return Err(self.out_of_turn());
         }
         self.state = Exchange::Poisoned;
-        let payload = wire::read_frame(&mut self.stream)?.ok_or_else(|| {
+        let payload = wire::read_frame(&mut self.reader)?.ok_or_else(|| {
             ClientError::Protocol("server closed the connection mid request".into())
         })?;
         let resp = Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
@@ -218,7 +220,7 @@ impl Client {
     ///
     /// A zero `timeout`, or a socket that rejects the option.
     pub fn set_read_timeout(&self, timeout: Duration) -> Result<(), ClientError> {
-        Ok(self.stream.set_read_timeout(Some(timeout))?)
+        Ok(self.reader.get_ref().set_read_timeout(Some(timeout))?)
     }
 
     /// The error for a `send` or `receive` the connection's state does

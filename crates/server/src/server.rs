@@ -23,7 +23,7 @@ use psketch_obs::{self as obs, expose::MetricsExposer, Counter, Histogram, SpanN
 use psketch_protocol::{Announcement, Coordinator, IngestBatch, QueryCounts, ShardIdentity};
 use psketch_queries::QueryEngine;
 use std::collections::HashMap;
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -196,6 +196,55 @@ impl FrameCounters {
     }
 }
 
+/// Cached `psketch_server_wire_bytes_total{dir, kind}` handles, indexed
+/// by request kind byte, so no frame looks a counter up in the
+/// registry. A kind byte that names no request (slot 0, the retired
+/// kinds, any byte past the last kind) counts as `kind="unknown"`. A
+/// frame's bytes are its 4-byte length prefix plus its payload; a
+/// response counts under the kind of the request it answers.
+struct WireBytes {
+    received: [Arc<Counter>; wire::MAX_REQUEST_KIND as usize + 1],
+    sent: [Arc<Counter>; wire::MAX_REQUEST_KIND as usize + 1],
+}
+
+impl WireBytes {
+    fn new() -> Self {
+        let handles = |dir: &str| {
+            std::array::from_fn(|kind| {
+                let kind = u8::try_from(kind)
+                    .ok()
+                    .and_then(wire::request_kind_name)
+                    .unwrap_or("unknown");
+                obs::counter(
+                    "psketch_server_wire_bytes_total",
+                    &[("dir", dir), ("kind", kind)],
+                )
+            })
+        };
+        Self {
+            received: handles("in"),
+            sent: handles("out"),
+        }
+    }
+
+    /// Counts a received request frame.
+    fn received(&self, request: &[u8]) {
+        Self::add(&self.received, request, request.len());
+    }
+
+    /// Counts the response frame sent to `request`.
+    fn sent(&self, request: &[u8], response: &[u8]) {
+        Self::add(&self.sent, request, response.len());
+    }
+
+    fn add(counters: &[Arc<Counter>], request: &[u8], payload_len: usize) {
+        let kind = request.get(1).map_or(0, |&kind| usize::from(kind));
+        if let Some(counter) = counters.get(kind).or(counters.first()) {
+            counter.add(4 + payload_len as u64);
+        }
+    }
+}
+
 /// Shared service state: the live pool plus the query engine and the
 /// (optional) durability layer.
 struct ServiceState {
@@ -220,6 +269,8 @@ struct ServiceState {
     obs_requests_total: [Option<Arc<Counter>>; wire::MAX_REQUEST_KIND as usize],
     /// Accept-thread-to-worker handoff wait.
     obs_queue_wait_nanos: Arc<Histogram>,
+    /// Frame bytes received and sent, per request kind.
+    wire_bytes: WireBytes,
     /// Slow-request WARN threshold ([`ServerConfig::slow_query_ms`]).
     slow_query_ms: Option<u64>,
     /// The sockets workers are serving, for shutdown to wake.
@@ -358,6 +409,7 @@ impl Server {
                     .map(|name| obs::counter("psketch_server_requests_total", &[("kind", name)]))
             }),
             obs_queue_wait_nanos: obs::histogram("psketch_server_queue_wait_nanos", &[]),
+            wire_bytes: WireBytes::new(),
             slow_query_ms: config.slow_query_ms,
             sockets: OpenSockets::default(),
         });
@@ -519,15 +571,20 @@ fn worker_loop(
 }
 
 /// Serves one connection until EOF, a fatal I/O error, or shutdown.
+/// Frames are read through a buffer, so a request whose prefix and
+/// payload arrive together costs one read; each response goes out in
+/// one write.
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     state: &ServiceState,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL_TICK))?;
+    let mut reader = BufReader::new(&stream);
+    let mut writer = &stream;
     loop {
-        let Some(len) = read_len_prefix(&mut stream, shutdown)? else {
+        let Some(len) = read_len_prefix(&mut reader, shutdown)? else {
             return Ok(()); // peer hung up between frames, or shutdown
         };
         if len as usize > wire::MAX_FRAME_BYTES {
@@ -538,20 +595,22 @@ fn serve_connection(
                 code: codes::MALFORMED,
                 message: format!("declared frame length {len} exceeds limit"),
             };
-            let _ = wire::write_frame(&mut stream, &resp.encode());
+            let _ = wire::write_frame(&mut writer, &resp.encode());
             return Ok(());
         }
         let mut payload = vec![0u8; len as usize];
-        read_exact_patient(&mut stream, &mut payload, shutdown)?;
-        let response = handle_frame(state, &payload);
-        wire::write_frame(&mut stream, &response.encode())?;
+        read_exact_patient(&mut reader, &mut payload, shutdown)?;
+        state.wire_bytes.received(&payload);
+        let response = handle_frame(state, &payload).encode();
+        wire::write_frame(&mut writer, &response)?;
+        state.wire_bytes.sent(&payload, &response);
     }
 }
 
 /// Reads the 4-byte length prefix, waking every [`POLL_TICK`] to check
 /// for shutdown. `Ok(None)` means clean EOF or shutdown — a peer that
 /// stalled mid-prefix cannot wedge shutdown; its half-frame is dropped.
-fn read_len_prefix(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<Option<u32>> {
+fn read_len_prefix(reader: &mut impl Read, shutdown: &AtomicBool) -> io::Result<Option<u32>> {
     let mut buf = [0u8; 4];
     let mut filled = 0usize;
     loop {
@@ -562,7 +621,7 @@ fn read_len_prefix(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<
         let Some(rest) = buf.get_mut(filled..) else {
             return Err(io::Error::other("length-prefix cursor overran its buffer"));
         };
-        match stream.read(rest) {
+        match reader.read(rest) {
             Ok(0) => {
                 return if filled == 0 {
                     Ok(None)
@@ -591,13 +650,13 @@ fn read_len_prefix(stream: &mut TcpStream, shutdown: &AtomicBool) -> io::Result<
 /// `read_exact` that tolerates the poll-tick read timeout mid-frame but
 /// gives up on shutdown.
 fn read_exact_patient(
-    stream: &mut TcpStream,
+    reader: &mut impl Read,
     buf: &mut [u8],
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
     let mut filled = 0usize;
     while let Some(rest) = buf.get_mut(filled..).filter(|tail| !tail.is_empty()) {
-        match stream.read(rest) {
+        match reader.read(rest) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

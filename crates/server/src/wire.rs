@@ -32,7 +32,7 @@ use psketch_protocol::{
     Submission,
 };
 use psketch_queries::{LinearAnswer, TermPlan};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Current protocol version.
 ///
@@ -1278,12 +1278,16 @@ impl Response {
 // Frame I/O.
 // ---------------------------------------------------------------------
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame: the prefix and the payload go to
+/// `w` in one vectored write (one `writev` and one segment on a
+/// `TCP_NODELAY` socket), the payload uncopied. A short write carries
+/// on from where it stopped.
 ///
 /// # Errors
 ///
-/// Propagates write failures; rejects payloads over [`MAX_FRAME_BYTES`]
-/// with [`io::ErrorKind::InvalidInput`].
+/// Propagates write failures ([`io::ErrorKind::WriteZero`] when `w`
+/// accepts nothing); rejects payloads over [`MAX_FRAME_BYTES`] with
+/// [`io::ErrorKind::InvalidInput`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -1291,8 +1295,22 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
             format!("frame payload {} exceeds limit", payload.len()),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "connection accepted no bytes of the frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -1794,6 +1812,104 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), payload);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), payload);
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// A writer that takes at most `limit` bytes per call, across all
+    /// the slices it is handed, and counts its calls.
+    struct ShortWriter {
+        limit: usize,
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.limit;
+            for buf in bufs {
+                let take = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..take]);
+                room -= take;
+            }
+            Ok(self.limit - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_survives_short_writes() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        for limit in [1, 3, 4, 5, 4096] {
+            let mut w = ShortWriter {
+                limit,
+                bytes: Vec::new(),
+                calls: 0,
+            };
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.bytes, expected, "limit {limit}");
+            assert_eq!(w.calls, expected.len().div_ceil(limit), "limit {limit}");
+        }
+        // A writer that takes everything gets the whole frame in one call.
+        let mut w = ShortWriter {
+            limit: usize::MAX,
+            bytes: Vec::new(),
+            calls: 0,
+        };
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!((w.bytes, w.calls), (expected, 1));
+        // One that takes nothing is an error, not a spin.
+        let mut w = ShortWriter {
+            limit: 0,
+            bytes: Vec::new(),
+            calls: 0,
+        };
+        let err = write_frame(&mut w, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn write_frame_retries_interrupted_writes() {
+        /// Interrupts every other call, else writes at most 3 bytes.
+        struct Flaky {
+            inner: ShortWriter,
+            interrupt: bool,
+        }
+        impl Write for Flaky {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                self.interrupt = !self.interrupt;
+                if self.interrupt {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                self.inner.write_vectored(bufs)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = Request::FetchAnnouncement.encode();
+        let mut w = Flaky {
+            inner: ShortWriter {
+                limit: 3,
+                bytes: Vec::new(),
+                calls: 0,
+            },
+            interrupt: false,
+        };
+        write_frame(&mut w, &payload).unwrap();
+        let mut cursor = std::io::Cursor::new(w.inner.bytes);
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), payload);
     }
 
     #[test]

@@ -797,6 +797,53 @@ fn bad_frames_get_error_responses_and_connection_survives() {
 }
 
 #[test]
+fn frames_are_answered_however_the_bytes_arrive() {
+    use psketch_server::wire::{self, Request, Response};
+    use std::io::Write;
+
+    let framed = |req: &Request| {
+        let mut frame = Vec::new();
+        wire::write_frame(&mut frame, &req.encode()).unwrap();
+        frame
+    };
+    let answer = |stream: &mut std::net::TcpStream| {
+        Response::decode(&wire::read_frame(stream).unwrap().unwrap()).unwrap()
+    };
+    let server = Server::start("127.0.0.1:0", announcement(), ServerConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+
+    // Two request frames in one write: two answers, in request order.
+    let mut both = framed(&Request::Ping);
+    both.extend_from_slice(&framed(&Request::Hello));
+    stream.write_all(&both).unwrap();
+    assert_eq!(answer(&mut stream), Response::Pong);
+    assert_eq!(answer(&mut stream), Response::Hello { shard: None });
+
+    // One frame split mid-prefix and mid-payload across three writes.
+    let fetch = framed(&Request::FetchAnnouncement);
+    for piece in [&fetch[..2], &fetch[2..6], &fetch[6..]] {
+        stream.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(answer(&mut stream), Response::Announcement(announcement()));
+
+    // A prefix one byte over the 16 MiB limit is refused before any
+    // payload is read, and the server hangs up.
+    let over = u32::try_from(wire::MAX_FRAME_BYTES + 1).unwrap();
+    stream.write_all(&over.to_le_bytes()).unwrap();
+    match answer(&mut stream) {
+        Response::Error { code, .. } => assert_eq!(code, wire::codes::MALFORMED),
+        other => panic!("expected error frame, got {other:?}"),
+    }
+    assert!(wire::read_frame(&mut stream).unwrap().is_none());
+    server.shutdown();
+}
+
+#[test]
 fn query_errors_are_frames_not_hangups() {
     let ann = announcement();
     let server = Server::start("127.0.0.1:0", ann, ServerConfig::default()).unwrap();
