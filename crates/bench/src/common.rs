@@ -8,7 +8,7 @@ use psketch_prf::{GlobalKey, Prg};
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// Quick mode: smaller populations and fewer repetitions, for CI and
-    /// smoke runs. Full mode reproduces the EXPERIMENTS.md numbers.
+    /// smoke runs. Full mode runs every experiment at full scale.
     pub quick: bool,
     /// Base seed; every (experiment, repetition) derives its own stream.
     pub seed: u64,

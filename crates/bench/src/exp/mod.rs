@@ -1,4 +1,5 @@
-//! The experiment suite: one module per EXPERIMENTS.md entry.
+//! The experiment suite: one module per [`registry`] entry (e1–e27,
+//! `experiments -- list`).
 
 pub mod e01_sketch_length;
 pub mod e02_correctness;
@@ -34,7 +35,8 @@ use crate::report::Table;
 /// Every experiment: id, one-line description, runner.
 pub type Runner = fn(&Config) -> Vec<Table>;
 
-/// The experiment registry in EXPERIMENTS.md order.
+/// The experiment registry, in id order: what `experiments -- list`
+/// prints and `experiments` runs.
 #[must_use]
 pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
     vec![

@@ -1,7 +1,7 @@
 //! Table rendering for the experiment harness.
 //!
 //! Every experiment produces one or more [`Table`]s; the harness prints
-//! them in an aligned, paper-style plain-text format so EXPERIMENTS.md can
+//! them in an aligned, paper-style plain-text format, so a write-up can
 //! quote rows verbatim.
 
 use std::fmt::Write as _;

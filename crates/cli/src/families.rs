@@ -9,6 +9,7 @@
 use crate::args::{Args, CliError};
 use psketch_cluster::Coverage;
 use psketch_core::{ConjunctiveQuery, Estimate, IntField};
+use psketch_obs::log::escape_json;
 use psketch_queries::{
     dnf_plan, less_equal_plan, less_than_plan, mean_plan, moment_plan, range_plan, DecisionTree,
     LinearAnswer, TermPlan,
@@ -218,23 +219,6 @@ pub fn family_plan(kind: &str, args: &Args) -> Result<TermPlan, CliError> {
 // Machine-readable output (`--json`).
 // ---------------------------------------------------------------------
 
-/// Escapes a string for a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders an `f64` as a JSON number (floats here are always finite;
 /// estimates come from positive-population inversions).
 fn json_f64(v: f64) -> String {
@@ -254,7 +238,7 @@ pub fn json_outputs(plan: &TermPlan, answers: &[LinearAnswer]) -> String {
         .map(|(out, a)| {
             format!(
                 "{{\"label\":\"{}\",\"value\":{},\"queries_used\":{},\"min_sample_size\":{}}}",
-                json_escape(&out.label),
+                escape_json(&out.label),
                 json_f64(a.value),
                 a.queries_used,
                 a.min_sample_size
@@ -287,7 +271,7 @@ pub fn json_coverage(coverage: &Coverage) -> String {
             format!(
                 "{{\"shard\":{},\"error\":\"{}\"}}",
                 o.shard,
-                json_escape(&o.error)
+                escape_json(&o.error)
             )
         })
         .collect();
@@ -316,8 +300,8 @@ pub fn json_plan_document(
     format!(
         "{{\"query\":\"{}\",\"description\":\"{}\",\"plan_terms\":{},\"outputs\":{},\
          \"coverage\":{}}}",
-        json_escape(kind),
-        json_escape(plan.description()),
+        escape_json(kind),
+        escape_json(plan.description()),
         plan.cost(),
         json_outputs(plan, answers),
         json_coverage(coverage)
@@ -421,7 +405,7 @@ mod tests {
         assert!(doc.contains("\"value\":1.5"));
         assert!(doc.contains("\"plan_terms\":2"));
         assert!(doc.contains("\"population\":100"));
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

@@ -14,11 +14,11 @@
 //! never rests on placement).
 
 use psketch_core::UserId;
+use psketch_obs::log::escape_json;
 use psketch_protocol::ShardIdentity;
-use serde::{Deserialize, Serialize};
 
 /// One node of the deployment: a shard index and the address serving it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardNode {
     /// The shard index, in `0..shards.len()`.
     pub id: u32,
@@ -27,7 +27,7 @@ pub struct ShardNode {
 }
 
 /// A versioned partition of the user population across nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMap {
     /// Monotonic map version; components serving the same deployment
     /// must agree on it.
@@ -157,21 +157,216 @@ impl ShardMap {
     /// Serializes the map as JSON (the on-disk map-file format).
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("shard maps always serialize")
+        let shards: Vec<String> = self
+            .shards
+            .iter()
+            .map(|ShardNode { id, addr }| {
+                format!(r#"{{"id":{id},"addr":"{}"}}"#, escape_json(addr))
+            })
+            .collect();
+        let version = self.version;
+        format!(r#"{{"version":{version},"shards":[{}]}}"#, shards.join(","))
     }
 
-    /// Parses and validates a JSON map file.
+    /// Parses and validates a JSON map file: one object holding exactly
+    /// the keys `version` and `shards`, each shard an object holding
+    /// exactly `id` and `addr`, keys in any order.
     ///
     /// # Errors
     ///
-    /// [`ShardMapError::Parse`] on malformed JSON, plus the
+    /// [`ShardMapError::Parse`] on malformed JSON, a missing, unknown or
+    /// duplicate key, or a number out of range, plus the
     /// [`ShardMap::validate`] errors.
     pub fn from_json(raw: &str) -> Result<Self, ShardMapError> {
-        let map: Self =
-            serde_json::from_str(raw).map_err(|e| ShardMapError::Parse(e.to_string()))?;
+        let mut reader = MapReader { raw, at: 0 };
+        let map = reader.map()?;
+        if reader.peek().is_some() {
+            return reader.fail("trailing characters");
+        }
         map.validate()?;
         Ok(map)
     }
+}
+
+/// A cursor over a map file: a JSON reader for the map's one fixed
+/// shape. Hostile bytes come back as [`ShardMapError::Parse`], never as
+/// a panic.
+struct MapReader<'a> {
+    raw: &'a str,
+    /// Byte offset of the next unread character.
+    at: usize,
+}
+
+impl MapReader<'_> {
+    fn fail<T>(&self, what: &str) -> Result<T, ShardMapError> {
+        Err(ShardMapError::Parse(format!("{what} at byte {}", self.at)))
+    }
+
+    /// Skips JSON whitespace and returns the next byte, if any.
+    fn peek(&mut self) -> Option<u8> {
+        let rest = self.raw.as_bytes().get(self.at..).unwrap_or_default();
+        self.at += rest
+            .iter()
+            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+        self.raw.as_bytes().get(self.at).copied()
+    }
+
+    fn punct(&mut self, want: u8) -> Result<(), ShardMapError> {
+        if self.peek() != Some(want) {
+            return self.fail(&format!("expected `{}`", char::from(want)));
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    /// Reads `open item, …, item close`, calling `item` for each element.
+    fn list(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), ShardMapError>,
+    ) -> Result<(), ShardMapError> {
+        self.punct(open)?;
+        if self.peek() == Some(close) {
+            self.at += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b) if b == close => {
+                    self.at += 1;
+                    return Ok(());
+                }
+                _ => return self.fail(&format!("expected `,` or `{}`", char::from(close))),
+            }
+        }
+    }
+
+    /// Reads an object, handing each key to `field` to read its value.
+    fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), ShardMapError>,
+    ) -> Result<(), ShardMapError> {
+        self.list(b'{', b'}', |r| {
+            let key = r.string()?;
+            r.punct(b':')?;
+            field(r, &key)
+        })
+    }
+
+    /// Reads `key`'s value into its slot; a key seen twice is an error.
+    fn field<T>(
+        &mut self,
+        slot: &mut Option<T>,
+        key: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, ShardMapError>,
+    ) -> Result<(), ShardMapError> {
+        if slot.is_some() {
+            return self.fail(&format!("duplicate key `{key}`"));
+        }
+        *slot = Some(read(self)?);
+        Ok(())
+    }
+
+    fn map(&mut self) -> Result<ShardMap, ShardMapError> {
+        let (mut version, mut shards) = (None, None);
+        self.object(|r, key| match key {
+            "version" => r.field(&mut version, key, Self::uint),
+            "shards" => r.field(&mut shards, key, |r| {
+                let mut nodes = Vec::new();
+                r.list(b'[', b']', |r| {
+                    nodes.push(r.node()?);
+                    Ok(())
+                })?;
+                Ok(nodes)
+            }),
+            _ => r.fail(&format!("unknown key `{key}`")),
+        })?;
+        Ok(ShardMap {
+            version: version.ok_or_else(|| missing("version"))?,
+            shards: shards.ok_or_else(|| missing("shards"))?,
+        })
+    }
+
+    fn node(&mut self) -> Result<ShardNode, ShardMapError> {
+        let (mut id, mut addr) = (None, None);
+        self.object(|r, key| match key {
+            "id" => r.field(&mut id, key, |r| {
+                let id = r.uint()?;
+                u32::try_from(id).or_else(|_| r.fail("shard id above u32::MAX"))
+            }),
+            "addr" => r.field(&mut addr, key, Self::string),
+            _ => r.fail(&format!("unknown key `{key}`")),
+        })?;
+        Ok(ShardNode {
+            id: id.ok_or_else(|| missing("id"))?,
+            addr: addr.ok_or_else(|| missing("addr"))?,
+        })
+    }
+
+    /// Reads a non-negative integer; a sign, fraction or exponent is an
+    /// error.
+    fn uint(&mut self) -> Result<u64, ShardMapError> {
+        self.peek();
+        let rest = self.raw.get(self.at..).unwrap_or_default();
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        match rest.get(..digits).map(str::parse::<u64>) {
+            Some(Ok(n)) if !matches!(rest.as_bytes().get(digits), Some(b'.' | b'e' | b'E')) => {
+                self.at += digits;
+                Ok(n)
+            }
+            _ => self.fail("expected an unsigned 64-bit integer"),
+        }
+    }
+
+    /// Reads a string, decoding the standard escapes.
+    fn string(&mut self) -> Result<String, ShardMapError> {
+        self.punct(b'"')?;
+        let mut out = String::new();
+        loop {
+            let rest = self.raw.get(self.at..).unwrap_or_default();
+            let Some(stop) = rest.find(['"', '\\']) else {
+                return self.fail("unterminated string");
+            };
+            out.push_str(rest.get(..stop).unwrap_or_default());
+            self.at += stop + 1;
+            if rest.as_bytes().get(stop) == Some(&b'"') {
+                return Ok(out);
+            }
+            let escaped = match rest.as_bytes().get(stop + 1) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let code = rest
+                        .get(stop + 2..stop + 6)
+                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .and_then(char::from_u32);
+                    let Some(c) = code else {
+                        return self.fail("invalid \\u escape");
+                    };
+                    self.at += 4;
+                    c
+                }
+                _ => return self.fail("invalid escape"),
+            };
+            self.at += 1;
+            out.push(escaped);
+        }
+    }
+}
+
+fn missing(key: &str) -> ShardMapError {
+    ShardMapError::Parse(format!("missing key `{key}`"))
 }
 
 #[cfg(test)]
@@ -242,6 +437,62 @@ mod tests {
             }],
         };
         assert!(ShardMap::from_json(&bad.to_json()).is_err());
+
+        let parse = |raw: &str| ShardMap::from_json(raw).unwrap_err();
+        let valid = ShardMap::new(2, ["127.0.0.1:7180", "q\"b\\s\n\u{7}:1"])
+            .unwrap()
+            .to_json();
+        // Every truncation of a valid map is malformed.
+        for cut in 0..valid.len() {
+            assert!(
+                matches!(parse(&valid[..cut]), ShardMapError::Parse(_)),
+                "prefix {cut}"
+            );
+        }
+        // Hostile bytes: seeded single-byte mutations of a valid map
+        // either parse to a map that round-trips or are refused; none
+        // panics.
+        for i in 0..2_000u64 {
+            let r = splitmix64(0x5EED ^ i);
+            let mut bytes = valid.clone().into_bytes();
+            let at = (r % bytes.len() as u64) as usize;
+            bytes[at] = (r >> 32) as u8;
+            if let Ok(m) = ShardMap::from_json(&String::from_utf8_lossy(&bytes)) {
+                assert_eq!(ShardMap::from_json(&m.to_json()), Ok(m));
+            }
+        }
+        let node = r#"{"id":0,"addr":"a"}"#;
+        for raw in [
+            r#"{"version":1,"shards":[{"id":4294967296,"addr":"a"}]}"#.to_string(),
+            format!(r#"{{"version":-1,"shards":[{node}]}}"#),
+            format!(r#"{{"version":1.5,"shards":[{node}]}}"#),
+            r#"{"version":1,"shards":[{"id":0.0,"addr":"a"}]}"#.to_string(),
+            r#"{"version":1,"shards":[{"id":1e0,"addr":"a"}]}"#.to_string(),
+            format!(r#"{{"version":1,"shards":[{node}],"weights":[1]}}"#),
+            r#"{"version":1,"shards":[{"id":0,"addr":"a","zone":"b"}]}"#.to_string(),
+            format!(r#"{{"version":1,"version":2,"shards":[{node}]}}"#),
+            r#"{"version":1,"shards":[{"id":0,"addr":"a","addr":"b"}]}"#.to_string(),
+            format!(r#"{{"version":1,"shards":[{node}]}} x"#),
+            format!(r#"{{"version":1,"shards":[{node}]}}}}"#),
+            r#"{"version":1,"shards":[{"id":0,"addr":"a}]}"#.to_string(),
+        ] {
+            assert!(matches!(parse(&raw), ShardMapError::Parse(_)), "{raw}");
+        }
+    }
+
+    #[test]
+    fn the_documented_map_parses() {
+        let doc = include_str!("../../../docs/cluster.md");
+        let block = doc
+            .split("## Shard map")
+            .nth(1)
+            .and_then(|s| s.split("```json\n").nth(1))
+            .and_then(|s| s.split("```").next())
+            .expect("docs/cluster.md has a shard-map JSON block");
+        assert_eq!(
+            ShardMap::from_json(block).unwrap(),
+            ShardMap::new(1, ["127.0.0.1:7180", "127.0.0.1:7181", "127.0.0.1:7182"]).unwrap()
+        );
     }
 
     #[test]

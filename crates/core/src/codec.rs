@@ -9,7 +9,6 @@
 
 use crate::params::Error;
 use crate::sketcher::Sketch;
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// Magic byte identifying a sketch bundle.
 const MAGIC: u8 = 0xB5;
@@ -27,13 +26,12 @@ const VERSION: u8 = 1;
 /// [`crate::SketchParams`] construction; this is a caller contract) or if
 /// a key does not fit in `sketch_bits` bits.
 #[must_use]
-pub fn encode_bundle(sketch_bits: u8, sketches: &[Sketch]) -> Bytes {
+pub fn encode_bundle(sketch_bits: u8, sketches: &[Sketch]) -> Vec<u8> {
     assert!((1..=30).contains(&sketch_bits), "invalid sketch_bits");
-    let mut out = BytesMut::with_capacity(7 + sketches.len() * usize::from(sketch_bits) / 8 + 1);
-    out.put_u8(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(sketch_bits);
-    out.put_u32_le(u32::try_from(sketches.len()).expect("bundle too large"));
+    let count = u32::try_from(sketches.len()).expect("bundle too large");
+    let mut out = Vec::with_capacity(bundle_size_bytes(sketch_bits, sketches.len()));
+    out.extend_from_slice(&[MAGIC, VERSION, sketch_bits]);
+    out.extend_from_slice(&count.to_le_bytes());
 
     let mut acc: u64 = 0;
     let mut acc_bits: u32 = 0;
@@ -47,15 +45,15 @@ pub fn encode_bundle(sketch_bits: u8, sketches: &[Sketch]) -> Bytes {
         acc |= s.key << acc_bits;
         acc_bits += u32::from(sketch_bits);
         while acc_bits >= 8 {
-            out.put_u8((acc & 0xFF) as u8);
+            out.push((acc & 0xFF) as u8);
             acc >>= 8;
             acc_bits -= 8;
         }
     }
     if acc_bits > 0 {
-        out.put_u8((acc & 0xFF) as u8);
+        out.push((acc & 0xFF) as u8);
     }
-    out.freeze()
+    out
 }
 
 /// A bundle whose header and payload length checked out, its packed
@@ -225,7 +223,7 @@ mod tests {
     #[test]
     fn rejects_bad_magic_and_truncation() {
         let encoded = encode_bundle(4, &[Sketch { key: 9 }]);
-        let mut bad = encoded.to_vec();
+        let mut bad = encoded.clone();
         bad[0] ^= 0xFF;
         assert!(matches!(decode_bundle(&bad), Err(Error::Codec { .. })));
         assert!(matches!(
@@ -238,9 +236,45 @@ mod tests {
     #[test]
     fn rejects_wrong_version() {
         let encoded = encode_bundle(4, &[]);
-        let mut bad = encoded.to_vec();
+        let mut bad = encoded.clone();
         bad[1] = 99;
         assert!(matches!(decode_bundle(&bad), Err(Error::Codec { .. })));
+    }
+
+    #[test]
+    fn encoding_is_pinned_byte_for_byte() {
+        // The bundle is the wire and WAL format: these bytes were
+        // recorded from the encoder and must never change. A packing
+        // change that still round-trips fails here, not in the
+        // round-trip tests. Each three-key bundle carries an all-ones
+        // key straddling byte boundaries.
+        //
+        // Layout: magic, version, ℓ, count (u32 LE), packed keys.
+        #[rustfmt::skip]
+        let cases: &[(u8, &[u64], &[u8])] = &[
+            (1, &[], &[0xB5, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00]),
+            (1, &[1], &[0xB5, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00, 0x01]),
+            (1, &[0, 1, 0], &[0xB5, 0x01, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02]),
+            (9, &[], &[0xB5, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00]),
+            (9, &[0xAB], &[0xB5, 0x01, 0x09, 0x01, 0x00, 0x00, 0x00, 0xAB, 0x00]),
+            (9, &[0x78, 0x1FF, 0],
+             &[0xB5, 0x01, 0x09, 0x03, 0x00, 0x00, 0x00, 0x78, 0xFE, 0x03, 0x00]),
+            (10, &[], &[0xB5, 0x01, 0x0A, 0x00, 0x00, 0x00, 0x00]),
+            (10, &[0x2AB], &[0xB5, 0x01, 0x0A, 0x01, 0x00, 0x00, 0x00, 0xAB, 0x02]),
+            (10, &[0x278, 0x3FF, 0],
+             &[0xB5, 0x01, 0x0A, 0x03, 0x00, 0x00, 0x00, 0x78, 0xFE, 0x0F, 0x00]),
+            (30, &[], &[0xB5, 0x01, 0x1E, 0x00, 0x00, 0x00, 0x00]),
+            (30, &[0x2AAA_AAAB],
+             &[0xB5, 0x01, 0x1E, 0x01, 0x00, 0x00, 0x00, 0xAB, 0xAA, 0xAA, 0x2A]),
+            (30, &[0x1234_5678, 0x3FFF_FFFF, 0],
+             &[0xB5, 0x01, 0x1E, 0x03, 0x00, 0x00, 0x00,
+               0x78, 0x56, 0x34, 0xD2, 0xFF, 0xFF, 0xFF, 0x0F, 0x00, 0x00, 0x00, 0x00]),
+        ];
+        for &(bits, keys, want) in cases {
+            let sketches: Vec<Sketch> = keys.iter().map(|&key| Sketch { key }).collect();
+            let got = encode_bundle(bits, &sketches);
+            assert_eq!(&got[..], want, "bits={bits} keys={keys:X?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,6 @@ use crate::hfun::HFunction;
 use crate::params::{Error, SketchParams};
 use crate::profile::{BitString, BitSubset};
 use psketch_obs as obs;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,7 +46,7 @@ const MIN_CHUNK: usize = 4096;
 ///
 /// Negated attributes are simply 0-bits of `v`, so this is the paper's full
 /// (non-monotone) conjunctive query class.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
     subset: BitSubset,
     value: BitString,
@@ -89,7 +88,7 @@ impl ConjunctiveQuery {
 }
 
 /// The result of a conjunctive estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// The Algorithm 2 output `r' = (r̃ − p)/(1 − 2p)`; may fall outside
     /// `[0, 1]` by sampling noise.

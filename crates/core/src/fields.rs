@@ -11,11 +11,10 @@
 //! `a_u = Σ a_{u,i}·2^{k−i}` indexing, where `a_{u,1}` is the high bit).
 
 use crate::profile::{BitString, BitSubset, Profile};
-use serde::{Deserialize, Serialize};
 
 /// A `width`-bit unsigned integer attribute occupying profile positions
 /// `[offset, offset + width)`, MSB first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IntField {
     offset: u32,
     width: u32,

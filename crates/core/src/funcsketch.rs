@@ -21,14 +21,13 @@ use crate::hfun::HFunction;
 use crate::params::{Error, SketchParams};
 use crate::profile::{BitString, Profile, UserId};
 use crate::sketcher::{Sketch, SketchRun, Sketcher};
-use serde::{Deserialize, Serialize};
 
 /// A public, named function of a profile with a `width`-bit output.
 ///
 /// The identifier must be globally unique per database (the coordinator
 /// assigns it); it plays the role the subset `B` plays in `H`'s input and
 /// therefore in the independence argument across sketched objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FunctionId {
     /// Unique identifier of the function within the database.
     pub id: u64,

@@ -5,7 +5,6 @@
 //! private information. Sketches describe `d_B` — the substring of `d`
 //! induced by a subset of attribute positions `B ⊆ [1..q]`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A user's unique public identifier.
@@ -13,9 +12,7 @@ use std::fmt;
 /// The paper: "each user holds a unique public identifier id — which does
 /// not contain any private information (for example it could be a timestamp
 /// of user registration in the system)".
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct UserId(pub u64);
 
 impl fmt::Display for UserId {
@@ -25,7 +22,7 @@ impl fmt::Display for UserId {
 }
 
 /// A packed bit string: profiles, projected values, and query values.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct BitString {
     /// Packed bits, LSB-first within each word.
     words: Vec<u64>,
@@ -162,7 +159,7 @@ impl FromIterator<bool> for BitString {
 }
 
 /// A user's private profile: `d ∈ {0,1}^q`.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Profile {
     bits: BitString,
 }
@@ -271,7 +268,7 @@ impl fmt::Debug for Profile {
 /// Sorted canonical order makes subsets hashable database keys and makes
 /// the PRF input encoding of `B` canonical (the same set always encodes to
 /// the same bytes, as the paper's `H(id, B, ·, ·)` requires).
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BitSubset {
     positions: Vec<u32>,
 }

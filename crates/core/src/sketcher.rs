@@ -21,14 +21,13 @@ use crate::params::{Error, SketchParams};
 use crate::profile::{BitString, BitSubset, Profile, UserId};
 use psketch_prf::Bias;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A published sketch: the accepted key for one `(user, subset)` pair.
 ///
 /// The key occupies `sketch_bits` bits — `⌈log log(M/τ)⌉`-scale per Lemma
 /// 3.1, i.e. about 10 bits for every practical configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sketch {
     /// The accepted key `s < 2^sketch_bits`.
     pub key: u64,
@@ -456,28 +455,5 @@ mod tests {
     fn large_key_spaces_use_sparse_storage() {
         let sampler = WithoutReplacement::new(1 << 20);
         assert!(matches!(sampler.displaced, Displaced::Sparse(_)));
-    }
-
-    #[test]
-    fn sketches_are_serializable() {
-        // Real serde round trips (via the JSON front end), not a Debug
-        // smoke test: sketches and estimates are wire types.
-        let s = Sketch { key: 9 };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Sketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-
-        let e = crate::estimator::Estimate {
-            fraction: (0.9 - 0.3) / (1.0 - 0.6),
-            raw: 0.9,
-            sample_size: 1234,
-            p: 0.3,
-        };
-        let json = serde_json::to_string(&e).unwrap();
-        let back: crate::estimator::Estimate = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.fraction.to_bits(), e.fraction.to_bits());
-        assert_eq!(back.raw.to_bits(), e.raw.to_bits());
-        assert_eq!(back.p.to_bits(), e.p.to_bits());
-        assert_eq!(back.sample_size, e.sample_size);
     }
 }

@@ -66,6 +66,24 @@ const SCOPES: &[Scope] = &[
         file_suffix: "crates/core/src/codec.rs",
         fns: Some(&["open_bundle", "decode_bundle", "keys", "next", "size_hint"]),
     },
+    // The shard-map file reader: `from_json` and its `MapReader`.
+    Scope {
+        file_suffix: "crates/cluster/src/shard.rs",
+        fns: Some(&[
+            "from_json",
+            "fail",
+            "peek",
+            "punct",
+            "list",
+            "object",
+            "field",
+            "map",
+            "node",
+            "uint",
+            "string",
+            "missing",
+        ]),
+    },
     Scope {
         file_suffix: "crates/obs/src/expose.rs",
         fns: None,

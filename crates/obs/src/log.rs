@@ -320,8 +320,10 @@ fn quote_logfmt(value: &str) -> String {
     format!("\"{}\"", value.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_json(value: &str) -> String {
+/// Escapes a string for the inside of a JSON string literal: quotes,
+/// backslashes and control characters. The one JSON escaper of the
+/// workspace (log lines, `--json` output, shard-map files).
+pub fn escape_json(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

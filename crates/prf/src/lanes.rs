@@ -22,12 +22,15 @@
 //! keys, prefixes and batch shapes).
 //!
 //! Lane width is a process-wide knob: [`probe_lane_width`] picks a
-//! sensible default from the host CPU (8 on AVX-512, 4 elsewhere — the
-//! 4-lane structure-of-arrays form matches or beats the hand-unrolled
-//! scalar loop through instruction-level parallelism alone), and
+//! default from the host CPU (8 on AVX-512, 4 elsewhere), and
 //! [`set_lane_width`] overrides it (CLI `--lanes` on `serve` and the
-//! experiment harness). Because all widths are bit-identical, the knob is
-//! purely a performance choice — answers never depend on it.
+//! experiment harness). The 4-lane form is not a sure win over the
+//! hand-unrolled scalar loop: forced on the 2-core AVX-512 host of
+//! `BENCH_lanes.json` (`experiments -- e25`), its one-value scan ran at
+//! 0.64× scalar (31.1M vs 48.7M records/s, one thread), and its k = 8
+//! count-table upkeep was slower than scalar (3167 vs 3061 ns/record).
+//! Because all widths are bit-identical, the knob is purely a
+//! performance choice — answers never depend on it.
 
 use crate::bias::Bias;
 use crate::siphash::SipState;
@@ -246,12 +249,15 @@ impl std::error::Error for LaneWidthError {}
 /// The lane width the host CPU is expected to profit from, probed once.
 ///
 /// * x86-64 with AVX-512F: 8 — one zmm register per SipHash variable and
-///   a native 64-bit lane rotate (`vprolq`); measured 3.2× over the
-///   hand-unrolled scalar loop on the reference host.
-/// * everything else: 4 — the 4-lane structure-of-arrays form matches or
-///   modestly beats the scalar loop through instruction-level
-///   parallelism and narrower vectors, and never loses (measured ≈1.1×
-///   on the reference host when forced off the AVX-512 path).
+///   a native 64-bit lane rotate (`vprolq`); measured 4.0× the
+///   hand-unrolled scalar loop (193.6M vs 48.7M records/s, one thread,
+///   `BENCH_lanes.json`).
+/// * everything else: 4 — the 4-lane structure-of-arrays form, for its
+///   instruction-level parallelism. Forced on the same host it measured
+///   0.64× scalar on a one-value scan (31.1M vs 48.7M records/s) and
+///   1.9× on the fused 4-value scan (22.1M vs 11.6M), and its k = 8
+///   count-table upkeep was slower than scalar (3167 vs 3061
+///   ns/record), so it can lose to scalar.
 #[must_use]
 pub fn probe_lane_width() -> usize {
     static PROBED: OnceLock<usize> = OnceLock::new();

@@ -100,7 +100,7 @@ impl UserAgent {
         Ok(Submission {
             user: self.id,
             database_id: announcement.database_id,
-            bundle: encode_bundle(params.sketch_bits(), &sketches).to_vec(),
+            bundle: encode_bundle(params.sketch_bits(), &sketches),
             skipped,
         })
     }

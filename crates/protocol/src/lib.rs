@@ -5,7 +5,7 @@
 //! publishes parameters and accumulates the public pool. This crate is
 //! that protocol, shaped the way a downstream system would embed it:
 //!
-//! * [`messages`] — serde-serializable [`messages::Announcement`]
+//! * [`messages`] — [`messages::Announcement`]
 //!   and [`messages::Submission`] (bit-packed sketch bundles);
 //! * [`agent`] — [`agent::UserAgent`]: owns the profile and an
 //!   ε budget, *refuses* over-budget plans (Corollary 3.4 enforced on the

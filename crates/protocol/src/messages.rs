@@ -3,21 +3,20 @@
 //! The paper's deployment story (§1, Appendix A) has three actors: a
 //! *coordinator* that publishes database-wide parameters and the list of
 //! subsets to sketch, *users* who publish sketch bundles, and *analysts*
-//! who read the public pool. These are the (serde-serializable) messages
-//! between them. Sketch payloads travel in the compact bit-packed format
-//! of [`psketch_core::codec`], so the published object is exactly the
+//! who read the public pool. These are the messages between them.
+//! Sketch payloads travel in the compact bit-packed format of
+//! [`psketch_core::codec`], so the published object is exactly the
 //! paper's "minuscule" artifact.
 
 use crate::ingest::IngestBatch;
 use psketch_core::{BitSubset, Error, Sketch, UserId};
-use serde::{Deserialize, Serialize};
 
 /// The coordinator's public announcement: everything a user agent needs
 /// to participate.
 ///
 /// Note what is *absent*: there is no per-user state, no secret — the
 /// global key is public (privacy does not rest on it, per Lemma 3.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Announcement {
     /// Database identifier (domain separation across deployments).
     pub database_id: u64,
@@ -57,7 +56,7 @@ impl Announcement {
 /// server holds. Exchanged in the wire-level hello handshake so a router
 /// can verify it is talking to the shard its map says lives at an
 /// address before trusting partial counts from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardIdentity {
     /// This node's shard index, in `0..shard_count`.
     pub shard_id: u32,
@@ -82,7 +81,7 @@ impl std::fmt::Display for ShardIdentity {
 /// A shard holding no sketches for the queried subset reports `(0, 0)` —
 /// its share of the pool is genuinely empty, and merging zeros is a
 /// no-op rather than an error.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryCounts {
     /// Records whose PRF evaluated to 1 for the queried `(B, v)`.
     pub ones: u64,
@@ -92,7 +91,7 @@ pub struct QueryCounts {
 
 /// One user's submission: their id and a bit-packed sketch bundle with
 /// one sketch per announced subset, in announcement order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Submission {
     /// The submitting user.
     pub user: UserId,
@@ -179,7 +178,7 @@ mod tests {
         let sub = Submission {
             user: UserId(9),
             database_id: 7,
-            bundle: encode_bundle(10, &sketches).to_vec(),
+            bundle: encode_bundle(10, &sketches),
             skipped: vec![],
         };
         let decoded = sub.decode(&ann).unwrap();
@@ -194,7 +193,7 @@ mod tests {
         let sub = Submission {
             user: UserId(9),
             database_id: 7,
-            bundle: encode_bundle(10, &[Sketch { key: 5 }, Sketch { key: 6 }]).to_vec(),
+            bundle: encode_bundle(10, &[Sketch { key: 5 }, Sketch { key: 6 }]),
             skipped: vec![1],
         };
         let decoded = sub.decode(&ann).unwrap();
@@ -205,19 +204,11 @@ mod tests {
 
     #[test]
     fn partial_results_roundtrip_serde() {
-        let counts = QueryCounts {
-            ones: 42,
-            population: 1000,
-        };
-        let json = serde_json::to_string(&counts).unwrap();
-        assert_eq!(serde_json::from_str::<QueryCounts>(&json).unwrap(), counts);
         let shard = ShardIdentity {
             shard_id: 2,
             shard_count: 5,
         };
         assert_eq!(shard.to_string(), "2/5");
-        let json = serde_json::to_string(&shard).unwrap();
-        assert_eq!(serde_json::from_str::<ShardIdentity>(&json).unwrap(), shard);
     }
 
     #[test]
@@ -227,7 +218,7 @@ mod tests {
         let sub = Submission {
             user: UserId(1),
             database_id: 8,
-            bundle: encode_bundle(10, &[]).to_vec(),
+            bundle: encode_bundle(10, &[]),
             skipped: vec![],
         };
         assert!(sub.decode(&ann).is_err());
@@ -243,7 +234,7 @@ mod tests {
         let sub = Submission {
             user: UserId(1),
             database_id: 7,
-            bundle: encode_bundle(10, &[Sketch { key: 0 }]).to_vec(),
+            bundle: encode_bundle(10, &[Sketch { key: 0 }]),
             skipped: vec![],
         };
         assert!(sub.decode(&ann).is_err());

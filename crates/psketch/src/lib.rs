@@ -27,7 +27,8 @@
 //!   and the Prometheus-text exposition endpoint.
 //!
 //! See the repository README for a guided tour, `examples/` for runnable
-//! programs and EXPERIMENTS.md for the paper-claim-by-claim validation.
+//! programs and `experiments -- list` (the `psketch-bench` harness) for
+//! the paper-claim-by-claim validation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,13 +11,12 @@
 //! ```
 //!
 //! The payload carries the existing [`psketch_protocol::messages`] types
-//! in a compact hand-rolled binary encoding (the container has no serde
-//! binary backend): integers little-endian, `f64` as IEEE-754 bits,
-//! byte strings and lists length-prefixed with `u32`. Requests flow
-//! client → server, responses flow back; a server that cannot parse or
-//! serve a request answers with an [`Response::Error`] frame instead of
-//! dropping the connection, so one bad query never costs a client its
-//! warm connection.
+//! in a compact hand-rolled binary encoding: integers little-endian,
+//! `f64` as IEEE-754 bits, byte strings and lists length-prefixed with
+//! `u32`. Requests flow client → server, responses flow back; a server
+//! that cannot parse or serve a request answers with an
+//! [`Response::Error`] frame instead of dropping the connection, so one
+//! bad query never costs a client its warm connection.
 //!
 //! Versioning: the version byte sits *outside* the kind so a server can
 //! reject a frame from the future (or the past) with
@@ -2191,7 +2190,7 @@ mod ingest_tests {
                 key: (user * 37 + i * 11) % (1 << bits),
             })
             .collect();
-        encode_bundle(bits, &sketches).to_vec()
+        encode_bundle(bits, &sketches)
     }
 
     fn sub(user: u64, database_id: u64, bundle: Vec<u8>, skipped: Vec<u32>) -> Submission {
