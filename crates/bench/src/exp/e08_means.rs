@@ -7,7 +7,7 @@ use crate::common::{publish, Config};
 use crate::report::{f, Table};
 use psketch_core::{BitSubset, Sketcher};
 use psketch_data::DemographicsModel;
-use psketch_queries::{inner_product_query, mean_query, moment_query, QueryEngine};
+use psketch_queries::{inner_product_plan, mean_plan, moment_plan, QueryEngine, TermPlan};
 
 const EXP: u64 = 8;
 const P: f64 = 0.25;
@@ -29,10 +29,10 @@ pub fn run(cfg: &Config) -> Vec<Table> {
 
     // Subsets: every single bit of both fields, plus every (salary, age)
     // bit pair for the inner product.
-    let mean_salary_q = mean_query(&salary);
-    let mean_age_q = mean_query(&age);
-    let product_q = inner_product_query(&salary, &age);
-    let second_moment_q = moment_query(&salary, 2);
+    let mean_salary_q = mean_plan(&salary);
+    let mean_age_q = mean_plan(&age);
+    let product_q = inner_product_plan(&salary, &age);
+    let second_moment_q = moment_plan(&salary, 2);
     let mut subsets: Vec<BitSubset> = Vec::new();
     subsets.extend(mean_salary_q.required_subsets());
     subsets.extend(mean_age_q.required_subsets());
@@ -43,8 +43,10 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let (db, failures) = publish(&pop, &sketcher, &subsets, &mut rng);
     assert_eq!(failures, 0, "no failures expected at l=10");
 
-    let mut record = |name: &str, truth: f64, lq: &psketch_queries::LinearQuery| {
-        let ans = engine.linear(&db, lq).expect("all subsets published");
+    let mut record = |name: &str, truth: f64, plan: &TermPlan| {
+        let ans = &engine
+            .execute_plan(&db, plan)
+            .expect("all subsets published")[0];
         let rel = (ans.value - truth).abs() / truth.abs().max(1e-9);
         t.row(vec![
             name.to_string(),

@@ -7,7 +7,7 @@ use crate::common::{publish, Config};
 use crate::report::{f, Table};
 use psketch_core::Sketcher;
 use psketch_data::DemographicsModel;
-use psketch_queries::{interval_required_subsets, less_equal_query, QueryEngine};
+use psketch_queries::{interval_required_subsets, less_equal_plan, QueryEngine};
 
 const EXP: u64 = 9;
 const P: f64 = 0.25;
@@ -30,8 +30,9 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let (db, _) = publish(&pop, &sketcher, &subsets, &mut rng);
 
     for &c in &[15u64, 32, 63, 100, 170, 255] {
-        let lq = less_equal_query(&salary, c);
-        let ans = engine.linear(&db, &lq).expect("prefixes published");
+        let ans = &engine
+            .execute_plan(&db, &less_equal_plan(&salary, c))
+            .expect("prefixes published")[0];
         let truth = pop.true_fraction_by(|p| salary.read(p) <= c);
         t.row(vec![
             c.to_string(),

@@ -1,16 +1,14 @@
 //! E10 — §4.1 combined constraints and conditional averages.
 //!
 //! `freq(salary = c ∧ age < d)` via per-set-bit merged conjunctions, and
-//! the conditional mean `avg(age | salary ≤ c)` as a ratio of two linear
-//! queries, exactly as the paper prescribes.
+//! the conditional mean `avg(age | salary ≤ c)` as a ratio of the two
+//! outputs of one plan, exactly as the paper prescribes.
 
 use crate::common::{publish, Config};
 use crate::report::{f, Table};
 use psketch_core::{BitSubset, Sketcher};
 use psketch_data::DemographicsModel;
-use psketch_queries::{
-    conditional_sum_query_inclusive, eq_and_less_than, less_equal_query, QueryEngine,
-};
+use psketch_queries::{conditional_mean_plan, eq_and_less_than_plan, QueryEngine};
 
 const EXP: u64 = 10;
 const P: f64 = 0.25;
@@ -31,11 +29,10 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let cond_cs: Vec<u64> = vec![20, 60, 120];
     let mut subsets: Vec<BitSubset> = Vec::new();
     for &(c, d) in &combos {
-        subsets.extend(eq_and_less_than(&salary, c, &age, d).required_subsets());
+        subsets.extend(eq_and_less_than_plan(&salary, c, &age, d).required_subsets());
     }
     for &c in &cond_cs {
-        subsets.extend(conditional_sum_query_inclusive(&salary, c, &age).required_subsets());
-        subsets.extend(less_equal_query(&salary, c).required_subsets());
+        subsets.extend(conditional_mean_plan(&salary, c, &age).required_subsets());
     }
     subsets.sort();
     subsets.dedup();
@@ -46,13 +43,13 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         &["c", "d", "queries", "truth", "estimate", "|err|"],
     );
     for &(c, d) in &combos {
-        let lq = eq_and_less_than(&salary, c, &age, d);
-        let ans = engine.linear(&db, &lq).expect("subsets published");
+        let plan = eq_and_less_than_plan(&salary, c, &age, d);
+        let ans = &engine.execute_plan(&db, &plan).expect("subsets published")[0];
         let truth = pop.true_fraction_by(|p| salary.read(p) == c && age.read(p) < d);
         t.row(vec![
             c.to_string(),
             d.to_string(),
-            lq.num_queries().to_string(),
+            plan.cost().to_string(),
             f(truth, 4),
             f(ans.value, 4),
             f((ans.value - truth).abs(), 4),
@@ -65,10 +62,8 @@ pub fn run(cfg: &Config) -> Vec<Table> {
         &["c", "truth", "estimate", "|err|"],
     );
     for &c in &cond_cs {
-        let num = conditional_sum_query_inclusive(&salary, c, &age);
-        let den = less_equal_query(&salary, c);
         let est = engine
-            .ratio(&db, &num, &den)
+            .ratio(&db, &conditional_mean_plan(&salary, c, &age))
             .expect("subsets published")
             .unwrap_or(f64::NAN);
         let truth = pop

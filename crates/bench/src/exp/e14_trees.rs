@@ -52,20 +52,20 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let trees = [("hiv+ & !aids", hiv_not_aids()), ("triage", triage())];
     let mut subsets: Vec<BitSubset> = Vec::new();
     for (_, tree) in &trees {
-        subsets.extend(tree.to_linear_query().required_subsets());
+        subsets.extend(tree.to_plan().required_subsets());
     }
     subsets.sort();
     subsets.dedup();
     let (db, _) = publish(&pop, &sketcher, &subsets, &mut rng);
 
     for (name, tree) in &trees {
-        let lq = tree.to_linear_query();
-        let ans = engine.linear(&db, &lq).expect("paths published");
+        let plan = tree.to_plan();
+        let ans = &engine.execute_plan(&db, &plan).expect("paths published")[0];
         let truth = pop.true_fraction_by(|p| tree.evaluate(p));
         t.row(vec![
             (*name).to_string(),
             tree.depth().to_string(),
-            lq.num_queries().to_string(),
+            plan.cost().to_string(),
             f(truth, 4),
             f(ans.value, 4),
             f((ans.value - truth).abs(), 4),

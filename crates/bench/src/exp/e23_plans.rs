@@ -6,7 +6,8 @@
 //!
 //! * **local**: the per-term evaluation (one
 //!   `ConjunctiveEstimator::estimate` scan per term reference, each
-//!   output combined in `LinearQuery` order, duplicates scanned again)
+//!   output combined in its `combination()` order, duplicates scanned
+//!   again)
 //!   against the plan path (`QueryEngine::execute_plan` over the
 //!   batched `count_terms` entry point: a count-table read for each
 //!   subset of at most 6 bits, else one snapshot and one fused scan per
@@ -22,13 +23,16 @@
 use crate::common::Config;
 use crate::report::{f, Table};
 use psketch_cluster::{parallel_ingest, Router, RouterConfig, ShardMap};
-use psketch_core::{BitString, BitSubset, ConjunctiveQuery, IntField, Profile, UserId};
+use psketch_core::{
+    BitString, BitSubset, ConjunctiveEstimator, ConjunctiveQuery, IntField, Profile, SketchDb,
+    UserId,
+};
 use psketch_prf::GlobalKey;
 use psketch_protocol::{
     Announcement, AnnouncementBuilder, Coordinator, ShardIdentity, Submission, UserAgent,
 };
 use psketch_queries as q;
-use psketch_queries::{LinearQuery, QueryEngine, TermPlan};
+use psketch_queries::{QueryEngine, TermPlan};
 use psketch_server::{Server, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -53,11 +57,12 @@ fn families() -> Vec<(&'static str, TermPlan)> {
         q::DecisionTree::split(2, q::DecisionTree::Leaf(true), q::DecisionTree::Leaf(false)),
         q::DecisionTree::split(1, q::DecisionTree::Leaf(false), q::DecisionTree::Leaf(true)),
     );
-    let mut linear = LinearQuery::new("linear");
-    linear.constant = -0.25;
-    linear.push(1.5, clause0.clone());
-    linear.push(-2.0, clause1.clone());
-    linear.push(0.5, clause0.clone());
+    let mut linear = TermPlan::new("linear");
+    linear
+        .begin_output("linear", -0.25)
+        .push_term(1.5, clause0.clone())
+        .push_term(-2.0, clause1.clone())
+        .push_term(0.5, clause0.clone());
     vec![
         (
             "conjunction",
@@ -66,7 +71,7 @@ fn families() -> Vec<(&'static str, TermPlan)> {
             ),
         ),
         ("distribution", TermPlan::for_distribution(&pair)),
-        ("linear", TermPlan::compile(&linear)),
+        ("linear", linear),
         ("dnf", q::dnf_plan(&[clause0, clause1]).unwrap()),
         ("interval", q::range_plan(&a, 1, 2)),
         ("mean", q::mean_plan(&a)),
@@ -84,21 +89,28 @@ fn families() -> Vec<(&'static str, TermPlan)> {
             ])
             .unwrap(),
         ),
+        // Two-output plans: E[a²] and E[a]; numerator and denominator.
+        ("variance", q::variance_plan(&a)),
+        ("cond-mean", q::conditional_mean_plan(&a, 2, &b)),
     ]
 }
 
-/// A plan as one [`LinearQuery`] per output, for the per-term
-/// reference evaluation.
-fn legacy_queries(plan: &TermPlan) -> Vec<LinearQuery> {
+/// The per-term reference evaluation: one
+/// [`ConjunctiveEstimator::estimate`] scan per term reference, each
+/// output combined in its `combination()` order.
+fn per_term_values(
+    estimator: &ConjunctiveEstimator,
+    pool: &SketchDb,
+    plan: &TermPlan,
+) -> Result<Vec<f64>, psketch_core::Error> {
     plan.outputs()
         .iter()
         .map(|out| {
-            let mut lq = LinearQuery::new(out.label.clone());
-            lq.constant = out.constant;
+            let mut value = out.constant;
             for &(coeff, slot) in out.combination() {
-                lq.push(coeff, plan.terms()[slot].clone());
+                value += coeff * estimator.estimate(pool, &plan.terms()[slot])?.fraction;
             }
-            lq
+            Ok(value)
         })
         .collect()
 }
@@ -167,17 +179,10 @@ pub fn run(cfg: &Config) -> Vec<Table> {
     let mut runs: Vec<FamilyRun> = plans
         .iter()
         .map(|(name, plan)| {
-            let lqs = legacy_queries(plan);
             let start = Instant::now();
             let mut legacy = Vec::new();
             for _ in 0..reps {
-                legacy = lqs
-                    .iter()
-                    .map(|lq| {
-                        lq.evaluate_with(|q| Ok(estimator.estimate(oracle.pool(), q)?.fraction))
-                    })
-                    .collect::<Result<Vec<f64>, _>>()
-                    .expect("legacy");
+                legacy = per_term_values(estimator, oracle.pool(), plan).expect("legacy");
             }
             let legacy_ms = start.elapsed().as_secs_f64() * 1e3 / reps as f64;
             let start = Instant::now();

@@ -281,13 +281,30 @@ fn serve(args: &Args) -> Result<(), CliError> {
 }
 
 /// `psketch cluster submit`: simulate user agents, routed by shard.
+fn submit(args: &Args) -> Result<(), CliError> {
+    run_submit(
+        args,
+        &["map", "addrs", "timeout", "retries", "fanout"],
+        load_map,
+    )
+}
+
+/// Simulates user agents through a [`Router`]: the code behind both
+/// `cluster submit` and `submit`, which is the same command over a
+/// 1-shard map of its `--addr` node. `flags` are the command's own
+/// flags besides the population's; `map` reads the shard map. Every
+/// submission is routed to its user's shard in `--batch`-sized chunks.
 /// Per-shard outcomes are reported individually, so a partial ingest
 /// (some shards down) is visible as exactly that — never mistaken for
 /// a total failure.
-fn submit(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&[
-        "map", "addrs", "timeout", "retries", "fanout", "users", "seed", "id-base", "batch",
-    ])?;
+pub fn run_submit(
+    args: &Args,
+    flags: &[&str],
+    map: fn(&Args) -> Result<ShardMap, CliError>,
+) -> Result<(), CliError> {
+    let mut known = flags.to_vec();
+    known.extend_from_slice(&["users", "seed", "id-base", "batch"]);
+    args.reject_unknown(&known)?;
     let users: u64 = args.get_or("users", 1_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let id_base: u64 = args.get_or("id-base", 0)?;
@@ -295,7 +312,7 @@ fn submit(args: &Args) -> Result<(), CliError> {
     if users == 0 || batch == 0 {
         return Err(CliError("--users and --batch must be positive".into()));
     }
-    let mut router = router(args, load_map(args)?)?;
+    let mut router = router(args, map(args)?)?;
     let ann = router.announcement().map_err(err)?;
     let width = announced_width(&ann);
 

@@ -15,7 +15,9 @@
 //! psketch submit [--addr …] [--users 1000] [--seed 1] [--id-base 0]
 //!                [--batch 500] [--timeout 10]
 //!     Simulate N user agents: fetch the announcement, sketch synthetic
-//!     profiles with seeded randomness, submit in batches.
+//!     profiles with seeded randomness, submit in --batch-sized chunks.
+//!     This is `psketch cluster submit` over a 1-shard map holding the
+//!     `--addr` node, so it prints the same per-shard row and summary.
 //!
 //! psketch query conj  --subset 0,1 --value 10 [--addr …] [--timeout 10]
 //! psketch query dist  --subset 0,1            [--addr …]
@@ -39,7 +41,7 @@ use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{Announcement, AnnouncementBuilder, Submission, UserAgent};
 use psketch_server::wal::WalConfig;
 use psketch_server::{Client, Server, ServerConfig};
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::time::Duration;
 
 /// Default service address shared by all three subcommands.
@@ -275,50 +277,10 @@ pub fn synthetic_submissions(
     .collect()
 }
 
-/// `psketch submit`: simulate user agents against a live server.
+/// `psketch submit`: simulate user agents against a live server — the
+/// `cluster submit` code over a 1-shard map of the `--addr` node.
 pub fn submit(args: &Args) -> Result<(), CliError> {
-    args.reject_unknown(&["addr", "timeout", "users", "seed", "id-base", "batch"])?;
-    let users: u64 = args.get_or("users", 1_000)?;
-    let seed: u64 = args.get_or("seed", 1)?;
-    let id_base: u64 = args.get_or("id-base", 0)?;
-    let batch: usize = args.get_or("batch", 500)?;
-    if users == 0 || batch == 0 {
-        return Err(CliError("--users and --batch must be positive".into()));
-    }
-
-    let mut client = connect(args)?;
-    let ann = client.announcement().map_err(err)?;
-    let width = announced_width(&ann);
-
-    // Generate and submit one batch at a time: memory stays flat at the
-    // batch size and the pipeline starts immediately, whatever --users
-    // is.
-    let mut rng = Prg::seed_from_u64(seed);
-    let start = std::time::Instant::now();
-    let mut accepted = 0u64;
-    let mut rejected = 0u64;
-    let mut next = 0u64;
-    while next < users {
-        let chunk_end = (next + batch as u64).min(users);
-        let submissions =
-            synthetic_submissions(&ann, width, &mut rng, id_base + next..id_base + chunk_end)?;
-        let ack = client.submit_batch(&submissions).map_err(err)?;
-        accepted += ack.accepted;
-        rejected += ack.rejected;
-        next = chunk_end;
-    }
-    let secs = start.elapsed().as_secs_f64();
-    println!(
-        "submitted {users} users in batches of {batch}: accepted {accepted}, \
-         rejected {rejected} ({:.0} submissions/s)",
-        accepted as f64 / secs.max(1e-9),
-    );
-    if rejected > 0 {
-        return Err(CliError(format!(
-            "{rejected} submissions rejected (duplicate ids? try --id-base)"
-        )));
-    }
-    Ok(())
+    crate::cluster::run_submit(args, &["addr", "timeout"], single_node_map)
 }
 
 /// `psketch query <conj|dist|mean|interval|dnf|tree|moment|stats|ping>`:
@@ -367,7 +329,8 @@ pub fn query(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The 1-shard map `query` runs over: the `--addr` node, standalone.
+/// The 1-shard map `query` and `submit` run over: the `--addr` node,
+/// standalone.
 fn single_node_map(args: &Args) -> Result<ShardMap, CliError> {
     let addr: String = args.get_or("addr", DEFAULT_ADDR.to_string())?;
     ShardMap::new(0, [addr.as_str()]).map_err(err)

@@ -346,15 +346,31 @@ impl MapReader<'_> {
                 Some(b'r') => '\r',
                 Some(b't') => '\t',
                 Some(b'u') => {
-                    let code = rest
-                        .get(stop + 2..stop + 6)
-                        .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                        .and_then(char::from_u32);
-                    let Some(c) = code else {
+                    // Four hex digits starting at `from`.
+                    let hex4 = |from: usize| {
+                        rest.get(from..from + 4)
+                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    };
+                    let (code, len) = match hex4(stop + 2) {
+                        // A high surrogate must be followed by an escaped
+                        // low one; the pair encodes one non-BMP char.
+                        Some(high @ 0xD800..=0xDBFF) => {
+                            match (rest.get(stop + 6..stop + 8), hex4(stop + 8)) {
+                                (Some("\\u"), Some(low @ 0xDC00..=0xDFFF)) => {
+                                    (0x1_0000 + ((high - 0xD800) << 10) + (low - 0xDC00), 10)
+                                }
+                                _ => return self.fail("unpaired surrogate in \\u escape"),
+                            }
+                        }
+                        Some(code) => (code, 4),
+                        None => return self.fail("invalid \\u escape"),
+                    };
+                    // A lone low surrogate is no char.
+                    let Some(c) = char::from_u32(code) else {
                         return self.fail("invalid \\u escape");
                     };
-                    self.at += 4;
+                    self.at += len;
                     c
                 }
                 _ => return self.fail("invalid escape"),
@@ -475,9 +491,20 @@ mod tests {
             format!(r#"{{"version":1,"shards":[{node}]}} x"#),
             format!(r#"{{"version":1,"shards":[{node}]}}}}"#),
             r#"{"version":1,"shards":[{"id":0,"addr":"a}]}"#.to_string(),
+            // Lone, doubled and reversed UTF-16 surrogate escapes.
+            r#"{"version":1,"shards":[{"id":0,"addr":"\ud834"}]}"#.to_string(),
+            r#"{"version":1,"shards":[{"id":0,"addr":"\ud834x"}]}"#.to_string(),
+            r#"{"version":1,"shards":[{"id":0,"addr":"\ud834\ud834"}]}"#.to_string(),
+            r#"{"version":1,"shards":[{"id":0,"addr":"\udd1e"}]}"#.to_string(),
+            r#"{"version":1,"shards":[{"id":0,"addr":"\udd1e\ud834"}]}"#.to_string(),
         ] {
             assert!(matches!(parse(&raw), ShardMapError::Parse(_)), "{raw}");
         }
+        // An escaped surrogate pair is one non-BMP char (U+1D11E).
+        assert_eq!(
+            ShardMap::from_json(r#"{"version":1,"shards":[{"id":0,"addr":"a\ud834\udd1eb:1"}]}"#),
+            ShardMap::new(1, ["a\u{1D11E}b:1"])
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use psketch_prf::{GlobalKey, Prg};
 use psketch_protocol::{
     Announcement, AnnouncementBuilder, Coordinator, ShardIdentity, Submission, UserAgent,
 };
-use psketch_queries::{LinearAnswer, LinearQuery, QueryEngine, TermPlan};
+use psketch_queries::{LinearAnswer, QueryEngine, TermPlan};
 use psketch_server::{wire, Request, Response, Server, ServerConfig};
 use rand::SeedableRng;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -102,32 +102,37 @@ fn conj_plan(subset: BitSubset, value: BitString) -> TermPlan {
     TermPlan::for_conjunctive(ConjunctiveQuery::new(subset, value).unwrap())
 }
 
-/// The independent reference for linear answers: one
-/// [`ConjunctiveEstimator::estimate`] scan per term reference, combined
-/// in `LinearQuery` order by [`LinearQuery::evaluate_with`].
-/// `queries_used` and `min_sample_size` come from the distinct terms.
+/// The independent reference for plan answers: one
+/// [`ConjunctiveEstimator::estimate`] scan per term reference, each
+/// output combined in its `combination()` order. `queries_used` and
+/// `min_sample_size` come from the distinct terms an output references.
 fn per_term_oracle(
     estimator: &ConjunctiveEstimator,
     pool: &SketchDb,
-    lq: &LinearQuery,
-) -> LinearAnswer {
-    let mut distinct: Vec<ConjunctiveQuery> = Vec::new();
-    let mut min_sample = usize::MAX;
-    let value = lq
-        .evaluate_with(|q| {
-            let e = estimator.estimate(pool, q)?;
-            if !distinct.contains(q) {
-                distinct.push(q.clone());
+    plan: &TermPlan,
+) -> Vec<LinearAnswer> {
+    plan.outputs()
+        .iter()
+        .map(|output| {
+            let mut value = output.constant;
+            let mut distinct: Vec<&ConjunctiveQuery> = Vec::new();
+            let mut min_sample = usize::MAX;
+            for &(coeff, slot) in output.combination() {
+                let query = &plan.terms()[slot];
+                let e = estimator.estimate(pool, query).unwrap();
+                value += coeff * e.fraction;
+                if !distinct.contains(&query) {
+                    distinct.push(query);
+                }
+                min_sample = min_sample.min(e.sample_size);
             }
-            min_sample = min_sample.min(e.sample_size);
-            Ok(e.fraction)
+            LinearAnswer {
+                value,
+                queries_used: distinct.len(),
+                min_sample_size: if distinct.is_empty() { 0 } else { min_sample },
+            }
         })
-        .unwrap();
-    LinearAnswer {
-        value,
-        queries_used: distinct.len(),
-        min_sample_size: if distinct.is_empty() { 0 } else { min_sample },
-    }
+        .collect()
 }
 
 fn fast_router(map: ShardMap) -> Router {
@@ -223,13 +228,13 @@ fn assert_cluster_matches_oracle(user_ids: &[u64], shards: u32, seed: u64) {
     // coefficients: a reordered float sum changes the bits.
     let q0 = ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true])).unwrap();
     let q1 = ConjunctiveQuery::new(BitSubset::single(1), BitString::from_bits(&[true])).unwrap();
-    let mut lq = LinearQuery::new("cluster test");
-    lq.constant = 0.1;
-    lq.push(1.7, q0.clone());
-    lq.push(-0.3, q1);
-    lq.push(0.7, q0);
-    let clustered = router.execute_plan(&TermPlan::compile(&lq)).unwrap();
-    let local = per_term_oracle(&estimator, oracle.pool(), &lq);
+    let mut plan = TermPlan::new("cluster test");
+    plan.begin_output("cluster test", 0.1)
+        .push_term(1.7, q0.clone())
+        .push_term(-0.3, q1)
+        .push_term(0.7, q0);
+    let clustered = router.execute_plan(&plan).unwrap();
+    let local = per_term_oracle(&estimator, oracle.pool(), &plan).remove(0);
     assert_eq!(
         clustered.outputs[0].value.to_bits(),
         local.value.to_bits(),
@@ -291,8 +296,7 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     let b = IntField::new(2, 2);
     let attr = q::CategoricalAttribute::new(a, 3);
 
-    // One plan per family (descriptive label, plan, and the LinearQuery
-    // the per-term oracle evaluates, for single-output families).
+    // One plan per family (descriptive label and plan).
     let clause0 =
         psketch_core::ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true]))
             .unwrap();
@@ -314,79 +318,48 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
             psketch_queries::DecisionTree::Leaf(true),
         ),
     );
-    let mut custom = q::LinearQuery::new("linear family");
-    custom.constant = -0.25;
-    custom.push(1.5, clause0.clone());
-    custom.push(0.5, clause0.clone());
-    custom.push(-2.0, clause1.clone());
+    let mut custom = q::TermPlan::new("linear family");
+    custom
+        .begin_output("linear family", -0.25)
+        .push_term(1.5, clause0.clone())
+        .push_term(0.5, clause0.clone())
+        .push_term(-2.0, clause1.clone());
     let bits_columns = vec![
         (BitSubset::single(0), BitString::from_bits(&[true])),
         (BitSubset::single(3), BitString::from_bits(&[false])),
     ];
-    let mut wide_query = q::LinearQuery::new("wide conjunction");
-    wide_query.push(1.0, wide_clause());
 
-    let families: Vec<(&str, q::TermPlan, Option<q::LinearQuery>)> = vec![
-        (
-            "conjunction",
-            q::TermPlan::for_conjunctive(clause1.clone()),
-            None,
-        ),
-        ("linear", q::TermPlan::compile(&custom), Some(custom)),
-        (
-            "dnf",
-            q::dnf_plan(&[clause0.clone(), clause1.clone()]).unwrap(),
-            Some(q::dnf_query(&[clause0, clause1]).unwrap()),
-        ),
-        (
-            "interval",
-            q::range_plan(&a, 1, 2),
-            Some(q::range_query(&a, 1, 2)),
-        ),
-        ("mean", q::mean_plan(&a), Some(q::mean_query(&a))),
-        (
-            "moment",
-            q::moment_plan(&a, 2),
-            Some(q::moment_query(&a, 2)),
-        ),
-        (
-            "product",
-            q::inner_product_plan(&a, &b),
-            Some(q::inner_product_query(&a, &b)),
-        ),
-        (
-            "combined",
-            q::eq_and_less_than_plan(&a, 2, &b, 3),
-            Some(q::eq_and_less_than(&a, 2, &b, 3)),
-        ),
-        ("tree", tree.to_plan(), Some(tree.to_linear_query())),
-        ("sumlt", q::sum_lt_plan(&a, &b, 2), None),
+    let families: Vec<(&str, q::TermPlan)> = vec![
+        ("conjunction", q::TermPlan::for_conjunctive(clause1.clone())),
+        ("linear", custom),
+        ("dnf", q::dnf_plan(&[clause0, clause1]).unwrap()),
+        ("interval", q::range_plan(&a, 1, 2)),
+        ("mean", q::mean_plan(&a)),
+        ("moment", q::moment_plan(&a, 2)),
+        ("product", q::inner_product_plan(&a, &b)),
+        ("combined", q::eq_and_less_than_plan(&a, 2, &b, 3)),
+        ("tree", tree.to_plan()),
+        ("sumlt", q::sum_lt_plan(&a, &b, 2)),
         // Wider than any count table: scanned on every path.
         (
             "wide conjunction",
             q::TermPlan::for_conjunctive(wide_clause()),
-            Some(wide_query),
         ),
-        ("categorical", q::histogram_plan(&attr), None),
+        ("categorical", q::histogram_plan(&attr)),
         (
             "bits",
             q::perturbed_conjunction_plan(&bits_columns).unwrap(),
-            None,
         ),
         // Multi-output families: variance and the conditional mean
         // share terms across outputs.
-        ("variance", q::variance_plan(&a), None),
-        (
-            "conditional-mean",
-            q::conditional_mean_plan(&a, 2, &b),
-            None,
-        ),
+        ("variance", q::variance_plan(&a)),
+        ("conditional-mean", q::conditional_mean_plan(&a, 2, &b)),
     ];
 
     // The announcement sketches exactly what the plans need.
     let mut subsets: Vec<BitSubset> = families
         .iter()
-        .flat_map(|(_, plan, _)| plan.required_subsets())
+        .flat_map(|(_, plan)| plan.required_subsets())
         .collect();
     subsets.sort();
     subsets.dedup();
@@ -426,18 +399,19 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
     let report = router.submit_batch(&subs).unwrap();
     assert!(report.fully_ingested());
 
-    for (family, plan, direct) in &families {
-        // Local plan path vs the per-term oracle.
+    for (family, plan) in &families {
+        // Local plan path vs the per-term oracle, output by output.
         let local = engine.execute_plan(oracle.pool(), plan).unwrap();
-        if let Some(lq) = direct {
-            let legacy = per_term_oracle(&estimator, oracle.pool(), lq);
+        let legacy = per_term_oracle(&estimator, oracle.pool(), plan);
+        assert_eq!(local.len(), legacy.len(), "{family}");
+        for (l, o) in local.iter().zip(&legacy) {
             assert_eq!(
-                local[0].value.to_bits(),
-                legacy.value.to_bits(),
+                l.value.to_bits(),
+                o.value.to_bits(),
                 "{family}: plan diverged from the per-term oracle"
             );
-            assert_eq!(local[0].queries_used, legacy.queries_used, "{family}");
-            assert_eq!(local[0].min_sample_size, legacy.min_sample_size, "{family}");
+            assert_eq!(l.queries_used, o.queries_used, "{family}");
+            assert_eq!(l.min_sample_size, o.min_sample_size, "{family}");
         }
         // Clustered plan path vs local plan path, output by output.
         let clustered = router.execute_plan(plan).unwrap();
@@ -471,22 +445,18 @@ fn assert_families_match_direct_paths(m: u64, shards: u32, seed: u64) {
 
     // The conditional-mean plan matches the per-term ratio, and so does
     // the engine's ratio.
-    let num = q::conditional_sum_query_inclusive(&a, 2, &b);
-    let den = q::less_equal_query(&a, 2);
-    let (num_o, den_o) = (
-        per_term_oracle(&estimator, oracle.pool(), &num),
-        per_term_oracle(&estimator, oracle.pool(), &den),
-    );
+    let cm_plan = q::conditional_mean_plan(&a, 2, &b);
+    let [num_o, den_o] = &per_term_oracle(&estimator, oracle.pool(), &cm_plan)[..] else {
+        panic!("the conditional mean plan has two outputs");
+    };
     let direct_ratio = (den_o.value > 0.0).then_some(num_o.value / den_o.value);
-    let engine_ratio = engine.ratio(oracle.pool(), &num, &den).unwrap();
+    let engine_ratio = engine.ratio(oracle.pool(), &cm_plan).unwrap();
     assert_eq!(
         engine_ratio.map(f64::to_bits),
         direct_ratio.map(f64::to_bits),
         "engine ratio diverged"
     );
-    let cm = router
-        .execute_plan(&q::conditional_mean_plan(&a, 2, &b))
-        .unwrap();
+    let cm = router.execute_plan(&cm_plan).unwrap();
     let plan_ratio = if cm.outputs[1].value <= 0.0 {
         None
     } else {
@@ -1100,18 +1070,19 @@ fn family_plans() -> Vec<(&'static str, psketch_queries::TermPlan)> {
         q::DecisionTree::split(2, q::DecisionTree::Leaf(true), q::DecisionTree::Leaf(false)),
         q::DecisionTree::split(1, q::DecisionTree::Leaf(false), q::DecisionTree::Leaf(true)),
     );
-    let mut linear = q::LinearQuery::new("linear family");
-    linear.constant = -0.25;
-    linear.push(1.5, clause0.clone());
-    linear.push(0.5, clause0.clone());
-    linear.push(-2.0, clause1.clone());
+    let mut linear = q::TermPlan::new("linear family");
+    linear
+        .begin_output("linear family", -0.25)
+        .push_term(1.5, clause0.clone())
+        .push_term(0.5, clause0.clone())
+        .push_term(-2.0, clause1.clone());
     vec![
         ("conjunction", q::TermPlan::for_conjunctive(clause1.clone())),
         (
             "distribution",
             q::TermPlan::for_distribution(&BitSubset::range(0, 2)),
         ),
-        ("linear", q::TermPlan::compile(&linear)),
+        ("linear", linear),
         ("dnf", q::dnf_plan(&[clause0, clause1]).unwrap()),
         ("interval", q::range_plan(&a, 1, 2)),
         ("mean", q::mean_plan(&a)),

@@ -9,8 +9,8 @@
 //! Run: `cargo run --release --example salary_analytics`
 
 use psketch::queries::{
-    conditional_sum_query_inclusive, eq_and_less_than, interval_required_subsets, less_equal_query,
-    mean_query, mean_required_subsets, QueryEngine,
+    conditional_mean_plan, eq_and_less_than_plan, interval_required_subsets, less_equal_plan,
+    mean_plan, mean_required_subsets, QueryEngine,
 };
 use psketch::{BitSubset, GlobalKey, Prg, SketchParams, Sketcher};
 use psketch_data::DemographicsModel;
@@ -31,14 +31,14 @@ fn main() {
     // The coordinator announces which subsets to sketch: every salary/age
     // bit, every salary prefix, and the merged subsets the combined
     // queries need.
-    let combined_q = eq_and_less_than(&salary, 25, &age, 100);
-    let conditional_num = conditional_sum_query_inclusive(&salary, 60, &age);
+    let combined = eq_and_less_than_plan(&salary, 25, &age, 100);
+    let conditional = conditional_mean_plan(&salary, 60, &age);
     let mut subsets: Vec<BitSubset> = Vec::new();
     subsets.extend(mean_required_subsets(&salary));
     subsets.extend(mean_required_subsets(&age));
     subsets.extend(interval_required_subsets(&salary));
-    subsets.extend(combined_q.required_subsets());
-    subsets.extend(conditional_num.required_subsets());
+    subsets.extend(combined.required_subsets());
+    subsets.extend(conditional.required_subsets());
     subsets.sort();
     subsets.dedup();
     println!("each user sketches {} subsets", subsets.len());
@@ -46,8 +46,7 @@ fn main() {
     println!("database holds {} sketches\n", db.total_records());
 
     // Mean salary: 8 single-bit queries.
-    let lq = mean_query(&salary);
-    let ans = engine.linear(&db, &lq).unwrap();
+    let ans = &engine.execute_plan(&db, &mean_plan(&salary)).unwrap()[0];
     println!(
         "mean(salary):  truth {:8.2}   estimate {:8.2}   ({} queries)",
         pop.true_mean(&salary),
@@ -56,8 +55,9 @@ fn main() {
     );
 
     // Interval: freq(salary <= 60) — popcount(60)+1 queries.
-    let lq = less_equal_query(&salary, 60);
-    let ans = engine.linear(&db, &lq).unwrap();
+    let ans = &engine
+        .execute_plan(&db, &less_equal_plan(&salary, 60))
+        .unwrap()[0];
     let truth = pop.true_fraction_by(|p| salary.read(p) <= 60);
     println!(
         "P[salary<=60]: truth {truth:8.4}   estimate {:8.4}   ({} queries)",
@@ -65,16 +65,15 @@ fn main() {
     );
 
     // Combined: freq(salary = 25 AND age < 100).
-    let ans = engine.linear(&db, &combined_q).unwrap();
+    let ans = &engine.execute_plan(&db, &combined).unwrap()[0];
     let truth = pop.true_fraction_by(|p| salary.read(p) == 25 && age.read(p) < 100);
     println!(
         "P[sal=25,age<100]: truth {truth:.4}   estimate {:.4}   ({} queries)",
         ans.value, ans.queries_used
     );
 
-    // Conditional mean: avg(age | salary <= 60) as a ratio query.
-    let den = less_equal_query(&salary, 60);
-    let est = engine.ratio(&db, &conditional_num, &den).unwrap().unwrap();
+    // Conditional mean: avg(age | salary <= 60) as a two-output ratio plan.
+    let est = engine.ratio(&db, &conditional).unwrap().unwrap();
     let truth = pop.true_conditional_mean(&salary, 60, &age).unwrap();
     println!("avg(age | salary<=60): truth {truth:8.2}   estimate {est:8.2}");
 

@@ -76,19 +76,19 @@ fn main() {
         ),
         DecisionTree::split(4, DecisionTree::Leaf(false), DecisionTree::Leaf(true)),
     );
-    let lq = tree.to_linear_query();
+    let plan = tree.to_plan();
     // The tree's paths live inside the sketched lifestyle subset? No —
     // each path is its own conjunction on single attributes; publish the
     // needed subsets too (in a real deployment the coordinator announces
     // them up front).
-    let needed = lq.required_subsets();
+    let needed = plan.required_subsets();
     pop.publish_all(&sketcher, &needed, &db, &mut rng).unwrap();
-    let ans = engine.linear(&db, &lq).unwrap();
+    let ans = &engine.execute_plan(&db, &plan).unwrap()[0];
     let tree_truth = pop.true_fraction_by(|p| tree.evaluate(p));
     println!(
         "\ndecision-tree cohort (depth {}, {} paths):",
         tree.depth(),
-        lq.num_queries()
+        plan.cost()
     );
     println!("  truth    : {tree_truth:.4}");
     println!("  estimate : {:.4}", ans.value);

@@ -3,20 +3,27 @@
 
 use proptest::prelude::*;
 use psketch::queries::{
-    eq_and_less_than, less_equal_query, less_than_query, mean_query, range_query, DecisionTree,
+    eq_and_less_than_plan, less_equal_plan, less_than_plan, mean_plan, range_plan, DecisionTree,
+    TermPlan,
 };
-use psketch::{ConjunctiveQuery, IntField, Profile};
+use psketch::{Estimate, IntField, Profile};
 
-/// Evaluates a linear query against an explicit value population, exactly.
-fn exact_eval(lq: &psketch::queries::LinearQuery, profiles: &[Profile]) -> f64 {
-    lq.evaluate_with(|q: &ConjunctiveQuery| {
-        Ok(profiles
-            .iter()
-            .filter(|p| p.satisfies(q.subset(), q.value()))
-            .count() as f64
-            / profiles.len() as f64)
-    })
-    .unwrap()
+/// Evaluates a one-output plan against an explicit population, exactly:
+/// each term's estimate is its satisfying fraction (an Algorithm 2
+/// inversion at `p = 0` is the identity).
+fn exact_eval(plan: &TermPlan, profiles: &[Profile]) -> f64 {
+    let estimates: Vec<Estimate> = plan
+        .terms()
+        .iter()
+        .map(|q| {
+            let hits = profiles
+                .iter()
+                .filter(|p| p.satisfies(q.subset(), q.value()))
+                .count();
+            Estimate::from_counts(hits as u64, profiles.len() as u64, 0.0)
+        })
+        .collect();
+    plan.evaluate(&estimates).unwrap()[0].value
 }
 
 fn profiles_for(values: &[u64], field: &IntField) -> Vec<Profile> {
@@ -31,14 +38,14 @@ fn profiles_for(values: &[u64], field: &IntField) -> Vec<Profile> {
 }
 
 proptest! {
-    /// mean_query is exact on any population under an exact oracle.
+    /// mean_plan is exact on any population under an exact oracle.
     #[test]
     fn mean_compilation_is_exact(
         values in proptest::collection::vec(0u64..256, 1..40),
     ) {
         let field = IntField::new(0, 8);
         let profiles = profiles_for(&values, &field);
-        let got = exact_eval(&mean_query(&field), &profiles);
+        let got = exact_eval(&mean_plan(&field), &profiles);
         let expected = values.iter().sum::<u64>() as f64 / values.len() as f64;
         prop_assert!((got - expected).abs() < 1e-9);
     }
@@ -51,8 +58,8 @@ proptest! {
     ) {
         let field = IntField::new(0, 6);
         let profiles = profiles_for(&values, &field);
-        let lt = exact_eval(&less_than_query(&field, c), &profiles);
-        let le = exact_eval(&less_equal_query(&field, c), &profiles);
+        let lt = exact_eval(&less_than_plan(&field, c), &profiles);
+        let le = exact_eval(&less_equal_plan(&field, c), &profiles);
         let expected_lt = values.iter().filter(|&&v| v < c).count() as f64 / values.len() as f64;
         let expected_le = values.iter().filter(|&&v| v <= c).count() as f64 / values.len() as f64;
         prop_assert!((lt - expected_lt).abs() < 1e-9);
@@ -69,7 +76,7 @@ proptest! {
         let (lo, hi) = (x.min(y), x.max(y));
         let field = IntField::new(0, 5);
         let profiles = profiles_for(&values, &field);
-        let got = exact_eval(&range_query(&field, lo, hi), &profiles);
+        let got = exact_eval(&range_plan(&field, lo, hi), &profiles);
         let expected = values.iter().filter(|&&v| v >= lo && v <= hi).count() as f64
             / values.len() as f64;
         prop_assert!((got - expected).abs() < 1e-9);
@@ -93,7 +100,7 @@ proptest! {
                 p
             })
             .collect();
-        let got = exact_eval(&eq_and_less_than(&a, c, &b, d), &profiles);
+        let got = exact_eval(&eq_and_less_than_plan(&a, c, &b, d), &profiles);
         let expected = pairs.iter().filter(|&&(x, y)| x == c && y < d).count() as f64
             / pairs.len() as f64;
         prop_assert!((got - expected).abs() < 1e-9);
@@ -115,7 +122,7 @@ fn decision_tree_linear_query_equals_direct_evaluation() {
     let profiles: Vec<Profile> = (0..16u64)
         .map(|v| Profile::from_bits(&[v & 1 == 1, v & 2 == 2, v & 4 == 4, v & 8 == 8]))
         .collect();
-    let got = exact_eval(&tree.to_linear_query(), &profiles);
+    let got = exact_eval(&tree.to_plan(), &profiles);
     let expected = profiles.iter().filter(|p| tree.evaluate(p)).count() as f64 / 16.0;
     assert!((got - expected).abs() < 1e-12);
 }

@@ -72,8 +72,8 @@ pub fn merge_constraints(constraints: &[Constraint]) -> Result<Option<Conjunctiv
 
 /// Compiles a conjunction of heterogeneous constraints into a
 /// [`TermPlan`](crate::plan::TermPlan): a single merged term, or a
-/// constant-zero output when the constraints contradict (no query is
-/// issued, and a serving node charges nothing for it).
+/// constant-zero output when the constraints contradict (no term, so
+/// answering it takes no count read).
 ///
 /// # Errors
 ///

@@ -12,14 +12,15 @@
 //! [`CombinedEstimator`](psketch_core::CombinedEstimator) instead.
 
 use crate::conjunction::{merge_constraints, Constraint};
-use crate::linear::LinearQuery;
+use crate::plan::TermPlan;
 use psketch_core::{ConjunctiveQuery, Error};
 
 /// Maximum clause count (the expansion is `2^t − 1` terms).
 pub const MAX_CLAUSES: usize = 12;
 
-/// Compiles `freq(C₁ ∨ … ∨ C_t)` into a signed linear query by
-/// inclusion–exclusion.
+/// Compiles `freq(C₁ ∨ … ∨ C_t)` into a one-output [`TermPlan`] by
+/// inclusion–exclusion: one signed term per non-contradictory
+/// intersection, deduplicated at compile time.
 ///
 /// # Errors
 ///
@@ -28,7 +29,7 @@ pub const MAX_CLAUSES: usize = 12;
 /// # Panics
 ///
 /// Panics for an empty clause list or more than [`MAX_CLAUSES`] clauses.
-pub fn dnf_query(clauses: &[ConjunctiveQuery]) -> Result<LinearQuery, Error> {
+pub fn dnf_plan(clauses: &[ConjunctiveQuery]) -> Result<TermPlan, Error> {
     assert!(!clauses.is_empty(), "DNF needs at least one clause");
     assert!(
         clauses.len() <= MAX_CLAUSES,
@@ -36,7 +37,7 @@ pub fn dnf_query(clauses: &[ConjunctiveQuery]) -> Result<LinearQuery, Error> {
         clauses.len()
     );
     let t = clauses.len();
-    let mut lq = LinearQuery::new(format!("DNF of {t} clauses"));
+    let mut plan = TermPlan::single_output(format!("DNF of {t} clauses"));
     for mask in 1u32..(1 << t) {
         let sign = if mask.count_ones() % 2 == 1 {
             1.0
@@ -47,31 +48,12 @@ pub fn dnf_query(clauses: &[ConjunctiveQuery]) -> Result<LinearQuery, Error> {
             .filter(|&i| mask & (1 << i) != 0)
             .map(|i| Constraint::new(clauses[i].subset().clone(), clauses[i].value().clone()))
             .collect::<Result<_, _>>()?;
-        match merge_constraints(&constraints)? {
-            Some(q) => {
-                lq.push(sign, q);
-            }
-            None => {
-                lq.push_zero(sign);
-            }
+        // A contradictory intersection has frequency exactly 0: no term.
+        if let Some(q) = merge_constraints(&constraints)? {
+            plan.push_term(sign, q);
         }
     }
-    Ok(lq)
-}
-
-/// Compiles `freq(C₁ ∨ … ∨ C_t)` into a
-/// [`TermPlan`](crate::plan::TermPlan) — the inclusion–exclusion
-/// expansion with intersections deduplicated at compile time.
-///
-/// # Errors
-///
-/// As [`dnf_query`].
-///
-/// # Panics
-///
-/// As [`dnf_query`].
-pub fn dnf_plan(clauses: &[ConjunctiveQuery]) -> Result<crate::plan::TermPlan, Error> {
-    Ok(crate::plan::TermPlan::compile(&dnf_query(clauses)?))
+    Ok(plan)
 }
 
 /// Every subset the DNF evaluation needs sketched (the union subsets of
@@ -79,16 +61,17 @@ pub fn dnf_plan(clauses: &[ConjunctiveQuery]) -> Result<crate::plan::TermPlan, E
 ///
 /// # Errors
 ///
-/// As [`dnf_query`].
+/// As [`dnf_plan`].
 pub fn dnf_required_subsets(
     clauses: &[ConjunctiveQuery],
 ) -> Result<Vec<psketch_core::BitSubset>, Error> {
-    Ok(dnf_query(clauses)?.required_subsets())
+    Ok(dnf_plan(clauses)?.required_subsets())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::exact_values;
     use psketch_core::{BitString, BitSubset, Profile};
     use psketch_prf::Prg;
     use rand::{RngExt, SeedableRng};
@@ -101,15 +84,8 @@ mod tests {
         .unwrap()
     }
 
-    fn exact_eval(lq: &LinearQuery, profiles: &[Profile]) -> f64 {
-        lq.evaluate_with(|q| {
-            Ok(profiles
-                .iter()
-                .filter(|p| p.satisfies(q.subset(), q.value()))
-                .count() as f64
-                / profiles.len() as f64)
-        })
-        .unwrap()
+    fn exact_eval(plan: &TermPlan, profiles: &[Profile]) -> f64 {
+        exact_values(plan, profiles)[0]
     }
 
     fn cube(bits: usize) -> Vec<Profile> {
@@ -122,7 +98,7 @@ mod tests {
     fn single_clause_is_identity() {
         let c = clause(&[0, 1], &[true, false]);
         let profiles = cube(3);
-        let got = exact_eval(&dnf_query(std::slice::from_ref(&c)).unwrap(), &profiles);
+        let got = exact_eval(&dnf_plan(std::slice::from_ref(&c)).unwrap(), &profiles);
         let expected = profiles
             .iter()
             .filter(|p| p.satisfies(c.subset(), c.value()))
@@ -139,7 +115,7 @@ mod tests {
             clause(&[3], &[false]),
         ];
         let profiles = cube(4);
-        let got = exact_eval(&dnf_query(&clauses).unwrap(), &profiles);
+        let got = exact_eval(&dnf_plan(&clauses).unwrap(), &profiles);
         let expected = profiles
             .iter()
             .filter(|p| clauses.iter().any(|c| p.satisfies(c.subset(), c.value())))
@@ -152,13 +128,13 @@ mod tests {
     fn contradictory_intersections_cost_no_queries() {
         // C1: x0 = 1; C2: x0 = 0 — their intersection is empty.
         let clauses = vec![clause(&[0], &[true]), clause(&[0], &[false])];
-        let lq = dnf_query(&clauses).unwrap();
-        // Terms: C1, C2 (queried) and C1∧C2 (zero term).
-        assert_eq!(lq.num_queries(), 2);
-        assert_eq!(lq.terms().len(), 3);
+        let plan = dnf_plan(&clauses).unwrap();
+        // Terms: C1 and C2; C1∧C2 contributes nothing.
+        assert_eq!(plan.cost(), 2);
+        assert_eq!(plan.outputs()[0].combination().len(), 2);
         let profiles = cube(2);
         // x0=1 ∨ x0=0 is a tautology.
-        assert!((exact_eval(&lq, &profiles) - 1.0).abs() < 1e-12);
+        assert!((exact_eval(&plan, &profiles) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -181,7 +157,7 @@ mod tests {
                     clause(&positions, &bits)
                 })
                 .collect();
-            let got = exact_eval(&dnf_query(&clauses).unwrap(), &profiles);
+            let got = exact_eval(&dnf_plan(&clauses).unwrap(), &profiles);
             let expected = profiles
                 .iter()
                 .filter(|p| clauses.iter().any(|c| p.satisfies(c.subset(), c.value())))
@@ -203,6 +179,6 @@ mod tests {
     #[should_panic(expected = "impractical")]
     fn too_many_clauses_rejected() {
         let clauses: Vec<ConjunctiveQuery> = (0..13u32).map(|i| clause(&[i], &[true])).collect();
-        let _ = dnf_query(&clauses);
+        let _ = dnf_plan(&clauses);
     }
 }

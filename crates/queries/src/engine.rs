@@ -3,13 +3,12 @@
 //! [`QueryEngine`] is the analyst-facing façade: it owns an Algorithm 2
 //! estimator and answers every query through one path,
 //! [`QueryEngine::execute_plan`] over the [`TermPlan`] IR the §4.1
-//! compilers produce. A linear query runs as a one-output plan and a
-//! ratio (conditional mean) as a two-output plan. The engine also keeps
+//! compilers produce; a ratio (conditional mean) is a two-output plan
+//! divided by [`QueryEngine::ratio`]. The engine also keeps
 //! running plan counters ([`EngineStatsSnapshot`]) so operators can see
 //! how many terms plans count and how many term references
 //! deduplication serves without a count of their own.
 
-use crate::linear::LinearQuery;
 use crate::plan::{PlanAccumulator, TermPlan};
 use psketch_core::{ConjunctiveEstimator, ConjunctiveQuery, Error, SketchDb, SketchParams};
 use psketch_obs as obs;
@@ -41,7 +40,7 @@ pub struct EngineStatsSnapshot {
     pub plans_executed: u64,
 }
 
-/// The result of evaluating a linear query against sketches.
+/// The value of one plan output evaluated against sketches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearAnswer {
     /// The estimated value.
@@ -164,21 +163,10 @@ impl QueryEngine {
         counts
     }
 
-    /// Evaluates a linear query: the weighted sum of unbiased conjunctive
-    /// estimates plus the constant, run as the one-output plan
-    /// [`TermPlan::compile`] makes of it (duplicate terms counted once).
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryEngine::execute_plan`].
-    pub fn linear(&self, db: &SketchDb, lq: &LinearQuery) -> Result<LinearAnswer, Error> {
-        let mut answers = self.execute_plan(db, &TermPlan::compile(lq))?;
-        Ok(answers.swap_remove(0))
-    }
-
-    /// Evaluates a ratio of two linear queries (e.g. a conditional mean:
-    /// `E[b·1{a≤c}] / freq(a≤c)`) as one two-output plan, so numerator
-    /// and denominator share their terms.
+    /// Evaluates a ratio plan — output 0 over output 1, such as
+    /// [`conditional_mean_plan`](crate::combined::conditional_mean_plan)'s
+    /// `E[b·1{a≤c}] / freq(a≤c)` — in one execution, so numerator and
+    /// denominator share their terms.
     ///
     /// Returns `None` when the denominator estimate is not positive — the
     /// conditioning event looks empty at this noise level, so no
@@ -186,53 +174,59 @@ impl QueryEngine {
     ///
     /// # Errors
     ///
-    /// As [`QueryEngine::execute_plan`].
-    pub fn ratio(
-        &self,
-        db: &SketchDb,
-        numerator: &LinearQuery,
-        denominator: &LinearQuery,
-    ) -> Result<Option<f64>, Error> {
-        let plan = TermPlan::from_queries("ratio", [numerator, denominator]);
-        let answers = self.execute_plan(db, &plan)?;
-        let (num, den) = (answers[0].value, answers[1].value);
-        Ok((den > 0.0).then_some(num / den))
+    /// As [`QueryEngine::execute_plan`], and [`Error::Codec`] unless the
+    /// plan has exactly two outputs.
+    pub fn ratio(&self, db: &SketchDb, plan: &TermPlan) -> Result<Option<f64>, Error> {
+        match self.execute_plan(db, plan)?.as_slice() {
+            [num, den] => Ok((den.value > 0.0).then_some(num.value / den.value)),
+            answers => Err(Error::Codec {
+                reason: format!("a ratio plan has 2 outputs, not {}", answers.len()),
+            }),
+        }
     }
 }
 
 /// The independent reference the plan path is checked against: one
-/// [`ConjunctiveEstimator::estimate`] scan per term reference, combined
-/// in `LinearQuery` order by [`LinearQuery::evaluate_with`].
-/// `queries_used` and `min_sample_size` come from the distinct terms.
+/// [`ConjunctiveEstimator::estimate`] scan per term reference, each output
+/// combined in its [`combination`](crate::plan::PlanOutput::combination)
+/// order. `queries_used` and `min_sample_size` come from the distinct
+/// terms an output references.
 #[cfg(test)]
 pub(crate) fn per_term_oracle(
     estimator: &ConjunctiveEstimator,
     db: &SketchDb,
-    lq: &LinearQuery,
-) -> Result<LinearAnswer, Error> {
-    let mut distinct: Vec<ConjunctiveQuery> = Vec::new();
-    let mut min_sample = usize::MAX;
-    let value = lq.evaluate_with(|q| {
-        let e = estimator.estimate(db, q)?;
-        if !distinct.contains(q) {
-            distinct.push(q.clone());
-        }
-        min_sample = min_sample.min(e.sample_size);
-        Ok(e.fraction)
-    })?;
-    Ok(LinearAnswer {
-        value,
-        queries_used: distinct.len(),
-        min_sample_size: if distinct.is_empty() { 0 } else { min_sample },
-    })
+    plan: &TermPlan,
+) -> Result<Vec<LinearAnswer>, Error> {
+    plan.outputs()
+        .iter()
+        .map(|output| {
+            let mut value = output.constant;
+            let mut distinct: Vec<&ConjunctiveQuery> = Vec::new();
+            let mut min_sample = usize::MAX;
+            for &(coeff, slot) in output.combination() {
+                let query = &plan.terms()[slot];
+                let e = estimator.estimate(db, query)?;
+                value += coeff * e.fraction;
+                if !distinct.contains(&query) {
+                    distinct.push(query);
+                }
+                min_sample = min_sample.min(e.sample_size);
+            }
+            Ok(LinearAnswer {
+                value,
+                queries_used: distinct.len(),
+                min_sample_size: if distinct.is_empty() { 0 } else { min_sample },
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{interval_required_subsets, less_equal_query};
-    use crate::mean::{mean_query, mean_required_subsets};
-    use crate::moment::{variance_plan, variance_queries};
+    use crate::interval::{interval_required_subsets, less_equal_plan};
+    use crate::mean::{mean_plan, mean_required_subsets};
+    use crate::moment::variance_plan;
     use psketch_core::{BitString, BitSubset, IntField, Profile, Sketcher, UserId};
     use psketch_data::{DemographicsModel, FieldDistribution, Population};
     use psketch_prf::{GlobalKey, Prg};
@@ -271,7 +265,7 @@ mod tests {
     fn mean_through_sketches() {
         let (params, db, pop, field) = setup(0.25, 20_000);
         let engine = QueryEngine::new(params);
-        let ans = engine.linear(&db, &mean_query(&field)).unwrap();
+        let ans = &engine.execute_plan(&db, &mean_plan(&field)).unwrap()[0];
         let truth = pop.true_mean(&field);
         assert_eq!(ans.queries_used, 6);
         assert_eq!(ans.min_sample_size, 20_000);
@@ -287,7 +281,9 @@ mod tests {
         let (params, db, pop, field) = setup(0.25, 20_000);
         let engine = QueryEngine::new(params);
         for c in [10u64, 31, 50] {
-            let ans = engine.linear(&db, &less_equal_query(&field, c)).unwrap();
+            let ans = &engine
+                .execute_plan(&db, &less_equal_plan(&field, c))
+                .unwrap()[0];
             let truth = pop.true_fraction_by(|p| field.read(p) <= c);
             assert!(
                 (ans.value - truth).abs() < 0.06,
@@ -301,11 +297,15 @@ mod tests {
     fn ratio_none_on_empty_event() {
         let (params, db, _pop, field) = setup(0.3, 5_000);
         let engine = QueryEngine::new(params);
-        // Denominator: a constant-zero linear query.
-        let num = mean_query(&field);
-        let mut den = LinearQuery::new("empty event");
-        den.constant = 0.0;
-        assert_eq!(engine.ratio(&db, &num, &den).unwrap(), None);
+        // Denominator: a constant-zero output.
+        let mut plan = mean_plan(&field);
+        plan.begin_output("empty event", 0.0);
+        assert_eq!(engine.ratio(&db, &plan).unwrap(), None);
+        // A ratio needs exactly two outputs.
+        assert!(matches!(
+            engine.ratio(&db, &mean_plan(&field)),
+            Err(Error::Codec { .. })
+        ));
     }
 
     #[test]
@@ -313,11 +313,12 @@ mod tests {
         let (params, db, _pop, field) = setup(0.3, 2_000);
         let engine = QueryEngine::new(params);
         let q = ConjunctiveQuery::new(field.bit_subset(1), BitString::from_bits(&[true])).unwrap();
-        let mut lq = LinearQuery::new("repeated term");
-        lq.push(1.0, q.clone());
-        lq.push(2.0, q.clone());
-        lq.push(-0.5, q);
-        let ans = engine.linear(&db, &lq).unwrap();
+        let mut plan = TermPlan::new("repeated term");
+        plan.begin_output("repeated term", 0.0)
+            .push_term(1.0, q.clone())
+            .push_term(2.0, q.clone())
+            .push_term(-0.5, q);
+        let ans = &engine.execute_plan(&db, &plan).unwrap()[0];
         // Three references, one distinct term.
         assert_eq!(ans.queries_used, 1);
         assert_eq!(ans.min_sample_size, 2_000);
@@ -339,14 +340,13 @@ mod tests {
     fn plan_execution_matches_linear_and_counts_stats() {
         let (params, db, _pop, field) = setup(0.25, 3_000);
         let engine = QueryEngine::new(params);
-        let mq = mean_query(&field);
-        let legacy = per_term_oracle(engine.estimator(), &db, &mq).unwrap();
+        let plan = mean_plan(&field);
+        let legacy = per_term_oracle(engine.estimator(), &db, &plan).unwrap();
         let before = engine.stats();
-        let plan = crate::plan::TermPlan::compile(&mq);
         let answers = engine.execute_plan(&db, &plan).unwrap();
-        assert_eq!(answers[0].value.to_bits(), legacy.value.to_bits());
-        assert_eq!(answers[0].queries_used, legacy.queries_used);
-        assert_eq!(answers[0].min_sample_size, legacy.min_sample_size);
+        assert_eq!(answers[0].value.to_bits(), legacy[0].value.to_bits());
+        assert_eq!(answers[0].queries_used, legacy[0].queries_used);
+        assert_eq!(answers[0].min_sample_size, legacy[0].min_sample_size);
         let after = engine.stats();
         assert_eq!(after.plans_executed, before.plans_executed + 1);
         assert_eq!(after.terms_scanned, before.terms_scanned + 6);
@@ -373,15 +373,14 @@ mod tests {
             after.terms_reused,
             before.terms_reused + references - distinct
         );
-        let (m2, m1) = variance_queries(&field);
+        let legacy = per_term_oracle(engine.estimator(), &db, &plan).unwrap();
         assert_eq!(answers.len(), 2);
-        for (answer, lq) in answers.iter().zip([&m2, &m1]) {
-            let legacy = per_term_oracle(engine.estimator(), &db, lq).unwrap();
+        for ((answer, legacy), output) in answers.iter().zip(&legacy).zip(plan.outputs()) {
             assert_eq!(
                 answer.value.to_bits(),
                 legacy.value.to_bits(),
                 "{}",
-                lq.description
+                output.label
             );
         }
     }
@@ -395,7 +394,7 @@ mod tests {
             BitString::from_bits(&[true]),
         )
         .unwrap();
-        let plan = crate::plan::TermPlan::for_conjunctive(q);
+        let plan = TermPlan::for_conjunctive(q);
         assert!(matches!(
             engine.execute_plan(&db, &plan),
             Err(Error::UnknownSubset { .. })
@@ -411,10 +410,13 @@ mod tests {
             BitString::from_bits(&[true]),
         )
         .unwrap();
-        let mut lq = LinearQuery::new("unknown subset");
-        lq.push(1.0, q);
+        // Through the ratio path: numerator and denominator share it.
+        let mut plan = TermPlan::new("unknown subset");
+        plan.begin_output("numerator", 0.0)
+            .push_term(1.0, q.clone());
+        plan.begin_output("denominator", 1.0).push_term(1.0, q);
         assert!(matches!(
-            engine.linear(&db, &lq),
+            engine.ratio(&db, &plan),
             Err(Error::UnknownSubset { .. })
         ));
     }
@@ -446,15 +448,16 @@ mod tests {
         };
 
         let engine = QueryEngine::new(params);
-        let mut num = LinearQuery::new("tabled + scanned");
-        num.constant = 0.125;
-        num.push(1.5, term(&narrow, 1));
-        num.push(-0.75, term(&wide, 0xA5));
-        num.push(2.0, term(&narrow, 1));
-        num.push_zero(3.0);
-        num.push(0.5, term(&narrow, 3));
-        let oracle = per_term_oracle(engine.estimator(), &db, &num).unwrap();
-        let answer = engine.linear(&db, &num).unwrap();
+        let mut num = TermPlan::new("tabled + scanned");
+        num.begin_output("tabled + scanned", 0.125)
+            .push_term(1.5, term(&narrow, 1))
+            .push_term(-0.75, term(&wide, 0xA5))
+            .push_term(2.0, term(&narrow, 1))
+            .push_term(0.5, term(&narrow, 3));
+        let oracle = per_term_oracle(engine.estimator(), &db, &num)
+            .unwrap()
+            .remove(0);
+        let answer = engine.execute_plan(&db, &num).unwrap().remove(0);
         assert_eq!(answer.value.to_bits(), oracle.value.to_bits());
         assert_eq!(answer.queries_used, 3);
         assert_eq!(answer.queries_used, oracle.queries_used);
@@ -462,17 +465,18 @@ mod tests {
 
         // The denominator shares the wide term and adds one of its own:
         // four distinct terms over six references, counted in one plan.
-        let mut den = LinearQuery::new("denominator");
-        den.constant = 0.5;
-        den.push(1.0, term(&narrow, 0));
-        den.push(1.0, term(&wide, 0xA5));
+        let mut ratio_plan = num.clone();
+        ratio_plan
+            .begin_output("denominator", 0.5)
+            .push_term(1.0, term(&narrow, 0))
+            .push_term(1.0, term(&wide, 0xA5));
         let before = engine.stats();
-        let ratio = engine.ratio(&db, &num, &den).unwrap();
+        let ratio = engine.ratio(&db, &ratio_plan).unwrap();
         let after = engine.stats();
         assert_eq!(after.plans_executed, before.plans_executed + 1);
         assert_eq!(after.terms_scanned, before.terms_scanned + 4);
         assert_eq!(after.terms_reused, before.terms_reused + 2);
-        let den_oracle = per_term_oracle(engine.estimator(), &db, &den).unwrap();
+        let den_oracle = &per_term_oracle(engine.estimator(), &db, &ratio_plan).unwrap()[1];
         let expected = (den_oracle.value > 0.0).then_some(oracle.value / den_oracle.value);
         assert_eq!(ratio.map(f64::to_bits), expected.map(f64::to_bits));
         assert!(ratio.is_some(), "the denominator is at least 0.5 in truth");
@@ -482,15 +486,17 @@ mod tests {
         // reports the unknown subset first.
         let empty = BitSubset::range(8, 2);
         db.insert_columns(empty.clone(), Vec::new(), Vec::new());
-        let mut mixed = LinearQuery::new("empty then unknown");
-        mixed.push(1.0, term(&empty, 0));
-        mixed.push(1.0, term(&BitSubset::single(77), 1));
+        let mut mixed = TermPlan::new("empty then unknown");
+        mixed
+            .begin_output("empty then unknown", 0.0)
+            .push_term(1.0, term(&empty, 0))
+            .push_term(1.0, term(&BitSubset::single(77), 1));
         assert!(matches!(
             per_term_oracle(engine.estimator(), &db, &mixed),
             Err(Error::EmptyDatabase)
         ));
         assert!(matches!(
-            engine.linear(&db, &mixed),
+            engine.execute_plan(&db, &mixed),
             Err(Error::UnknownSubset { .. })
         ));
     }

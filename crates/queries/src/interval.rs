@@ -11,19 +11,59 @@
 //! of c". (The paper writes `≤ c` but its decomposition is the strict
 //! form; `≤` adds the single equality query `I(A, c)`. Both are provided.)
 
-use crate::linear::LinearQuery;
+use crate::plan::TermPlan;
 use psketch_core::{ConjunctiveQuery, IntField};
 
-/// Compiles `freq(a < c)` into popcount(c) prefix conjunctions.
+/// Compiles `freq(a < c)` into a one-output [`TermPlan`] of popcount(c)
+/// prefix conjunctions.
 ///
 /// # Panics
 ///
 /// Panics if `c > field.max_value()`.
 #[must_use]
-pub fn less_than_query(field: &IntField, c: u64) -> LinearQuery {
+pub fn less_than_plan(field: &IntField, c: u64) -> TermPlan {
+    let mut plan = TermPlan::single_output(format!("freq(field@{} < {c})", field.offset()));
+    push_less_than(&mut plan, field, c, 1.0);
+    plan
+}
+
+/// Compiles `freq(a ≤ c)`: the strict decomposition plus the equality
+/// query `I(A, c)`.
+///
+/// # Panics
+///
+/// Panics if `c > field.max_value()`.
+#[must_use]
+pub fn less_equal_plan(field: &IntField, c: u64) -> TermPlan {
+    let mut plan = TermPlan::single_output(less_equal_label(field, c));
+    push_less_equal(&mut plan, field, c, 1.0);
+    plan
+}
+
+/// Compiles `freq(lo ≤ a ≤ hi)` as `freq(a ≤ hi) − freq(a < lo)`.
+///
+/// # Panics
+///
+/// Panics unless `lo ≤ hi ≤ field.max_value()`.
+#[must_use]
+pub fn range_plan(field: &IntField, lo: u64, hi: u64) -> TermPlan {
+    assert!(lo <= hi, "empty range");
+    let mut plan =
+        TermPlan::single_output(format!("freq({lo} <= field@{} <= {hi})", field.offset()));
+    push_less_equal(&mut plan, field, hi, 1.0);
+    push_less_than(&mut plan, field, lo, -1.0);
+    plan
+}
+
+pub(crate) fn less_equal_label(field: &IntField, c: u64) -> String {
+    format!("freq(field@{} <= {c})", field.offset())
+}
+
+/// Pushes the popcount(c) prefix terms of `freq(a < c)`, each weighted
+/// `coeff`, onto the plan's current output.
+fn push_less_than(plan: &mut TermPlan, field: &IntField, c: u64, coeff: f64) {
     assert!(c <= field.max_value(), "threshold exceeds field range");
     let k = field.width();
-    let mut lq = LinearQuery::new(format!("freq(field@{} < {c})", field.offset()));
     for i in 1..=k {
         let ci = (c >> (k - i)) & 1;
         if ci == 0 {
@@ -34,81 +74,17 @@ pub fn less_than_query(field: &IntField, c: u64) -> LinearQuery {
         prefix.set((i - 1) as usize, false);
         let query = ConjunctiveQuery::new(field.prefix_subset(i), prefix)
             .expect("prefix widths match by construction");
-        lq.push(1.0, query);
+        plan.push_term(coeff, query);
     }
-    lq
 }
 
-/// Compiles `freq(a ≤ c)`: the strict decomposition plus the equality
-/// query `I(A, c)`.
-///
-/// # Panics
-///
-/// Panics if `c > field.max_value()`.
-#[must_use]
-pub fn less_equal_query(field: &IntField, c: u64) -> LinearQuery {
-    let mut lq = less_than_query(field, c);
-    lq.description = format!("freq(field@{} <= {c})", field.offset());
+/// Pushes the terms of `freq(a ≤ c)`, each weighted `coeff`, onto the
+/// plan's current output.
+pub(crate) fn push_less_equal(plan: &mut TermPlan, field: &IntField, c: u64, coeff: f64) {
+    push_less_than(plan, field, c, coeff);
     let eq = ConjunctiveQuery::new(field.subset(), field.full_value(c))
         .expect("full widths match by construction");
-    lq.push(1.0, eq);
-    lq
-}
-
-/// Compiles `freq(lo ≤ a ≤ hi)` as `freq(a ≤ hi) − freq(a < lo)`.
-///
-/// # Panics
-///
-/// Panics unless `lo ≤ hi ≤ field.max_value()`.
-#[must_use]
-pub fn range_query(field: &IntField, lo: u64, hi: u64) -> LinearQuery {
-    assert!(lo <= hi, "empty range");
-    let mut lq = LinearQuery::new(format!("freq({lo} <= field@{} <= {hi})", field.offset()));
-    for term in less_equal_query(field, hi).terms() {
-        match &term.query {
-            Some(q) => lq.push(term.coeff, q.clone()),
-            None => lq.push_zero(term.coeff),
-        };
-    }
-    if lo > 0 {
-        for term in less_than_query(field, lo).terms() {
-            match &term.query {
-                Some(q) => lq.push(-term.coeff, q.clone()),
-                None => lq.push_zero(-term.coeff),
-            };
-        }
-    }
-    lq
-}
-
-/// Compiles `freq(a < c)` into a [`TermPlan`](crate::plan::TermPlan).
-///
-/// # Panics
-///
-/// As [`less_than_query`].
-#[must_use]
-pub fn less_than_plan(field: &IntField, c: u64) -> crate::plan::TermPlan {
-    crate::plan::TermPlan::compile(&less_than_query(field, c))
-}
-
-/// Compiles `freq(a ≤ c)` into a [`TermPlan`](crate::plan::TermPlan).
-///
-/// # Panics
-///
-/// As [`less_equal_query`].
-#[must_use]
-pub fn less_equal_plan(field: &IntField, c: u64) -> crate::plan::TermPlan {
-    crate::plan::TermPlan::compile(&less_equal_query(field, c))
-}
-
-/// Compiles `freq(lo ≤ a ≤ hi)` into a [`TermPlan`](crate::plan::TermPlan).
-///
-/// # Panics
-///
-/// As [`range_query`].
-#[must_use]
-pub fn range_plan(field: &IntField, lo: u64, hi: u64) -> crate::plan::TermPlan {
-    crate::plan::TermPlan::compile(&range_query(field, lo, hi))
+    plan.push_term(coeff, eq);
 }
 
 /// The prefix subsets a population must sketch so that *every* interval
@@ -124,38 +100,28 @@ pub fn interval_required_subsets(field: &IntField) -> Vec<psketch_core::BitSubse
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::exact_values;
     use psketch_core::Profile;
 
-    fn oracle_for<'a>(
-        values: &'a [u64],
-        field: &'a IntField,
-    ) -> impl Fn(&ConjunctiveQuery) -> f64 + 'a {
-        let width = field.end() as usize;
-        move |q: &ConjunctiveQuery| {
-            let hits = values
-                .iter()
-                .filter(|&&v| {
-                    let mut p = Profile::zeros(width);
-                    field.write(&mut p, v);
-                    p.satisfies(q.subset(), q.value())
-                })
-                .count();
-            hits as f64 / values.len() as f64
-        }
+    fn profiles_for(values: &[u64], field: &IntField) -> Vec<Profile> {
+        values
+            .iter()
+            .map(|&v| {
+                let mut p = Profile::zeros(field.end() as usize);
+                field.write(&mut p, v);
+                p
+            })
+            .collect()
     }
 
     #[test]
     fn strict_and_inclusive_match_brute_force() {
         let field = IntField::new(0, 6);
         let values: Vec<u64> = (0..64).collect();
-        let oracle = oracle_for(&values, &field);
+        let profiles = profiles_for(&values, &field);
         for c in [0u64, 1, 17, 31, 32, 63] {
-            let lt = less_than_query(&field, c)
-                .evaluate_with(|q| Ok(oracle(q)))
-                .unwrap();
-            let le = less_equal_query(&field, c)
-                .evaluate_with(|q| Ok(oracle(q)))
-                .unwrap();
+            let lt = exact_values(&less_than_plan(&field, c), &profiles)[0];
+            let le = exact_values(&less_equal_plan(&field, c), &profiles)[0];
             let expected_lt = values.iter().filter(|&&v| v < c).count() as f64 / 64.0;
             let expected_le = values.iter().filter(|&&v| v <= c).count() as f64 / 64.0;
             assert!((lt - expected_lt).abs() < 1e-12, "c={c}: lt {lt}");
@@ -167,11 +133,9 @@ mod tests {
     fn skewed_population_brute_force() {
         let field = IntField::new(2, 5);
         let values = [0u64, 0, 3, 9, 9, 9, 30, 31];
-        let oracle = oracle_for(&values, &field);
+        let profiles = profiles_for(&values, &field);
         for c in 0..=31u64 {
-            let got = less_equal_query(&field, c)
-                .evaluate_with(|q| Ok(oracle(q)))
-                .unwrap();
+            let got = exact_values(&less_equal_plan(&field, c), &profiles)[0];
             let expected = values.iter().filter(|&&v| v <= c).count() as f64 / 8.0;
             assert!((got - expected).abs() < 1e-12, "c={c}");
         }
@@ -180,22 +144,20 @@ mod tests {
     #[test]
     fn query_count_is_popcount() {
         let field = IntField::new(0, 8);
-        assert_eq!(less_than_query(&field, 0b1011_0100).num_queries(), 4);
-        assert_eq!(less_than_query(&field, 0).num_queries(), 0);
-        assert_eq!(less_than_query(&field, 0xFF).num_queries(), 8);
+        assert_eq!(less_than_plan(&field, 0b1011_0100).cost(), 4);
+        assert_eq!(less_than_plan(&field, 0).cost(), 0);
+        assert_eq!(less_than_plan(&field, 0xFF).cost(), 8);
         // ≤ adds the equality query.
-        assert_eq!(less_equal_query(&field, 0b100).num_queries(), 2);
+        assert_eq!(less_equal_plan(&field, 0b100).cost(), 2);
     }
 
     #[test]
     fn range_matches_brute_force() {
         let field = IntField::new(0, 5);
         let values: Vec<u64> = (0..32).flat_map(|v| [v, v % 7]).collect();
-        let oracle = oracle_for(&values, &field);
+        let profiles = profiles_for(&values, &field);
         for &(lo, hi) in &[(0u64, 31u64), (3, 9), (5, 5), (0, 0), (30, 31)] {
-            let got = range_query(&field, lo, hi)
-                .evaluate_with(|q| Ok(oracle(q)))
-                .unwrap();
+            let got = exact_values(&range_plan(&field, lo, hi), &profiles)[0];
             let expected =
                 values.iter().filter(|&&v| v >= lo && v <= hi).count() as f64 / values.len() as f64;
             assert!(
@@ -218,6 +180,6 @@ mod tests {
     #[should_panic(expected = "exceeds field range")]
     fn threshold_out_of_range() {
         let field = IntField::new(0, 3);
-        let _ = less_than_query(&field, 8);
+        let _ = less_than_plan(&field, 8);
     }
 }

@@ -4,10 +4,12 @@
 //! means, inner products, interval queries, combined constraints,
 //! conditional averages and decision trees all compile into *small*
 //! collections of conjunctive queries. This crate is that compiler plus an
-//! execution engine:
+//! execution engine. Every family builds one [`TermPlan`] directly:
 //!
-//! * [`linear`] — the normal form: weighted sums of conjunctive
-//!   frequencies ([`LinearQuery`]);
+//! * [`plan`] — the one query IR: a deduplicated term list plus linear
+//!   post-combinations (weighted sums of conjunctive frequencies),
+//!   executable bit-identically by the in-process engine, a single
+//!   server, or a sharded cluster router;
 //! * [`conjunction`] — merging heterogeneous constraints into single
 //!   conjunctions on union subsets (the `I(A ∪ Bᵢ, …)` constructions);
 //! * [`mean`] — sums/means via bit decomposition (k single-bit queries);
@@ -23,10 +25,6 @@
 //!   contingency cells over categorical attributes, one sketch per field;
 //! * [`sumlt`] — Appendix E's `a + b < 2^r` via XOR virtual bits, `r+1`
 //!   conjunctions instead of `2^{r+1} − 1`;
-//! * [`plan`] — the query-plan IR every family compiles to: a
-//!   deduplicated term list plus linear post-combinations, executable
-//!   bit-identically by the in-process engine, a single server, or a
-//!   sharded cluster router;
 //! * [`engine`] — evaluation of all of the above against a
 //!   [`SketchDb`](psketch_core::SketchDb).
 
@@ -40,7 +38,6 @@ pub mod conjunction;
 pub mod dnf;
 pub mod engine;
 pub mod interval;
-pub mod linear;
 pub mod mean;
 pub mod moment;
 pub mod plan;
@@ -50,22 +47,15 @@ pub mod tree;
 
 pub use bits::{perturbed_conjunction_plan, PerturbedBitTable};
 pub use categorical::{contingency_plan, histogram_plan, CategoricalAttribute, Histogram};
-pub use combined::{
-    conditional_mean_plan, conditional_sum_query, conditional_sum_query_inclusive,
-    eq_and_less_than, eq_and_less_than_plan,
-};
+pub use combined::{conditional_mean_plan, eq_and_less_than_plan};
 pub use conjunction::{conjunction_plan, merge_constraints, Constraint};
-pub use dnf::{dnf_plan, dnf_query, dnf_required_subsets};
+pub use dnf::{dnf_plan, dnf_required_subsets};
 pub use engine::{EngineStatsSnapshot, LinearAnswer, QueryEngine};
-pub use interval::{
-    interval_required_subsets, less_equal_plan, less_equal_query, less_than_plan, less_than_query,
-    range_plan, range_query,
-};
-pub use linear::{LinearQuery, LinearTerm};
-pub use mean::{mean_plan, mean_query, mean_required_subsets};
-pub use moment::{moment_plan, moment_query, variance_plan, variance_queries};
+pub use interval::{interval_required_subsets, less_equal_plan, less_than_plan, range_plan};
+pub use mean::{mean_plan, mean_required_subsets};
+pub use moment::{moment_plan, variance_plan};
 pub use plan::{PlanAccumulator, PlanOutput, TermPlan};
-pub use product::{inner_product_plan, inner_product_query, mean_square_plan, mean_square_query};
+pub use product::{inner_product_plan, mean_square_plan};
 pub use sumlt::{
     naive_conjunction_count, sum_less_than_pow2, sum_lt_plan, sum_lt_truth, SumLtEstimate,
 };

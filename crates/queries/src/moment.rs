@@ -11,24 +11,51 @@
 //! the third.
 
 use crate::conjunction::{merge_constraints, Constraint};
-use crate::linear::LinearQuery;
+use crate::plan::TermPlan;
 use psketch_core::{BitString, IntField};
 use std::collections::BTreeMap;
 
 /// Maximum supported moment order (terms grow like `k^r`).
 pub const MAX_MOMENT: u32 = 4;
 
-/// Compiles the r-th raw moment `E[aʳ]` of an integer field into
-/// conjunctions of width ≤ r over the field's bits.
+/// Compiles the r-th raw moment `E[aʳ]` of an integer field into a
+/// one-output [`TermPlan`] of conjunctions of width ≤ r over the field's
+/// bits.
 ///
-/// `r = 1` reduces to [`crate::mean::mean_query`]; `r = 2` to
-/// [`crate::product::mean_square_query`] (verified by tests).
+/// `r = 1` reduces to [`crate::mean::mean_plan`]; `r = 2` to
+/// [`crate::product::mean_square_plan`] (verified by tests).
 ///
 /// # Panics
 ///
 /// Panics unless `1 ≤ r ≤ MAX_MOMENT`.
 #[must_use]
-pub fn moment_query(field: &IntField, r: u32) -> LinearQuery {
+pub fn moment_plan(field: &IntField, r: u32) -> TermPlan {
+    let mut plan = TermPlan::single_output(moment_label(field, r));
+    push_moment(&mut plan, field, r);
+    plan
+}
+
+/// Compiles the variance `Var[a] = E[a²] − E[a]²` into one two-output
+/// plan: output 0 is `E[a²]`, output 1 is `E[a]`, and the `k` single-bit
+/// terms the mean needs are shared with the second moment's diagonal —
+/// the multi-output IR counts them once. The caller combines the two
+/// values (the combination is nonlinear, so it cannot be one output).
+#[must_use]
+pub fn variance_plan(field: &IntField) -> TermPlan {
+    let mut plan = TermPlan::new(format!("variance of field@{}", field.offset()));
+    for r in [2, 1] {
+        plan.begin_output(moment_label(field, r), 0.0);
+        push_moment(&mut plan, field, r);
+    }
+    plan
+}
+
+fn moment_label(field: &IntField, r: u32) -> String {
+    format!("E[a^{r}] of field@{}", field.offset())
+}
+
+/// Pushes the terms of `E[aʳ]` onto the plan's current output.
+fn push_moment(plan: &mut TermPlan, field: &IntField, r: u32) {
     assert!(
         (1..=MAX_MOMENT).contains(&r),
         "moment order must be in [1, {MAX_MOMENT}]"
@@ -61,7 +88,6 @@ pub fn moment_query(field: &IntField, r: u32) -> LinearQuery {
         *weights.entry(distinct).or_insert(0.0) += weight;
     }
 
-    let mut lq = LinearQuery::new(format!("E[a^{r}] of field@{}", field.offset()));
     for (bits, weight) in weights {
         let constraints: Vec<Constraint> = bits
             .iter()
@@ -73,73 +99,34 @@ pub fn moment_query(field: &IntField, r: u32) -> LinearQuery {
         let query = merge_constraints(&constraints)
             .expect("non-empty")
             .expect("distinct single bits cannot contradict");
-        lq.push(weight, query);
+        plan.push_term(weight, query);
     }
-    lq
-}
-
-/// The central second moment (variance) as a pair of linear queries:
-/// `Var[a] = E[a²] − E[a]²`. Returns `(second_moment, mean)`; the caller
-/// combines the two estimates (the combination is nonlinear, so it cannot
-/// be a single [`LinearQuery`]).
-#[must_use]
-pub fn variance_queries(field: &IntField) -> (LinearQuery, LinearQuery) {
-    (moment_query(field, 2), moment_query(field, 1))
-}
-
-/// Compiles the r-th raw moment into a
-/// [`TermPlan`](crate::plan::TermPlan).
-///
-/// # Panics
-///
-/// As [`moment_query`].
-#[must_use]
-pub fn moment_plan(field: &IntField, r: u32) -> crate::plan::TermPlan {
-    crate::plan::TermPlan::compile(&moment_query(field, r))
-}
-
-/// Compiles the variance's query pair into **one** two-output plan:
-/// output 0 is `E[a²]`, output 1 is `E[a]`, and the `k` single-bit terms
-/// the mean needs are shared with the second moment's diagonal — the
-/// multi-output IR counts them once.
-#[must_use]
-pub fn variance_plan(field: &IntField) -> crate::plan::TermPlan {
-    let (m2, m1) = variance_queries(field);
-    crate::plan::TermPlan::from_queries(format!("variance of field@{}", field.offset()), &[m2, m1])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_core::{ConjunctiveQuery, Profile};
+    use crate::plan::exact_values;
+    use psketch_core::Profile;
 
-    fn oracle_for<'a>(
-        values: &'a [u64],
-        field: &'a IntField,
-    ) -> impl Fn(&ConjunctiveQuery) -> f64 + 'a {
-        let width = field.end() as usize;
-        move |q: &ConjunctiveQuery| {
-            values
-                .iter()
-                .filter(|&&v| {
-                    let mut p = Profile::zeros(width);
-                    field.write(&mut p, v);
-                    p.satisfies(q.subset(), q.value())
-                })
-                .count() as f64
-                / values.len() as f64
-        }
+    fn profiles_for(values: &[u64], field: &IntField) -> Vec<Profile> {
+        values
+            .iter()
+            .map(|&v| {
+                let mut p = Profile::zeros(field.end() as usize);
+                field.write(&mut p, v);
+                p
+            })
+            .collect()
     }
 
     #[test]
     fn moments_match_brute_force() {
         let field = IntField::new(0, 5);
         let values = [0u64, 3, 7, 12, 19, 31, 31, 8];
-        let oracle = oracle_for(&values, &field);
+        let profiles = profiles_for(&values, &field);
         for r in 1..=4u32 {
-            let got = moment_query(&field, r)
-                .evaluate_with(|q| Ok(oracle(q)))
-                .unwrap();
+            let got = exact_values(&moment_plan(&field, r), &profiles)[0];
             let expected = values
                 .iter()
                 .map(|&v| (v as f64).powi(r as i32))
@@ -156,28 +143,20 @@ mod tests {
     fn first_moment_equals_mean_query() {
         let field = IntField::new(2, 6);
         let values: Vec<u64> = (0..64).map(|v| (v * 7) % 64).collect();
-        let oracle = oracle_for(&values, &field);
-        let via_moment = moment_query(&field, 1)
-            .evaluate_with(|q| Ok(oracle(q)))
-            .unwrap();
-        let via_mean = crate::mean::mean_query(&field)
-            .evaluate_with(|q| Ok(oracle(q)))
-            .unwrap();
+        let profiles = profiles_for(&values, &field);
+        let via_moment = exact_values(&moment_plan(&field, 1), &profiles)[0];
+        let via_mean = exact_values(&crate::mean::mean_plan(&field), &profiles)[0];
         assert!((via_moment - via_mean).abs() < 1e-9);
-        assert_eq!(moment_query(&field, 1).num_queries(), 6);
+        assert_eq!(moment_plan(&field, 1).cost(), 6);
     }
 
     #[test]
     fn second_moment_equals_mean_square_query() {
         let field = IntField::new(0, 4);
         let values = [1u64, 5, 9, 15, 2];
-        let oracle = oracle_for(&values, &field);
-        let via_moment = moment_query(&field, 2)
-            .evaluate_with(|q| Ok(oracle(q)))
-            .unwrap();
-        let via_sq = crate::product::mean_square_query(&field)
-            .evaluate_with(|q| Ok(oracle(q)))
-            .unwrap();
+        let profiles = profiles_for(&values, &field);
+        let via_moment = exact_values(&moment_plan(&field, 2), &profiles)[0];
+        let via_sq = exact_values(&crate::product::mean_square_plan(&field), &profiles)[0];
         assert!((via_moment - via_sq).abs() < 1e-9);
     }
 
@@ -185,10 +164,10 @@ mod tests {
     fn variance_via_query_pair() {
         let field = IntField::new(0, 4);
         let values = [2u64, 2, 8, 12];
-        let oracle = oracle_for(&values, &field);
-        let (m2, m1) = variance_queries(&field);
-        let e2 = m2.evaluate_with(|q| Ok(oracle(q))).unwrap();
-        let e1 = m1.evaluate_with(|q| Ok(oracle(q))).unwrap();
+        let plan = variance_plan(&field);
+        let [e2, e1] = exact_values(&plan, &profiles_for(&values, &field))[..] else {
+            panic!("the variance plan has two outputs");
+        };
         let var = e2 - e1 * e1;
         let mean = values.iter().sum::<u64>() as f64 / 4.0;
         let expected = values
@@ -197,20 +176,22 @@ mod tests {
             .sum::<f64>()
             / 4.0;
         assert!((var - expected).abs() < 1e-9, "{var} vs {expected}");
+        // E[a]'s k single-bit terms are E[a²]'s diagonal: counted once.
+        assert_eq!(plan.cost(), moment_plan(&field, 2).cost());
     }
 
     #[test]
     fn query_counts_are_polynomial_not_exponential() {
         let field = IntField::new(0, 8);
         // Width-≤r conjunctions over k bits: Σ_{j≤r} C(k, j).
-        assert_eq!(moment_query(&field, 1).num_queries(), 8);
-        assert_eq!(moment_query(&field, 2).num_queries(), 8 + 28);
-        assert_eq!(moment_query(&field, 3).num_queries(), 8 + 28 + 56);
+        assert_eq!(moment_plan(&field, 1).cost(), 8);
+        assert_eq!(moment_plan(&field, 2).cost(), 8 + 28);
+        assert_eq!(moment_plan(&field, 3).cost(), 8 + 28 + 56);
     }
 
     #[test]
     #[should_panic(expected = "moment order")]
     fn order_zero_rejected() {
-        let _ = moment_query(&IntField::new(0, 2), 0);
+        let _ = moment_plan(&IntField::new(0, 2), 0);
     }
 }

@@ -7,8 +7,8 @@
 //! explicit and executable anywhere:
 //!
 //! * a **deduplicated term list**: the distinct conjunctive queries the
-//!   plan needs counted (each term is one shard scan, and one ε charge
-//!   under Corollary 3.4 accounting — [`TermPlan::cost`]);
+//!   plan needs counted (each term is one count read — a count-table
+//!   lookup or a scan — and [`TermPlan::cost`] is their number);
 //! * one or more **outputs**, each a linear post-combination
 //!   `constant + Σ coeffⱼ · freq(termⱼ)` over the shared term list
 //!   (a histogram is one output per level; a conditional mean is a
@@ -24,7 +24,6 @@
 //! combination replays the compiler's term order exactly.
 
 use crate::engine::LinearAnswer;
-use crate::linear::LinearQuery;
 use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Error, Estimate};
 use std::collections::HashMap;
 
@@ -46,8 +45,8 @@ pub struct PlanOutput {
     pub label: String,
     /// Constant offset added to the combination.
     pub constant: f64,
-    /// `(coeff, term slot)` in original compiler order — the order
-    /// matters for float bit-identity with the legacy evaluation.
+    /// `(coeff, term slot)` in the order the compiler pushed them — the
+    /// order matters for float bit-identity across executors.
     combination: Vec<(f64, usize)>,
 }
 
@@ -141,38 +140,13 @@ impl TermPlan {
         self
     }
 
-    /// Compiles a linear query into a single-output plan. Duplicate
-    /// conjunctive terms share one slot; provably-zero terms
-    /// ([`LinearQuery::push_zero`]) are dropped, exactly as
-    /// [`LinearQuery::evaluate_with`] skips them.
-    #[must_use]
-    pub fn compile(lq: &LinearQuery) -> Self {
-        Self::from_queries(lq.description.clone(), [lq])
-    }
-
-    /// Compiles several linear queries into one multi-output plan with a
-    /// shared term list: a conjunctive term appearing in any two of the
-    /// queries is counted once.
-    #[must_use]
-    pub fn from_queries<'a>(
-        description: impl Into<String>,
-        lqs: impl IntoIterator<Item = &'a LinearQuery>,
-    ) -> Self {
-        let started = psketch_obs::enabled().then(std::time::Instant::now);
-        let mut plan = Self::new(description);
-        for lq in lqs {
-            plan.begin_output(lq.description.clone(), lq.constant);
-            for term in lq.terms() {
-                if let Some(query) = &term.query {
-                    plan.push_term(term.coeff, query.clone());
-                }
-            }
-        }
-        if let Some(started) = started {
-            psketch_obs::histogram("psketch_query_plan_compile_nanos", &[])
-                .record_duration(started.elapsed());
-            psketch_obs::counter("psketch_query_plans_compiled_total", &[]).inc();
-        }
+    /// A plan with one output, described by that output's label — the
+    /// shape every single-answer family compiles to. The family then
+    /// pushes its terms with [`TermPlan::push_term`].
+    pub(crate) fn single_output(label: impl Into<String>) -> Self {
+        let label = label.into();
+        let mut plan = Self::new(label.clone());
+        plan.begin_output(label, 0.0);
         plan
     }
 
@@ -268,11 +242,12 @@ impl TermPlan {
         &self.outputs
     }
 
-    /// The plan's cost: the number of distinct conjunctive terms — the
-    /// Corollary 3.4 ε charge a serving node levies. Compound queries
-    /// are charged for exactly the estimates computed, never per-output
-    /// or per-wire-frame. (Scanning costs one pass per distinct subset,
-    /// [`TermPlan::required_subsets`], however many terms share it.)
+    /// The plan's cost: the number of distinct conjunctive terms, that
+    /// is, the count reads an executor makes to answer it — one per term
+    /// however many outputs reference it. (Privacy is spent per user at
+    /// sketch time, not per plan; a scan costs one pass per distinct
+    /// subset, [`TermPlan::required_subsets`], however many terms share
+    /// it.)
     #[must_use]
     pub fn cost(&self) -> usize {
         self.terms.len()
@@ -331,6 +306,30 @@ impl TermPlan {
             })
             .collect())
     }
+}
+
+/// Evaluates a plan over exact term frequencies: each term's estimate is
+/// its satisfying fraction among `profiles` (an Algorithm 2 inversion at
+/// `p = 0` is the identity), and [`TermPlan::evaluate`] combines them.
+/// The ground truth the family compilers are checked against.
+#[cfg(test)]
+pub(crate) fn exact_values(plan: &TermPlan, profiles: &[psketch_core::Profile]) -> Vec<f64> {
+    let estimates: Vec<Estimate> = plan
+        .terms()
+        .iter()
+        .map(|q| {
+            let hits = profiles
+                .iter()
+                .filter(|p| p.satisfies(q.subset(), q.value()))
+                .count();
+            Estimate::from_counts(hits as u64, profiles.len() as u64, 0.0)
+        })
+        .collect();
+    plan.evaluate(&estimates)
+        .expect("one estimate per term")
+        .iter()
+        .map(|a| a.value)
+        .collect()
 }
 
 /// The merge side of distributed plan execution: per-term integer
@@ -470,13 +469,11 @@ mod tests {
     fn compile_dedupes_terms_and_preserves_order() {
         let q1 = query(&[0], &[true]);
         let q2 = query(&[1], &[false]);
-        let mut lq = LinearQuery::new("dup");
-        lq.constant = 0.5;
-        lq.push(1.0, q1.clone());
-        lq.push(2.0, q2);
-        lq.push(-0.5, q1);
-        lq.push_zero(9.0);
-        let plan = TermPlan::compile(&lq);
+        let mut plan = TermPlan::new("dup");
+        plan.begin_output("dup", 0.5)
+            .push_term(1.0, q1.clone())
+            .push_term(2.0, q2)
+            .push_term(-0.5, q1);
         assert_eq!(plan.cost(), 2);
         assert_eq!(plan.outputs().len(), 1);
         let comb = plan.outputs()[0].combination();
@@ -488,11 +485,9 @@ mod tests {
     #[test]
     fn multi_output_plans_share_terms() {
         let q = query(&[0], &[true]);
-        let mut a = LinearQuery::new("a");
-        a.push(1.0, q.clone());
-        let mut b = LinearQuery::new("b");
-        b.push(2.0, q);
-        let plan = TermPlan::from_queries("shared", &[a, b]);
+        let mut plan = TermPlan::new("shared");
+        plan.begin_output("a", 0.0).push_term(1.0, q.clone());
+        plan.begin_output("b", 0.0).push_term(2.0, q);
         assert_eq!(plan.cost(), 1);
         assert_eq!(plan.outputs().len(), 2);
         assert_eq!(plan.outputs()[1].combination(), &[(2.0, 0)]);
@@ -538,18 +533,17 @@ mod tests {
         let q1 = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(5, 3)).unwrap();
         let q2 = ConjunctiveQuery::new(subset, BitString::from_u64(2, 3)).unwrap();
         // Non-dyadic coefficients: a reordered float sum changes the bits.
-        let mut lq = LinearQuery::new("plan vs engine");
-        lq.constant = 0.1;
-        lq.push(1.7, q1.clone());
-        lq.push(-0.3, q2);
-        lq.push(0.7, q1);
-        let legacy = per_term_oracle(&est, &db, &lq).unwrap();
-        let plan = TermPlan::compile(&lq);
+        let mut plan = TermPlan::new("plan vs engine");
+        plan.begin_output("plan vs engine", 0.1)
+            .push_term(1.7, q1.clone())
+            .push_term(-0.3, q2)
+            .push_term(0.7, q1);
+        let legacy = per_term_oracle(&est, &db, &plan).unwrap();
         let answers = engine.execute_plan(&db, &plan).unwrap();
         assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].value.to_bits(), legacy.value.to_bits());
-        assert_eq!(answers[0].queries_used, legacy.queries_used);
-        assert_eq!(answers[0].min_sample_size, legacy.min_sample_size);
+        assert_eq!(answers[0].value.to_bits(), legacy[0].value.to_bits());
+        assert_eq!(answers[0].queries_used, legacy[0].queries_used);
+        assert_eq!(answers[0].min_sample_size, legacy[0].min_sample_size);
     }
 
     #[test]
@@ -559,12 +553,11 @@ mod tests {
         let est = psketch_core::ConjunctiveEstimator::new(params(p));
         let q1 = ConjunctiveQuery::new(subset.clone(), BitString::from_u64(5, 3)).unwrap();
         let q2 = ConjunctiveQuery::new(subset, BitString::from_u64(2, 3)).unwrap();
-        let mut lq = LinearQuery::new("merged plan");
-        lq.constant = -0.25;
-        lq.push(2.0, q1.clone());
-        lq.push(-0.5, q2);
-        lq.push(3.0, q1);
-        let plan = TermPlan::compile(&lq);
+        let mut plan = TermPlan::new("merged plan");
+        plan.begin_output("merged plan", -0.25)
+            .push_term(2.0, q1.clone())
+            .push_term(-0.5, q2)
+            .push_term(3.0, q1);
 
         let mut acc = PlanAccumulator::for_plan(&plan);
         for shard in &shards {
@@ -573,10 +566,10 @@ mod tests {
         }
         let estimates = acc.finish(p).unwrap();
         let merged = plan.evaluate(&estimates).unwrap();
-        let single = per_term_oracle(&est, &whole, &lq).unwrap();
-        assert_eq!(merged[0].value.to_bits(), single.value.to_bits());
-        assert_eq!(merged[0].queries_used, single.queries_used);
-        assert_eq!(merged[0].min_sample_size, single.min_sample_size);
+        let single = per_term_oracle(&est, &whole, &plan).unwrap();
+        assert_eq!(merged[0].value.to_bits(), single[0].value.to_bits());
+        assert_eq!(merged[0].queries_used, single[0].queries_used);
+        assert_eq!(merged[0].min_sample_size, single[0].min_sample_size);
         assert_eq!(acc.max_population(), 1_800);
     }
 
@@ -605,9 +598,8 @@ mod tests {
         let acc = PlanAccumulator::for_plan(&plan);
         assert!(matches!(acc.finish(0.3), Err(Error::EmptyDatabase)));
         // A term-free plan (constant only) is fine.
-        let mut lq = LinearQuery::new("constant");
-        lq.constant = 2.5;
-        let plan = TermPlan::compile(&lq);
+        let mut plan = TermPlan::new("constant");
+        plan.begin_output("constant", 2.5);
         let acc = PlanAccumulator::for_plan(&plan);
         let answers = plan.evaluate(&acc.finish(0.3).unwrap()).unwrap();
         assert_eq!(answers[0].value, 2.5);

@@ -7,25 +7,26 @@
 //! dropped (the paper's footnote 6).
 
 use crate::conjunction::{merge_constraints, Constraint};
-use crate::linear::LinearQuery;
+use crate::plan::TermPlan;
 use psketch_core::{BitString, IntField};
 
 /// Compiles the mean inner product `E[a·b]` of two **disjoint** integer
-/// fields into `k_a · k_b` two-bit conjunctive terms.
+/// fields into a one-output [`TermPlan`] of `k_a · k_b` two-bit
+/// conjunctive terms.
 ///
 /// # Panics
 ///
 /// Panics if the fields overlap (an inner product of an attribute with
 /// itself needs the diagonal identity `aᵢ·aᵢ = aᵢ` instead; see
-/// [`mean_square_query`]).
+/// [`mean_square_plan`]).
 #[must_use]
-pub fn inner_product_query(a: &IntField, b: &IntField) -> LinearQuery {
+pub fn inner_product_plan(a: &IntField, b: &IntField) -> TermPlan {
     assert!(
         a.end() <= b.offset() || b.end() <= a.offset(),
-        "inner_product_query requires disjoint fields"
+        "inner_product_plan requires disjoint fields"
     );
     let (ka, kb) = (a.width(), b.width());
-    let mut lq = LinearQuery::new(format!(
+    let mut plan = TermPlan::single_output(format!(
         "inner product of fields @{} and @{}",
         a.offset(),
         b.offset()
@@ -39,20 +40,21 @@ pub fn inner_product_query(a: &IntField, b: &IntField) -> LinearQuery {
             ])
             .expect("non-empty")
             .expect("disjoint fields cannot contradict");
-            lq.push(weight, query);
+            plan.push_term(weight, query);
         }
     }
-    lq
+    plan
 }
 
-/// Compiles the mean square `E[a²]` of one field.
+/// Compiles the mean square `E[a²]` of one field into a one-output
+/// [`TermPlan`].
 ///
 /// Diagonal terms use `aᵢ² = aᵢ` (single-bit queries); off-diagonal terms
 /// are two-bit queries within the field, counted once with doubled weight.
 #[must_use]
-pub fn mean_square_query(a: &IntField) -> LinearQuery {
+pub fn mean_square_plan(a: &IntField) -> TermPlan {
     let k = a.width();
-    let mut lq = LinearQuery::new(format!("mean square of field @{}", a.offset()));
+    let mut plan = TermPlan::single_output(format!("mean square of field @{}", a.offset()));
     for i in 1..=k {
         for j in i..=k {
             let base_weight = (1u128 << ((k - i) + (k - j))) as f64;
@@ -64,7 +66,7 @@ pub fn mean_square_query(a: &IntField) -> LinearQuery {
                 .expect("width 1")])
                 .expect("non-empty")
                 .expect("single constraint cannot contradict");
-                lq.push(base_weight, query);
+                plan.push_term(base_weight, query);
             } else {
                 let query = merge_constraints(&[
                     Constraint::new(a.bit_subset(i), BitString::from_bits(&[true]))
@@ -74,53 +76,29 @@ pub fn mean_square_query(a: &IntField) -> LinearQuery {
                 ])
                 .expect("non-empty")
                 .expect("distinct bits cannot contradict");
-                lq.push(2.0 * base_weight, query);
+                plan.push_term(2.0 * base_weight, query);
             }
         }
     }
-    lq
-}
-
-/// Compiles the mean inner product into a
-/// [`TermPlan`](crate::plan::TermPlan).
-///
-/// # Panics
-///
-/// As [`inner_product_query`].
-#[must_use]
-pub fn inner_product_plan(a: &IntField, b: &IntField) -> crate::plan::TermPlan {
-    crate::plan::TermPlan::compile(&inner_product_query(a, b))
-}
-
-/// Compiles the mean square into a [`TermPlan`](crate::plan::TermPlan).
-#[must_use]
-pub fn mean_square_plan(a: &IntField) -> crate::plan::TermPlan {
-    crate::plan::TermPlan::compile(&mean_square_query(a))
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psketch_core::{ConjunctiveQuery, Profile};
+    use crate::plan::exact_values;
+    use psketch_core::Profile;
 
-    fn oracle_for<'a>(
-        pairs: &'a [(u64, u64)],
-        a: &'a IntField,
-        b: &'a IntField,
-    ) -> impl Fn(&ConjunctiveQuery) -> f64 + 'a {
-        let width = a.end().max(b.end()) as usize;
-        move |q: &ConjunctiveQuery| {
-            let hits = pairs
-                .iter()
-                .filter(|&&(va, vb)| {
-                    let mut p = Profile::zeros(width);
-                    a.write(&mut p, va);
-                    b.write(&mut p, vb);
-                    p.satisfies(q.subset(), q.value())
-                })
-                .count();
-            hits as f64 / pairs.len() as f64
-        }
+    fn profiles_for(pairs: &[(u64, u64)], a: &IntField, b: &IntField) -> Vec<Profile> {
+        pairs
+            .iter()
+            .map(|&(va, vb)| {
+                let mut p = Profile::zeros(a.end().max(b.end()) as usize);
+                a.write(&mut p, va);
+                b.write(&mut p, vb);
+                p
+            })
+            .collect()
     }
 
     #[test]
@@ -128,9 +106,7 @@ mod tests {
         let a = IntField::new(0, 4);
         let b = IntField::new(4, 4);
         let pairs = [(3u64, 5u64), (15, 15), (0, 9), (7, 1)];
-        let lq = inner_product_query(&a, &b);
-        let oracle = oracle_for(&pairs, &a, &b);
-        let got = lq.evaluate_with(|q| Ok(oracle(q))).unwrap();
+        let got = exact_values(&inner_product_plan(&a, &b), &profiles_for(&pairs, &a, &b))[0];
         let expected = pairs.iter().map(|&(x, y)| (x * y) as f64).sum::<f64>() / pairs.len() as f64;
         assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
     }
@@ -139,17 +115,15 @@ mod tests {
     fn inner_product_query_count_is_k_squared() {
         let a = IntField::new(0, 5);
         let b = IntField::new(5, 3);
-        assert_eq!(inner_product_query(&a, &b).num_queries(), 15);
+        assert_eq!(inner_product_plan(&a, &b).cost(), 15);
     }
 
     #[test]
     fn mean_square_exact_under_exact_oracle() {
         let a = IntField::new(0, 4);
-        let b = IntField::new(4, 4); // unused filler to satisfy the oracle
+        let b = IntField::new(4, 4); // unused filler beside `a`
         let pairs = [(3u64, 0u64), (15, 0), (0, 0), (7, 0), (12, 0)];
-        let lq = mean_square_query(&a);
-        let oracle = oracle_for(&pairs, &a, &b);
-        let got = lq.evaluate_with(|q| Ok(oracle(q))).unwrap();
+        let got = exact_values(&mean_square_plan(&a), &profiles_for(&pairs, &a, &b))[0];
         let expected = pairs.iter().map(|&(x, _)| (x * x) as f64).sum::<f64>() / pairs.len() as f64;
         assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
     }
@@ -159,6 +133,6 @@ mod tests {
     fn overlapping_fields_rejected() {
         let a = IntField::new(0, 4);
         let b = IntField::new(2, 4);
-        let _ = inner_product_query(&a, &b);
+        let _ = inner_product_plan(&a, &b);
     }
 }

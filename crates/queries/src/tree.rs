@@ -7,7 +7,7 @@
 //! sum of the fraction of users that satisfy each path."
 
 use crate::conjunction::{merge_constraints, Constraint};
-use crate::linear::LinearQuery;
+use crate::plan::TermPlan;
 use psketch_core::{BitString, BitSubset, ConjunctiveQuery, Profile};
 
 /// A binary decision tree over profile attributes.
@@ -121,33 +121,31 @@ impl DecisionTree {
         }
     }
 
-    /// Compiles the tree's acceptance fraction into a
-    /// [`TermPlan`](crate::plan::TermPlan): one unit-weight term per
-    /// accepting path (paths are disjoint, so the sum is the fraction).
+    /// Compiles the tree's acceptance fraction into a one-output
+    /// [`TermPlan`]: one unit-weight term per accepting path (paths are
+    /// disjoint, so the sum is the fraction). The accept-everything tree
+    /// has no path conjunction; its fraction is the constant 1.
     #[must_use]
-    pub fn to_plan(&self) -> crate::plan::TermPlan {
-        crate::plan::TermPlan::compile(&self.to_linear_query())
-    }
-
-    /// Compiles "fraction of users accepted by this tree" into a linear
-    /// query: one unit-weight term per accepting path.
-    #[must_use]
-    pub fn to_linear_query(&self) -> LinearQuery {
-        let mut lq = LinearQuery::new(format!("decision tree (depth {})", self.depth()));
-        if matches!(self, Self::Leaf(true)) {
-            lq.constant = 1.0;
-            return lq;
-        }
+    pub fn to_plan(&self) -> TermPlan {
+        let label = format!("decision tree (depth {})", self.depth());
+        let constant = if matches!(self, Self::Leaf(true)) {
+            1.0
+        } else {
+            0.0
+        };
+        let mut plan = TermPlan::new(label.clone());
+        plan.begin_output(label, constant);
         for q in self.accepting_paths() {
-            lq.push(1.0, q);
+            plan.push_term(1.0, q);
         }
-        lq
+        plan
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::exact_values;
     use psketch_prf::Prg;
     use rand::{RngExt, SeedableRng};
 
@@ -196,20 +194,11 @@ mod tests {
         // Random depth-3 trees over 4 attributes, possibly retesting bits.
         for _ in 0..25 {
             let tree = random_tree(&mut rng, 3, 4);
-            let lq = tree.to_linear_query();
             let profiles: Vec<Profile> = (0..16u64)
                 .map(|v| Profile::from_bits(&[v & 1 == 1, v & 2 == 2, v & 4 == 4, v & 8 == 8]))
                 .collect();
             let expected = profiles.iter().filter(|p| tree.evaluate(p)).count() as f64 / 16.0;
-            let got = lq
-                .evaluate_with(|q| {
-                    Ok(profiles
-                        .iter()
-                        .filter(|p| p.satisfies(q.subset(), q.value()))
-                        .count() as f64
-                        / 16.0)
-                })
-                .unwrap();
+            let got = exact_values(&tree.to_plan(), &profiles)[0];
             assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
         }
     }
@@ -235,7 +224,7 @@ mod tests {
             DecisionTree::split(0, DecisionTree::Leaf(true), DecisionTree::Leaf(false)),
         );
         assert!(t.accepting_paths().is_empty());
-        assert_eq!(t.to_linear_query().num_queries(), 0);
+        assert_eq!(t.to_plan().cost(), 0);
     }
 
     #[test]
@@ -254,8 +243,15 @@ mod tests {
 
     #[test]
     fn trivial_trees() {
-        assert_eq!(DecisionTree::Leaf(true).to_linear_query().constant, 1.0);
-        assert_eq!(DecisionTree::Leaf(false).to_linear_query().num_queries(), 0);
-        assert_eq!(DecisionTree::Leaf(false).to_linear_query().constant, 0.0);
+        assert_eq!(
+            DecisionTree::Leaf(true).to_plan().outputs()[0].constant,
+            1.0
+        );
+        assert_eq!(DecisionTree::Leaf(true).to_plan().cost(), 0);
+        assert_eq!(DecisionTree::Leaf(false).to_plan().cost(), 0);
+        assert_eq!(
+            DecisionTree::Leaf(false).to_plan().outputs()[0].constant,
+            0.0
+        );
     }
 }

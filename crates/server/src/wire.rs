@@ -1493,14 +1493,13 @@ mod tests {
             bundle: vec![1, 2, 3],
             skipped: vec![0, 2],
         }]));
-        let mut lq = psketch_queries::LinearQuery::new("wire roundtrip");
-        lq.constant = -0.5;
-        lq.push(
+        let mut plan = TermPlan::new("wire roundtrip");
+        plan.begin_output("wire roundtrip", -0.5).push_term(
             2.0,
             ConjunctiveQuery::new(BitSubset::single(1), BitString::from_bits(&[true])).unwrap(),
         );
         roundtrip_request(&Request::Plan {
-            plan: TermPlan::compile(&lq),
+            plan,
             nonce: u64::MAX,
             profile: true,
         });

@@ -77,7 +77,7 @@ fn distribution(client: &mut Client, subset: &BitSubset) -> Vec<Estimate> {
         .collect()
 }
 
-/// A one-term plan: a charged conjunction as the `Plan` frame carries it.
+/// A one-term plan: a conjunction as the `Plan` frame carries it.
 fn conj_plan(subset: &BitSubset, value: &BitString) -> TermPlan {
     TermPlan::for_conjunctive(ConjunctiveQuery::new(subset.clone(), value.clone()).unwrap())
 }
@@ -167,21 +167,15 @@ fn loopback_concurrent_clients_match_oracle() {
     }
     // A linear query (P[b0] + P[b1] − 1, say) travels as a plan and
     // matches the engine.
-    let mut lq = psketch_queries::LinearQuery::new("service linear");
-    lq.constant = -1.0;
-    lq.push(
-        1.0,
-        psketch_core::ConjunctiveQuery::new(BitSubset::single(0), BitString::from_bits(&[true]))
-            .unwrap(),
-    );
-    lq.push(
-        1.0,
-        psketch_core::ConjunctiveQuery::new(BitSubset::single(1), BitString::from_bits(&[true]))
-            .unwrap(),
-    );
-    let answers = client
-        .execute_plan(&psketch_queries::TermPlan::compile(&lq))
-        .unwrap();
+    let mut plan = TermPlan::new("service linear");
+    plan.begin_output("service linear", -1.0);
+    for bit in [0, 1] {
+        plan.push_term(
+            1.0,
+            ConjunctiveQuery::new(BitSubset::single(bit), BitString::from_bits(&[true])).unwrap(),
+        );
+    }
+    let answers = client.execute_plan(&plan).unwrap();
     let (value, used, min_n) = (
         answers[0].value,
         answers[0].queries_used,
@@ -721,7 +715,7 @@ fn bad_frames_get_error_responses_and_connection_survives() {
         other => panic!("expected error frame, got {other:?}"),
     }
     // Retired kinds (0x03/0x04) are malformed, even followed by a body
-    // that starts like a charged request's (nonce, profile flag).
+    // that starts like a plan request's (nonce, profile flag).
     for kind in [0x03, 0x04] {
         let mut frame = vec![wire::PROTOCOL_VERSION, kind];
         frame.extend_from_slice(&7u64.to_le_bytes());
